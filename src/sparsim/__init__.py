@@ -58,7 +58,7 @@ from .isa import (
     replay,
     write_trace,
 )
-from .mapping import GammaState, LoadHistogram, Mapper, MapperConfig, load_stats
+from .mapping import LoadHistogram, Mapper, MapperConfig, load_stats
 from .uarch import ChipConfig, MemChannelModel, TileConfig, build_chip, named_chip
 from .engine import SimRun, SimStats, collect_cpi, run_spgemm_simulation
 
@@ -78,7 +78,7 @@ __all__ = [
     "Mmh4Instr", "HaccInstr", "TagLayout", "Program",
     "encode_tag", "decode_tag", "expand_mmh4", "lower_spgemm", "replay",
     "write_trace", "read_trace",
-    "Mapper", "MapperConfig", "GammaState", "LoadHistogram", "load_stats",
+    "Mapper", "MapperConfig", "LoadHistogram", "load_stats",
     "TileConfig", "ChipConfig", "MemChannelModel", "build_chip", "named_chip",
     "SimRun", "SimStats", "run_spgemm_simulation", "collect_cpi",
     "__version__",

@@ -2,12 +2,11 @@
 
 Each cycle has three phases. The dispatcher issues tile instructions to
 cores (phase 0); every active component advances one cycle touching only
-its own state and outbox (phase 1, safe to spread over host worker
-threads); the engine then commits all cross-component transfers in a
-canonical component order (phase 2). Because inter-component effects only
-happen in the single-threaded commit phase, final statistics and the
-output matrix are bit-for-bit functions of (program, chip config, mapper
-config, seed) regardless of host parallelism.
+its own state and outbox (phase 1); the engine then commits all
+cross-component transfers in a canonical component order (phase 2).
+Because inter-component effects only happen in the commit phase, final
+statistics and the output matrix are bit-for-bit functions of (program,
+chip config, mapper config, seed).
 
 The memory system is an analytic channel model per tile: bandwidth cap,
 fixed pipelined latency, bounded queue. Runs end when every instruction
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -361,7 +359,7 @@ class SimRun:
 
     # -- main loop ------------------------------------------------------------
 
-    def run_to_completion(self, host_workers: int = 1) -> SimStats:
+    def run_to_completion(self) -> SimStats:
         t0 = time.perf_counter()
         cfg = self.chip_cfg
         diameter = self.chip.width // 2 + self.chip.height // 2 + 1
@@ -371,22 +369,17 @@ class SimRun:
         )
         watchdog_limit = 10 * (diameter + max_stage)
         idle_cycles = 0
-        pool = ThreadPoolExecutor(max_workers=host_workers) if host_workers > 1 else None
-        try:
-            while True:
-                progressed = self._step_cycle(pool, host_workers)
-                if self._finished():
-                    break
-                if progressed:
-                    idle_cycles = 0
-                else:
-                    idle_cycles += 1
-                    if idle_cycles > watchdog_limit:
-                        raise DeadlockError(self._deadlock_dump(watchdog_limit))
-                self.cycle += 1
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        while True:
+            progressed = self._step_cycle()
+            if self._finished():
+                break
+            if progressed:
+                idle_cycles = 0
+            else:
+                idle_cycles += 1
+                if idle_cycles > watchdog_limit:
+                    raise DeadlockError(self._deadlock_dump(watchdog_limit))
+            self.cycle += 1
         self.stats.cycles = self.cycle
         self._finalize()
         self.stats.wall_seconds = time.perf_counter() - t0
@@ -394,7 +387,7 @@ class SimRun:
             self.stats.kcps = (self.cycle / 1000.0) / self.stats.wall_seconds
         return self.stats
 
-    def _step_cycle(self, pool, host_workers) -> bool:
+    def _step_cycle(self) -> bool:
         cycle = self.cycle
         events = 0
 
@@ -404,25 +397,19 @@ class SimRun:
             self.dispatcher.step(cycle)
         events += self.stats.mmh4_issued - before
 
-        # Phase 1: step active components (parallel-safe: own state only)
+        # Phase 1: step active components (each touches its own state only)
         order = sorted(self.active | self._woken)
         self._woken.clear()
         still_busy = set()
-        if pool is None or len(order) < 2 * host_workers:
-            comps = self.components
-            for idx in order:
-                comp = comps[idx]
-                if comp.step(cycle):
-                    still_busy.add(idx)
-                events += comp.activity
-                comp.activity = 0
-        else:
-            chunks = _chunk(order, host_workers)
-            for busy_list, ev in pool.map(self._step_chunk, [(c, cycle) for c in chunks]):
-                still_busy.update(busy_list)
-                events += ev
+        comps = self.components
+        for idx in order:
+            comp = comps[idx]
+            if comp.step(cycle):
+                still_busy.add(idx)
+            events += comp.activity
+            comp.activity = 0
 
-        # Phase 2: canonical single-threaded commit
+        # Phase 2: commit in canonical order
         events += self._commit(cycle, order)
         self.active = still_busy | self._woken
         self._woken.clear()
@@ -430,19 +417,6 @@ class SimRun:
         events += self._advance_window_fence()
         self._sample(cycle)
         return events > 0
-
-    def _step_chunk(self, args):
-        chunk, cycle = args
-        busy = []
-        events = 0
-        comps = self.components
-        for idx in chunk:
-            comp = comps[idx]
-            if comp.step(cycle):
-                busy.append(idx)
-            events += comp.activity
-            comp.activity = 0
-        return busy, events
 
     def _commit(self, cycle, order) -> int:
         moved = 0
@@ -798,11 +772,6 @@ def _neighbor(rid, port, w, h):
     return y * w + x
 
 
-def _chunk(order, n):
-    size = -(-len(order) // n)
-    return [order[i : i + size] for i in range(0, len(order), size)] or [[]]
-
-
 def run_spgemm_simulation(
     a_csr,
     b_csr,
@@ -811,7 +780,6 @@ def run_spgemm_simulation(
     seed: int = 0,
     eviction_mode: str = ROLLING,
     spad_budget: int | None = None,
-    host_workers: int = 1,
     trace_stages: bool = False,
 ):
     """Lower C = A * B, simulate it, and return (stats, output CSR, run).
@@ -838,5 +806,5 @@ def run_spgemm_simulation(
         eviction_mode=eviction_mode,
         trace_stages=trace_stages,
     )
-    stats = run.run_to_completion(host_workers=host_workers)
+    stats = run.run_to_completion()
     return stats, run.result, run

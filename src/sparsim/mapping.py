@@ -1,8 +1,8 @@
 """Compute-mapping strategies for assigning work to parallel units.
 
 Each strategy maps a packed 32-bit tag to a target index in [0, N). All of
-them are consistent: within an epoch the target is a pure function of the
-tag, which is what accumulation correctness requires (every partial
+them are consistent: for the whole run the target is a pure function of
+the tag, which is what accumulation correctness requires (every partial
 product of one output element must meet at the same unit).
 
 * ring          -- first-touch round-robin: each previously unseen tag
@@ -14,15 +14,16 @@ product of one output element must meet at the same unit).
 * random        -- memoized uniform draw per distinct tag (the lookup-table
                    baseline; unbounded bookkeeping, kept for comparison)
 
-The reseeding variants draw a fresh odd gamma from a counter-based
-generator either at row boundaries or every fixed number of items; the
-seed log makes every assignment replayable.
+The drhm variants reseed per row only: row r's odd gamma is
+``draw_gamma(seed, r)`` from a counter-based generator, keyed off the
+tag's own row field, so the per-row gamma log makes every assignment
+replayable.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +35,6 @@ DRHM_LOW = "drhm-low"
 DRHM_HIGH = "drhm-high"
 RANDOM_TABLE = "random"
 STRATEGIES = (RING, MODULAR, DRHM_LOW, DRHM_HIGH, RANDOM_TABLE)
-
-PER_ROW = "row"
 
 MODULAR_PRIME = 2654435761  # prime close to 2^32/phi, a common multiplicative hash
 
@@ -73,7 +72,6 @@ class MapperConfig:
     strategy: str
     n_targets: int
     k: int = 16
-    reseed_interval: object = PER_ROW  # PER_ROW or an item count (math.inf: never)
     rng_seed: int = 0
     col_bits: int = 16  # tag layout, used to key per-row reseeding off the tag
 
@@ -86,74 +84,34 @@ class MapperConfig:
             raise ConfigError("k must be in [0, 32)")
 
 
-@dataclass
-class GammaState:
-    """Current seed, reseed epoch, and the replayable seed log."""
-
-    gamma: int
-    epoch: int = 0
-    seed_log: list = field(default_factory=list)
-
-
 class Mapper:
-    """Streaming mapper: map tags in arrival order, reseed on demand.
+    """Maps each accumulation tag to a target unit.
 
-    For the reseeding strategies the caller signals row boundaries via
-    ``reseed()`` (PER_ROW mode) or lets the configured fixed interval
-    trigger it. ``map_for_accumulation`` instead keys gamma off the tag's
-    own row field, which is the form the accumulation path needs: it stays
-    a pure function of the tag for the whole run.
+    For the drhm strategies gamma is keyed off the tag's own row field
+    (``draw_gamma(seed, row)``), so the target stays a pure function of the
+    tag for the whole run. The drawn gammas are kept in ``row_gammas``.
     """
 
     def __init__(self, cfg: MapperConfig):
         self.cfg = cfg
-        g0 = draw_gamma(cfg.rng_seed, 0)
-        self.state = GammaState(gamma=g0, seed_log=[(0, g0)])
         self._ring_memo: dict = {}
         self._ring_next = 0
         self._random_memo: dict = {}
-        self._row_gammas: dict = {}
-        self._items_in_epoch = 0
+        self.row_gammas: dict = {}
         self.assignments = 0
-
-    # -- streaming interface -------------------------------------------------
-
-    def map_target(self, tag: int) -> int:
-        cfg = self.cfg
-        interval = cfg.reseed_interval
-        if (
-            cfg.strategy in (DRHM_LOW, DRHM_HIGH)
-            and interval != PER_ROW
-            and self._items_in_epoch >= interval
-        ):
-            self.reseed()
-        self._items_in_epoch += 1
-        self.assignments += 1
-        return self._map(tag, self.state.gamma)
-
-    def reseed(self) -> None:
-        """Advance to the next epoch with a fresh odd gamma (logged)."""
-        self.state.epoch += 1
-        self.state.gamma = draw_gamma(self.cfg.rng_seed, self.state.epoch)
-        self.state.seed_log.append((self.state.epoch, self.state.gamma))
-        self._items_in_epoch = 0
-
-    # -- accumulation interface (pure function of tag) -----------------------
 
     def map_for_accumulation(self, tag: int) -> int:
         self.assignments += 1
-        if self.cfg.strategy in (DRHM_LOW, DRHM_HIGH):
-            row = tag >> self.cfg.col_bits
-            gamma = self._row_gammas.get(row)
-            if gamma is None:
-                gamma = draw_gamma(self.cfg.rng_seed, row)
-                self._row_gammas[row] = gamma
-            return self._map(tag, gamma)
-        return self._map(tag, self.state.gamma)
-
-    def _map(self, tag: int, gamma: int) -> int:
         cfg = self.cfg
         s = cfg.strategy
+        if s in (DRHM_LOW, DRHM_HIGH):
+            row = tag >> cfg.col_bits
+            gamma = self.row_gammas.get(row)
+            if gamma is None:
+                gamma = draw_gamma(cfg.rng_seed, row)
+                self.row_gammas[row] = gamma
+            hash_fn = hash_low if s == DRHM_LOW else hash_high
+            return hash_fn(tag, gamma, cfg.k, cfg.n_targets)
         if s == RING:
             t = self._ring_memo.get(tag)
             if t is None:
@@ -163,18 +121,11 @@ class Mapper:
             return t
         if s == MODULAR:
             return (tag * MODULAR_PRIME) % cfg.n_targets
-        if s == DRHM_LOW:
-            return hash_low(tag, gamma, cfg.k, cfg.n_targets)
-        if s == DRHM_HIGH:
-            return hash_high(tag, gamma, cfg.k, cfg.n_targets)
         t = self._random_memo.get(tag)
         if t is None:
-            t = splitmix64((self.cfg.rng_seed << 32) ^ tag) % cfg.n_targets
+            t = splitmix64((cfg.rng_seed << 32) ^ tag) % cfg.n_targets
             self._random_memo[tag] = t
         return t
-
-    def seed_log_json(self) -> list:
-        return [{"epoch": e, "gamma": g} for e, g in self.state.seed_log]
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,11 @@ class RmatParams:
     def __post_init__(self):
         if self.scale < 1:
             raise ConfigError("scale must be >= 1")
-        if abs(self.a + self.b + self.c + self.d - 1.0) > 1e-12:
+        if self.edge_factor < 0:
+            raise ConfigError("edge_factor must be >= 0")
+        if min(self.a, self.b, self.c, self.d) < 0:
+            raise ConfigError("quadrant probabilities a, b, c, d must be >= 0")
+        if not abs(self.a + self.b + self.c + self.d - 1.0) <= 1e-12:  # also rejects NaN
             raise ConfigError("quadrant probabilities must sum to 1")
 
 

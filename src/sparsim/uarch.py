@@ -80,7 +80,6 @@ class TileConfig:
     hash_engines: int
     tag_comparators_per_engine: int
     hashlines_per_mem: int
-    accumulators_per_mem: int
 
     @property
     def routers_per_tile(self) -> int:
@@ -103,7 +102,6 @@ TILE4 = TileConfig(
     hash_engines=2,
     tag_comparators_per_engine=2,
     hashlines_per_mem=4096,
-    accumulators_per_mem=128,
 )
 
 TILE16 = TileConfig(
@@ -118,7 +116,6 @@ TILE16 = TileConfig(
     hash_engines=4,
     tag_comparators_per_engine=4,
     hashlines_per_mem=2048,
-    accumulators_per_mem=256,
 )
 
 TILE64 = TileConfig(
@@ -133,7 +130,6 @@ TILE64 = TileConfig(
     hash_engines=8,
     tag_comparators_per_engine=8,
     hashlines_per_mem=2048,
-    accumulators_per_mem=512,
 )
 
 # Grid-of-cores variant used for graph-network comparisons: 256 cores per
@@ -150,7 +146,6 @@ TILE16_GNN = TileConfig(
     hash_engines=4,
     tag_comparators_per_engine=1,
     hashlines_per_mem=2048,
-    accumulators_per_mem=256,
 )
 
 NAMED_TILES = {t.name: t for t in (TILE4, TILE16, TILE64, TILE16_GNN)}
@@ -160,19 +155,17 @@ NAMED_TILES = {t.name: t for t in (TILE4, TILE16, TILE64, TILE16_GNN)}
 class ChipConfig:
     """Whole-chip shape plus stage latencies and memory-channel parameters.
 
-    Defaults: 1 GHz nominal clock and eight 16 B/cycle channels, i.e. an
-    aggregate 128 GB/s memory system.
+    Defaults: eight 16 B/cycle channels, i.e. an aggregate 128 B/cycle
+    memory system.
     """
 
     tile: TileConfig = TILE4
     n_tiles: int = 8
-    frequency_ghz: float = 1.0
     # stage latencies (cycles)
     decode_latency: int = 1
     regalloc_latency: int = 1
     mul_latency: int = 2
     accumulate_latency: int = 1
-    hop_latency: int = 1
     # structural knobs
     regs_per_mmh4: int = 4
     core_buffer_depth: int = 8
@@ -629,7 +622,7 @@ class MemModel:
 
     __slots__ = (
         "id", "rid", "cfg", "ctx", "inbox", "outbox", "engines_pending",
-        "regions", "n_engines", "occupancy", "occupancy_max", "haccs_committed",
+        "regions", "n_engines", "occupancy", "haccs_committed",
         "evictions", "cpi", "grid_row", "evicted_values", "activity", "probes_total",
         "stalls_port", "_engine_idx",
     )
@@ -647,7 +640,6 @@ class MemModel:
         self.regions = [_HashRegion(cap) for _ in range(self.n_engines)]
         self.engines_pending = [None] * self.n_engines
         self.occupancy = 0
-        self.occupancy_max = 0
         self.haccs_committed = 0
         self.evictions = 0
         self.cpi = {}
@@ -700,8 +692,6 @@ class MemModel:
                 region.counters[slot] = counter
                 region.occupancy += 1
                 self.occupancy += 1
-                if self.occupancy > self.occupancy_max:
-                    self.occupancy_max = self.occupancy
             else:
                 region.vals[slot] += data
                 region.counters[slot] -= 1

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, output idempotency."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsim import cli, isa, matio, oracle
+from sparsim import cli, isa, matio, oracle, uarch
 
 
 def write_mtx(path: Path, coo):
@@ -226,3 +227,55 @@ def test_usage_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", "tile9000", "--rmat", "4:2",
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_USAGE
+
+
+TILE4_FIELDS = dataclasses.asdict(uarch.TILE4)
+
+
+def chip_file(tile=TILE4_FIELDS, **fields):
+    return json.dumps({"tile": tile, **fields})
+
+
+BAD_INPUT_CASES = [
+    # (id, extra run arguments, --config file text or None, exit code, text the message names)
+    ("valid-config-file", [], chip_file(), cli.EXIT_OK, None),
+    ("config-bad-json", [], "{not json", cli.EXIT_USAGE, "not valid JSON"),
+    ("config-unknown-key", [], chip_file(hop_latency=5), cli.EXIT_USAGE, "hop_latency"),
+    ("config-unknown-tile-key", [], chip_file(tile={**TILE4_FIELDS, "accumulators_per_mem": 128}),
+     cli.EXIT_USAGE, "accumulators_per_mem"),
+    ("config-missing-tile-key", [],
+     chip_file(tile={k: v for k, v in TILE4_FIELDS.items() if k != "hashlines_per_mem"}),
+     cli.EXIT_USAGE, "hashlines_per_mem"),
+    ("config-no-tile", [], json.dumps({"n_tiles": 8}), cli.EXIT_USAGE, "'tile'"),
+    ("config-wrong-type", [], chip_file(n_tiles="8"), cli.EXIT_USAGE, "n_tiles"),
+    ("config-missing-file", ["--config", "file:{tmp}/nope.json"], None, cli.EXIT_IO, "nope.json"),
+    ("config-unknown-name", ["--config", "tile99"], None, cli.EXIT_USAGE, "tile99"),
+    ("rmat-bad-int", ["--rmat", "4:x"], None, cli.EXIT_USAGE, "edge_factor"),
+    ("rmat-bad-float", ["--rmat", "4:2:p:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "must be float"),
+    ("rmat-negative-edge-factor", ["--rmat", "4:-1"], None, cli.EXIT_USAGE, "edge_factor"),
+    ("rmat-negative-quadrant", ["--rmat", "4:2:1.1:-0.1:0:0"], None, cli.EXIT_USAGE, "a, b, c, d"),
+    ("rmat-nan-quadrant", ["--rmat", "4:2:nan:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "sum to 1"),
+    ("removed-host-workers", ["--host-workers", "2"], None, cli.EXIT_USAGE, "--host-workers"),
+    ("removed-reseed", ["--reseed", "7"], None, cli.EXIT_USAGE, "--reseed"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra,config_text,code,names", [pytest.param(*c[1:], id=c[0]) for c in BAD_INPUT_CASES]
+)
+def test_bad_input_exit_codes(tmp_path, capsys, extra, config_text, code, names):
+    argv = ["run", "--rmat", "4:2", "--out", str(tmp_path / "o")]
+    argv += [arg.format(tmp=tmp_path) for arg in extra]
+    if config_text is not None:
+        path = tmp_path / "chip.json"
+        path.write_text(config_text)
+        argv += ["--config", f"file:{path}"]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects unknown options this way
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    if names is not None:
+        assert names in err

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sparsim import engine, isa, mapping, matio, oracle, uarch
+from sparsim import cli, engine, isa, mapping, matio, oracle, uarch
 from sparsim.errors import DeadlockError
 
 
@@ -99,7 +99,7 @@ def one_tile_cfg(n_cores):
         name=f"test{n_cores}", cores_per_tile=n_cores, mems_per_tile=n_cores,
         pipelines_per_core=2, regs_per_pipeline=8, multipliers=2, addr_generators=2,
         ports=4, hash_engines=2, tag_comparators_per_engine=2,
-        hashlines_per_mem=1024, accumulators_per_mem=16,
+        hashlines_per_mem=1024,
     )
     return uarch.ChipConfig(tile=tile, n_tiles=1)
 
@@ -164,15 +164,19 @@ def test_repeated_runs_byte_identical_stats():
     assert len(digests) == 1
 
 
-def test_host_worker_count_does_not_change_stats():
-    a = rmat_csr(6, 4, seed=14)
-    jsons = []
-    for workers in (1, 2, 4):
-        stats, out, _ = engine.run_spgemm_simulation(
-            a, a, uarch.CHIP_TILE4, mapper(), seed=6, host_workers=workers
-        )
-        jsons.append((stats.to_json(), out.values.tobytes()))
-    assert jsons[0] == jsons[1] == jsons[2]
+def test_host_worker_count_does_not_change_stats(tmp_path):
+    # Host parallelism is one process per sweep point (`sweep --jobs`).
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = cli.main([
+            "sweep", "--rmat", "6:4", "--configs", "tile4", "--mappers", "drhm-low,ring,random",
+            "--seed", "6", "--integer-mode", "--jobs", jobs, "--out", str(out),
+        ])
+        assert rc == cli.EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.log"})
+    assert len(outputs[0]) == 4  # three stats files and summary.csv
+    assert outputs[0] == outputs[1]
 
 
 def test_different_seed_changes_drhm_mapping():

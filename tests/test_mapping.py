@@ -1,4 +1,4 @@
-"""Mapping strategies: formula checks, consistency, reseeding, uniformity."""
+"""Mapping strategies: formula checks, consistency, per-row reseeding, uniformity."""
 
 import io
 import math
@@ -38,21 +38,21 @@ def test_drhm_shifts_discard_beyond_32_bits():
 
 def test_ring_sequential_first_touch():
     m = mapping.Mapper(cfg(mapping.RING, n=4))
-    targets = [m.map_target(t) for t in (100, 200, 300, 400, 500)]
+    targets = [m.map_for_accumulation(t) for t in (100, 200, 300, 400, 500)]
     assert targets == [0, 1, 2, 3, 0]
 
 
 def test_ring_repeated_tag_is_consistent():
     m = mapping.Mapper(cfg(mapping.RING, n=4))
-    first = m.map_target(42)
-    m.map_target(43)
-    assert m.map_target(42) == first
+    first = m.map_for_accumulation(42)
+    m.map_for_accumulation(43)
+    assert m.map_for_accumulation(42) == first
 
 
 def test_random_table_consistent_and_bounded_memo():
     m = mapping.Mapper(cfg(mapping.RANDOM_TABLE, n=16, rng_seed=5))
     tags = [7, 9, 7, 7, 9, 11]
-    targets = [m.map_target(t) for t in tags]
+    targets = [m.map_for_accumulation(t) for t in tags]
     assert targets[0] == targets[2] == targets[3]
     assert targets[1] == targets[4]
     assert len(m._random_memo) == 3  # one entry per distinct tag
@@ -60,47 +60,23 @@ def test_random_table_consistent_and_bounded_memo():
 
 def test_modular_is_pure_function():
     m = mapping.Mapper(cfg(mapping.MODULAR, n=37))
-    assert m.map_target(1234) == (1234 * mapping.MODULAR_PRIME) % 37
-    assert all(0 <= m.map_target(t) < 37 for t in range(5000, 5100))
+    assert m.map_for_accumulation(1234) == (1234 * mapping.MODULAR_PRIME) % 37
+    assert all(0 <= m.map_for_accumulation(t) < 37 for t in range(5000, 5100))
 
 
 # ---------------------------------------------------------------------------
-# Reseeding
+# Per-row reseeding
 # ---------------------------------------------------------------------------
-
-
-def test_reseed_deterministic_log():
-    m1 = mapping.Mapper(cfg(mapping.DRHM_LOW, rng_seed=9))
-    m2 = mapping.Mapper(cfg(mapping.DRHM_LOW, rng_seed=9))
-    for _ in range(50):
-        m1.reseed()
-        m2.reseed()
-    assert m1.state.seed_log == m2.state.seed_log
-    assert m1.state.epoch == 50
-
-
-def test_reseed_never_with_infinite_interval_degenerates_to_fixed_hash():
-    m = mapping.Mapper(cfg(mapping.DRHM_LOW, n=64, k=0, reseed_interval=math.inf, rng_seed=3))
-    gamma0 = m.state.gamma
-    targets = [m.map_target(t) for t in range(1000)]
-    assert m.state.epoch == 0
-    assert targets == [(t * gamma0) % 64 for t in range(1000)]  # modular with gamma0
-
-
-def test_fixed_interval_reseeds_every_n_items():
-    m = mapping.Mapper(cfg(mapping.DRHM_LOW, n=8, reseed_interval=10, rng_seed=1))
-    for _ in range(35):
-        m.map_target(0xFFFF)
-    assert m.state.epoch == 3
 
 
 def test_thousand_reseeds_all_odd():
+    gammas = [mapping.draw_gamma(77, row) for row in range(1000)]
+    assert all(g % 2 == 1 for g in gammas)
+    assert all(0 < g <= 0xFFFFFFFF for g in gammas)
     m = mapping.Mapper(cfg(mapping.DRHM_HIGH, rng_seed=77))
-    for _ in range(1000):
-        m.reseed()
-    assert len(m.state.seed_log) == 1001
-    assert all(g % 2 == 1 for _, g in m.state.seed_log)
-    assert all(0 < g <= 0xFFFFFFFF for _, g in m.state.seed_log)
+    for row in range(1000):
+        m.map_for_accumulation(row << 16)
+    assert m.row_gammas == dict(enumerate(gammas))
 
 
 def test_per_row_accumulation_mapping_is_pure_per_tag():

@@ -57,7 +57,6 @@ def test_inconsistent_custom_config_rejected():
             name="bad", cores_per_tile=1, mems_per_tile=0, pipelines_per_core=1,
             regs_per_pipeline=4, multipliers=1, addr_generators=1, ports=4,
             hash_engines=1, tag_comparators_per_engine=1, hashlines_per_mem=64,
-            accumulators_per_mem=8,
         ))
     with pytest.raises(ConfigError):
         uarch.named_chip("tile128")
@@ -331,7 +330,6 @@ def tiny_chip_cfg():
         name="tiny", cores_per_tile=2, mems_per_tile=2, pipelines_per_core=2,
         regs_per_pipeline=4, multipliers=2, addr_generators=1, ports=4,
         hash_engines=2, tag_comparators_per_engine=2, hashlines_per_mem=512,
-        accumulators_per_mem=16,
     )
     return uarch.ChipConfig(tile=tile, n_tiles=1)
 
@@ -394,7 +392,7 @@ def test_bounded_queues_never_exceed_capacity():
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mcfg, plan, window_plan=wplan, seed=2)
     cfg = run.chip_cfg
     for _ in range(600):
-        run._step_cycle(None, 1)
+        run._step_cycle()
         if run._finished():
             break
         run.cycle += 1
