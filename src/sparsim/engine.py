@@ -1,12 +1,16 @@
 """Deterministic cycle-driven simulation kernel.
 
 Each cycle has three phases. The dispatcher issues tile instructions to
-cores (phase 0); every active component advances one cycle touching only
-its own state and outbox (phase 1); the engine then commits all
+cores (phase 0); every component that is due advances one cycle touching
+only its own state and outbox (phase 1); the engine then commits all
 cross-component transfers in a canonical component order (phase 2).
-Because inter-component effects only happen in the commit phase, final
-statistics and the output matrix are bit-for-bit functions of (program,
-chip config, mapper config, seed).
+A component is due when its last step asked for this cycle, when a timer
+it set for this cycle runs out, or when the engine woke it by delivering a
+packet, a dispatched instruction or a window flush. Components waiting
+only on a latency are not stepped until it ends. Because inter-component
+effects only happen in the commit phase, final statistics and the output
+matrix are bit-for-bit functions of (program, chip config, mapper config,
+seed).
 
 The memory system is an analytic channel model per tile: bandwidth cap,
 fixed pipelined latency, bounded queue. Runs end when every instruction
@@ -39,6 +43,7 @@ from .uarch import (
     P_NORTH,
     P_SOUTH,
     P_WEST,
+    TIE_X,
     build_chip,
 )
 
@@ -55,7 +60,9 @@ __all__ = [
 ROLLING = "rolling"
 BARRIER = "barrier"
 
-_OPPOSITE = {P_EAST: P_WEST, P_WEST: P_EAST, P_NORTH: P_SOUTH, P_SOUTH: P_NORTH}
+_RING = (0, 1, 1, 2, 2)  # ring (1 = X, 2 = Y) each output port travels along
+# Input-queue scan order per (cycle + rid) % 5, rotating which input goes first.
+_SCAN = tuple(tuple((start + off) % 5 for off in range(5)) for start in range(5))
 
 
 class SimStats:
@@ -317,9 +324,13 @@ class SimRun:
             comp._engine_idx = idx
         self._mem_base = self.chip.n_cores
         self._mc_base = self.chip.n_cores + self.chip.n_mems
-        self.active = set()
+        self.active = set()  # components that asked to be stepped next cycle
         self._woken = set()
+        self._timers = {}  # cycle -> components to step then
+        self._timer_of = [0] * len(self.components)  # each component's timer cycle, 0 = none
         self._live_routers = set()
+        self._router_depth = chip_cfg.router_queue_depth
+        self._mem_depth = chip_cfg.mem_inbox_depth
         self.reads_outstanding = 0
         self.evictions_arrived = 0
         self.net_flits = 0
@@ -355,7 +366,12 @@ class SimRun:
         self.evictions_arrived += 1
 
     def wake(self, comp):
-        self._woken.add(comp._engine_idx)
+        idx = comp._engine_idx
+        self._woken.add(idx)
+        at = self._timer_of[idx]
+        if at:  # the timer is superseded: step once now, not again then
+            self._timers[at].discard(idx)
+            self._timer_of[idx] = 0
 
     # -- main loop ------------------------------------------------------------
 
@@ -397,15 +413,33 @@ class SimRun:
             self.dispatcher.step(cycle)
         events += self.stats.mmh4_issued - before
 
-        # Phase 1: step active components (each touches its own state only)
-        order = sorted(self.active | self._woken)
+        # Phase 1: step the due components (each touches its own state only)
+        due = self.active | self._woken
         self._woken.clear()
+        timers = self._timers
+        timer_of = self._timer_of
+        expired = timers.pop(cycle, None)
+        if expired:
+            for idx in expired:
+                timer_of[idx] = 0
+            due |= expired
+        order = sorted(due)
         still_busy = set()
         comps = self.components
+        nxt = cycle + 1
         for idx in order:
             comp = comps[idx]
-            if comp.step(cycle):
-                still_busy.add(idx)
+            wake = comp.step(cycle)
+            if wake:
+                if wake == nxt:
+                    still_busy.add(idx)
+                elif wake > nxt:
+                    timer_of[idx] = wake
+                    timers.setdefault(wake, set()).add(idx)
+                else:
+                    raise SimulationError(
+                        f"component {idx} asked at cycle {cycle} to be stepped at cycle {wake}"
+                    )
             events += comp.activity
             comp.activity = 0
 
@@ -437,7 +471,7 @@ class SimRun:
                 moved += self._drain_outbox(comp, routers, cycle)
 
         for rid in candidates:
-            if routers[rid].pending_flits():
+            if any(routers[rid].in_q):
                 self._live_routers.add(rid)
         return moved
 
@@ -449,28 +483,30 @@ class SimRun:
         Bubble rule: continuing along a ring needs one free slot downstream,
         entering a ring (first hop or X->Y turn) needs two.
         """
-        cfg = self.chip_cfg
-        chip = self.chip
-        routers = chip.routers
-        depth = cfg.router_queue_depth
-        width, height = chip.width, chip.height
-        mem_depth = cfg.mem_inbox_depth
-        stats = self.stats
-        rid = router.rid
+        depth = self._router_depth
+        mem_depth = self._mem_depth
         in_q = router.in_q
-        moved = 0
+        out_q = router.out_q
+        next_port = router.next_port
+        hops = 0
         ejected = 0
+        responses = 0
         out_used = 0
-        start = (cycle + rid) % 5
-        for off in range(5):
-            qi = (start + off) % 5
+        for qi in _SCAN[(cycle + router.rid) % 5]:
             q = in_q[qi]
+            if not q:
+                continue
             budget = 4 if qi == 0 else 1
             while q and budget:
                 pkt = q[0]
                 if pkt.moved_at == cycle:
                     break  # arrived this commit; hops at one per cycle
-                port = _route_port(pkt, router, routers, width, height)
+                port = next_port[pkt.dst]
+                if port > P_SOUTH:  # half-way tie: the shorter downstream queue
+                    if port == TIE_X:
+                        port = P_EAST if len(out_q[P_EAST]) <= len(out_q[P_WEST]) else P_WEST
+                    else:
+                        port = P_SOUTH if len(out_q[P_SOUTH]) <= len(out_q[P_NORTH]) else P_NORTH
                 if port == 0:  # eject here
                     if ejected >= 4:
                         break
@@ -480,28 +516,23 @@ class SimRun:
                         comp = router.component
                         if len(comp.inbox) >= mem_depth:
                             break
-                        comp.inbox.append(pkt)
                     elif kind == K_RESP:
                         comp = router.component
-                        comp.inbox.append(pkt)
-                        self.reads_outstanding -= 1
+                        responses += 1
                     else:  # K_REQ / K_EVICT
                         comp = router.memctrl
-                        comp.inbox.append(pkt)
+                    comp.inbox.append(pkt)
                     q.popleft()
-                    self.net_flits -= 1
                     self.wake(comp)
                     ejected += 1
-                    moved += 1
                     budget -= 1
                     continue
                 bit = 1 << port
                 if out_used & bit:
                     break  # one flit per output port per cycle
-                dim = 1 if port in (P_EAST, P_WEST) else 2
+                dim = _RING[port]
                 need = 1 if pkt.ring == dim else 2
-                nrid = _neighbor(rid, port, width, height)
-                nq = routers[nrid].in_q[_OPPOSITE[port]]
+                nq = out_q[port]
                 if len(nq) > depth - need:
                     break  # credit backpressure (with the ring bubble)
                 q.popleft()
@@ -509,12 +540,14 @@ class SimRun:
                 pkt.moved_at = cycle
                 pkt.hops += 1
                 nq.append(pkt)
-                stats.hops_total += 1
-                self._live_routers.add(nrid)  # wake set during commit
+                self._live_routers.add(router.out_rid[port])  # wake set during commit
                 out_used |= bit
-                moved += 1
+                hops += 1
                 budget -= 1
-        return moved
+        self.stats.hops_total += hops
+        self.net_flits -= ejected
+        self.reads_outstanding -= responses
+        return hops + ejected
 
     def _drain_outbox(self, comp, routers, cycle) -> int:
         cfg = self.chip_cfg
@@ -645,8 +678,7 @@ class SimRun:
         for mem in self.chip.mems:
             if mem.inbox or mem.outbox:
                 lines.append(f"  mem {mem.id}: inbox={len(mem.inbox)} outbox={len(mem.outbox)}")
-        flits = sum(r.pending_flits() for r in self.chip.routers)
-        lines.append(f"  network flits pending: {flits}")
+        lines.append(f"  network flits pending: {self.net_flits}")
         return "\n".join(lines)
 
     def _finalize(self):
@@ -731,7 +763,10 @@ class SimRun:
 def _route_port(pkt, router, routers, w, h):
     """Output port for a flit: dimension order (X then Y) with shortest
     wraparound; exact ties broken adaptively toward the shorter downstream
-    queue. Returns 0 when the flit should eject at this router."""
+    queue. Returns 0 when the flit should eject at this router.
+
+    The engine routes from the tables ``build_chip`` precomputes; this and
+    ``_neighbor`` are the reference the tests check those tables against."""
     dst = pkt.dst
     x, y = router.x, router.y
     dx_raw = (dst % w) - x

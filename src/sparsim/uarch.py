@@ -7,13 +7,16 @@ memory controller attached at the tile's origin router. Units exchange
 packets over the torus: operand read requests and responses, hash-
 accumulate instructions, and eviction write-backs.
 
-All components are pure state machines advanced once per cycle by the
-engine. During a step a component mutates only its own state and appends
-outgoing packets to its outbox; the engine moves packets between
-components in a canonical commit order, which keeps results deterministic
-under any host-thread count. Fabric queues are bounded with credit
-backpressure; endpoint inboxes for responses and memory requests are
-modeled as sinks so the network always drains.
+All components are pure state machines advanced by the engine. During a
+step a component mutates only its own state and appends outgoing packets
+to its outbox; the engine moves packets between components in a canonical
+commit order, which keeps results deterministic. Each step returns when
+the component next has work: the next cycle, a later cycle it waits for
+(a stage latency, a hash compare, the memory channel), or a false value
+when only the engine can give it work, in which case the engine wakes it
+on an inbox arrival, a dispatch or a window flush. Fabric queues are
+bounded with credit backpressure; endpoint inboxes for responses and
+memory requests are modeled as sinks so the network always drains.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ P_EAST = 1
 P_WEST = 2
 P_NORTH = 3
 P_SOUTH = 4
+
+# Next-port table entries for destinations exactly half-way round a ring:
+# both directions are equally short, so the flit takes the one whose
+# downstream queue is shorter when it moves.
+TIE_X = 5  # east or west
+TIE_Y = 6  # south or north
 
 
 class Packet:
@@ -182,8 +191,36 @@ class ChipConfig:
     coalesce_window: int = 16
 
     def __post_init__(self):
-        if self.n_tiles < 1 or self.tile.cores_per_tile < 1 or self.tile.mems_per_tile < 1:
+        tile = self.tile
+        if self.n_tiles < 1 or tile.cores_per_tile < 1 or tile.mems_per_tile < 1:
             raise ConfigError("chip needs at least one tile with cores and mems")
+        # The model divides by these, or cannot move work without one of each.
+        for name, value in (
+            ("tile.pipelines_per_core", tile.pipelines_per_core),
+            ("tile.multipliers", tile.multipliers),
+            ("tile.addr_generators", tile.addr_generators),
+            ("tile.ports", tile.ports),
+            ("tile.hash_engines", tile.hash_engines),
+            ("tile.tag_comparators_per_engine", tile.tag_comparators_per_engine),
+            ("core_buffer_depth", self.core_buffer_depth),
+            ("injection_depth", self.injection_depth),
+            ("channel_bytes_per_cycle", self.channel_bytes_per_cycle),
+            ("channel_queue_depth", self.channel_queue_depth),
+            ("granule", self.granule),
+            ("coalesce_window", self.coalesce_window),
+        ):
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if self.router_queue_depth < 2:
+            raise ConfigError(
+                f"router_queue_depth must be at least 2 (entering a ring needs two free "
+                f"slots), got {self.router_queue_depth}"
+            )
+        if self.regs_per_mmh4 > tile.regs_per_pipeline:
+            raise ConfigError(
+                f"regs_per_mmh4 ({self.regs_per_mmh4}) exceeds tile.regs_per_pipeline "
+                f"({tile.regs_per_pipeline}): no instruction could get its registers"
+            )
         if self.eviction_path not in ("torus", "direct"):
             raise ConfigError(f"unknown eviction path {self.eviction_path!r}")
         service = -(-self.granule // self.channel_bytes_per_cycle)
@@ -281,20 +318,26 @@ class Router:
     bubble flow control: a flit entering a ring needs two free slots in
     the target queue, a flit continuing along its ring needs one, so every
     ring always keeps a bubble.
+
+    ``build_chip`` links each router to its neighbours: ``out_q[port]`` is
+    the neighbour's input queue facing back at this router and
+    ``out_rid[port]`` its rid, and ``next_port[dst]`` is the output port
+    (0 = eject) toward router ``dst``, or TIE_X/TIE_Y at an exact half-way
+    tie.
     """
 
-    __slots__ = ("rid", "x", "y", "in_q", "component", "memctrl")
+    __slots__ = ("rid", "x", "y", "in_q", "out_q", "out_rid", "next_port", "component", "memctrl")
 
     def __init__(self, rid, w, h):
         self.rid = rid
         self.x = rid % w
         self.y = rid // w
         self.in_q = [deque() for _ in range(5)]  # INJ, E, W, N, S
+        self.out_q = None
+        self.out_rid = None
+        self.next_port = None
         self.component = None
         self.memctrl = None
-
-    def pending_flits(self) -> int:
-        return sum(len(q) for q in self.in_q)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +431,14 @@ class CoreModel:
     drain the produced hash-accumulate packets through the ports.
     Registers gate the number of in-flight tiles per pipeline; a full
     instruction buffer refuses dispatch (backpressure, never overflow).
+
+    ``step(cycle)`` returns ``cycle + 1`` after a step that changed anything
+    or left packets to send; after a step that changed nothing, the
+    earliest cycle a decode, register-allocation or execute latency ends,
+    or None when only an operand response or a dispatch (both wake the
+    core) can move it on. A step that changes nothing leaves the state as it
+    was, so every cycle the core skips would have counted the same reg and
+    operand stalls; the next step adds them for the skipped cycles.
     """
 
     __slots__ = (
@@ -395,6 +446,7 @@ class CoreModel:
         "free_regs", "rr_pipe", "req_queue", "outbox", "inbox",
         "stalls_reg", "stalls_operand", "stalls_port", "lanes_executed",
         "cpi", "retired", "seq_gen", "activity", "trace_stages", "_engine_idx",
+        "last_step", "reg_stalling", "operand_stalling",
     )
 
     def __init__(self, core_id, rid, cfg: ChipConfig):
@@ -420,6 +472,9 @@ class CoreModel:
         self.activity = 0
         self.trace_stages = False
         self._engine_idx = -1
+        self.last_step = -1  # cycle of the last step
+        self.reg_stalling = 0  # reg stalls the last step counted
+        self.operand_stalling = 0  # operand stalls the last step counted
 
     def buffer_free(self) -> bool:
         return self.dispatch_latch is None
@@ -432,6 +487,15 @@ class CoreModel:
         ctx = self.ctx
         cfg = self.cfg
         acted = 0
+        reg_stalls = 0
+        operand_stalls = 0
+        wake = None  # earliest cycle a waiting latency ends
+
+        skipped = cycle - self.last_step - 1
+        if skipped > 0:
+            self.stalls_reg += skipped * self.reg_stalling
+            self.stalls_operand += skipped * self.operand_stalling
+        self.last_step = cycle
 
         # Responses retire into the scoreboard.
         while self.inbox:
@@ -467,11 +531,16 @@ class CoreModel:
                         rec.stage = S_REGALLOC
                         self._mark(rec, "decode", cycle)
                         acted += 1
+                    elif wake is None or rec.ready_at < wake:
+                        wake = rec.ready_at
                 elif rec.stage == S_REGALLOC:
                     if alloc_done:
                         continue
                     alloc_done = True
-                    if cycle < rec.ready_at + cfg.regalloc_latency - 1:
+                    alloc_at = rec.ready_at + cfg.regalloc_latency - 1
+                    if cycle < alloc_at:
+                        if wake is None or alloc_at < wake:
+                            wake = alloc_at
                         continue
                     if self.free_regs[pipe_idx] >= cfg.regs_per_mmh4:
                         self.free_regs[pipe_idx] -= cfg.regs_per_mmh4
@@ -480,7 +549,7 @@ class CoreModel:
                         self._issue_requests(rec, cycle)
                         acted += 1
                     else:
-                        self.stalls_reg += 1
+                        reg_stalls += 1
                 elif rec.stage == S_WAIT:
                     if rec.outstanding == 0 and pos == 0:
                         rec.stage = S_EXEC
@@ -490,9 +559,14 @@ class CoreModel:
                         self._mark(rec, "exec_start", cycle)
                         acted += 1
                     elif rec.outstanding > 0 and pos == 0:
-                        self.stalls_operand += 1
+                        operand_stalls += 1
                 elif rec.stage == S_EXEC:
-                    if cycle >= rec.ready_at and pos == 0:
+                    if pos != 0:
+                        continue
+                    if cycle < rec.ready_at:
+                        if wake is None or rec.ready_at < wake:
+                            wake = rec.ready_at
+                    else:
                         haccs = ctx.expand(rec.instr)
                         self.lanes_executed += len(haccs)
                         for h in haccs:
@@ -517,10 +591,13 @@ class CoreModel:
             acted += 1
 
         self.activity += acted
-        busy = bool(
-            self.inflight or self.dispatch_latch is not None or self.req_queue or self.outbox or self.inbox
-        )
-        return busy
+        self.stalls_reg += reg_stalls
+        self.stalls_operand += operand_stalls
+        self.reg_stalling = reg_stalls
+        self.operand_stalling = operand_stalls
+        if acted or self.outbox or self.req_queue:
+            return cycle + 1
+        return wake
 
     def _issue_requests(self, rec, cycle):
         ins = rec.instr
@@ -618,6 +695,11 @@ class MemModel:
     evicted in the same commit and a write-back packet leaves for the
     memory controller (rolling mode) or the line is held until the window
     flush (barrier mode).
+
+    ``step(cycle)`` returns ``cycle + 1`` while the outbox holds packets,
+    else the cycle the first busy engine finishes (at least ``cycle + 1``),
+    or None when every engine is idle: then the inbox holds nothing any
+    engine could take, and an arrival or a window flush wakes the unit.
     """
 
     __slots__ = (
@@ -704,8 +786,15 @@ class MemModel:
             self.engines_pending[e] = (done, e, slot, evict, tag, src_core, birth)
             acted += 1
         self.activity += acted
-        busy = bool(self.inbox or any(p is not None for p in self.engines_pending) or self.outbox)
-        return busy
+        if self.outbox:
+            return cycle + 1
+        wake = None
+        for pending in self.engines_pending:
+            if pending is not None and (wake is None or pending[0] < wake):
+                wake = pending[0]
+        if wake is not None and wake <= cycle:
+            return cycle + 1
+        return wake
 
     def _complete(self, pending, cycle):
         done, e, slot, evict, tag, src_core, birth = pending
@@ -763,6 +852,12 @@ class MemCtrlModel:
     window all touches of one granule merge into a single transaction.
     Evictions write-combine per granule the same way. Reads have priority;
     one transaction issues per cycle at most.
+
+    ``step(cycle)`` returns ``cycle + 1`` while the outbox holds responses
+    or the channel can take the next pending transaction, else the earlier
+    of the first in-flight completion and, with transactions pending, the
+    cycle the full channel frees a slot; None when the controller holds
+    nothing, until an arriving request or write-back wakes it.
     """
 
     __slots__ = (
@@ -825,18 +920,21 @@ class MemCtrlModel:
                 )
             acted += 1
 
-        # issue at most one transaction, reads first
+        # Issue at most one transaction, reads first. Only the first
+        # coalesce_window entries can merge; the rest stay as they are.
+        window = cfg.coalesce_window
         if self.read_pending and self.channel.can_submit(cycle):
-            g0 = self.read_pending[0][0]
+            pending = self.read_pending
+            g0 = pending[0][0]
             merged = []
-            kept = deque()
-            window = cfg.coalesce_window
-            for idx, item in enumerate(self.read_pending):
-                if item[0] == g0 and idx < window:
+            kept = []
+            for _ in range(min(window, len(pending))):
+                item = pending.popleft()
+                if item[0] == g0:
                     merged.append(item)
                 else:
                     kept.append(item)
-            self.read_pending = kept
+            pending.extendleft(reversed(kept))
             completion = self.channel.submit(cycle, granule)
             self.bytes_read += granule
             self.transactions_read += 1
@@ -853,16 +951,14 @@ class MemCtrlModel:
             self._push_inflight(completion, responses, False)
             acted += 1
         elif self.write_pending and self.channel.can_submit(cycle):
-            g0 = self.write_pending[0]
-            kept = deque()
-            merged = 0
-            window = cfg.coalesce_window
-            for idx, g in enumerate(self.write_pending):
-                if g == g0 and idx < window:
-                    merged += 1
-                else:
+            pending = self.write_pending
+            g0 = pending[0]
+            kept = []
+            for _ in range(min(window, len(pending))):
+                g = pending.popleft()
+                if g != g0:
                     kept.append(g)
-            self.write_pending = kept
+            pending.extendleft(reversed(kept))
             completion = self.channel.submit(cycle, granule)
             self.bytes_written += granule
             self.transactions_write += 1
@@ -871,10 +967,15 @@ class MemCtrlModel:
             acted += 1
 
         self.activity += acted
-        busy = bool(
-            self.inbox or self.read_pending or self.write_pending or self.inflight or self.outbox
-        )
-        return busy
+        if self.outbox:
+            return cycle + 1
+        wake = self.inflight[0][0] if self.inflight else None
+        if self.read_pending or self.write_pending:
+            channel = self.channel
+            free = cycle + 1 if channel.can_submit(cycle) else channel.completions[0]
+            if wake is None or free < wake:
+                wake = free
+        return wake
 
     def _push_inflight(self, completion, responses, is_write):
         # keep sorted by completion; depths are small so linear insert is fine
@@ -946,6 +1047,37 @@ def _interleave_kinds(n_cores, n_mems, width):
     return kinds
 
 
+def _ring_ports(n, forward, backward, tie):
+    """Port toward each offset 0..n-1 along one ring (shortest way round);
+    offset 0 maps to port 0."""
+    ports = [0] * n
+    for d in range(1, n):
+        ports[d] = forward if d < n - d else backward if n - d < d else tie
+    return ports
+
+
+def _link_routers(routers, width, height):
+    """Give every router its neighbours' facing input queues and its
+    next-port table: dimension order, X then Y, shortest wraparound."""
+    x_ports = _ring_ports(width, P_EAST, P_WEST, TIE_X)
+    y_ports = _ring_ports(height, P_SOUTH, P_NORTH, TIE_Y)  # +y is "south"
+    for router in routers:
+        x, y = router.x, router.y
+        east = y * width + (x + 1) % width
+        west = y * width + (x - 1) % width
+        south = ((y + 1) % height) * width + x
+        north = ((y - 1) % height) * width + x
+        router.out_rid = [None, east, west, north, south]
+        router.out_q = [None] + [
+            routers[rid].in_q[back]
+            for rid, back in ((east, P_WEST), (west, P_EAST), (north, P_SOUTH), (south, P_NORTH))
+        ]
+        # Destinations in another column go along X; in this column, along Y.
+        row = x_ports[-x:] + x_ports[:-x] if x else x_ports
+        in_row = {port: bytes(row[:x] + [port] + row[x + 1:]) for port in set(y_ports)}
+        router.next_port = b"".join(in_row[y_ports[(dy - y) % height]] for dy in range(height))
+
+
 def build_chip(cfg: ChipConfig) -> Chip:
     """Instantiate routers, cores, mems, and one memory controller per tile
     on the global torus. Component totals follow the configuration exactly.
@@ -992,6 +1124,7 @@ def build_chip(cfg: ChipConfig) -> Chip:
             f"placement mismatch: built {len(cores)} cores / {len(mems)} mems, "
             f"expected {cfg.n_cores} / {cfg.n_mems}"
         )
+    _link_routers(routers, width, height)
     return Chip(
         cfg=cfg,
         width=width,

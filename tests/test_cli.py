@@ -257,6 +257,17 @@ BAD_INPUT_CASES = [
     ("rmat-nan-quadrant", ["--rmat", "4:2:nan:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "sum to 1"),
     ("removed-host-workers", ["--host-workers", "2"], None, cli.EXIT_USAGE, "--host-workers"),
     ("removed-reseed", ["--reseed", "7"], None, cli.EXIT_USAGE, "--reseed"),
+    # Degenerate chips: each used to die on a division by zero or a deadlock, or never end.
+    *[(f"config-zero-{key}", [], chip_file(tile={**TILE4_FIELDS, key: 0}), cli.EXIT_USAGE, key)
+      for key in ("hash_engines", "tag_comparators_per_engine", "multipliers",
+                  "pipelines_per_core", "ports", "addr_generators")],
+    *[(f"config-zero-{key}", [], chip_file(**{key: 0}), cli.EXIT_USAGE, key)
+      for key in ("injection_depth", "core_buffer_depth", "channel_queue_depth",
+                  "coalesce_window", "channel_bytes_per_cycle", "granule")],
+    ("config-router-queue-depth-1", [], chip_file(router_queue_depth=1), cli.EXIT_USAGE,
+     "router_queue_depth"),
+    ("config-regs-per-mmh4-above-pipeline", [], chip_file(regs_per_mmh4=5), cli.EXIT_USAGE,
+     "regs_per_mmh4"),
 ]
 
 

@@ -1,12 +1,14 @@
 """Simulation kernel: dispatch policy, determinism, conservation, CPI."""
 
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sparsim import cli, engine, isa, mapping, matio, oracle, uarch
-from sparsim.errors import DeadlockError
+from sparsim.errors import DeadlockError, SimulationError
 
 
 def rmat_csr(scale, ef, seed):
@@ -259,6 +261,37 @@ def test_deadlock_detector_fires_with_diagnostic(monkeypatch):
     assert "blocked instruction" in str(err.value) or "flits" in str(err.value)
 
 
+def test_wake_cycle_not_in_future_is_rejected(monkeypatch):
+    a = rmat_csr(4, 2, seed=19)
+    plan, wplan, prog = lower_for(a, a)
+    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
+    monkeypatch.setattr(uarch.MemModel, "step", lambda self, cycle: cycle)
+    with pytest.raises(SimulationError, match="to be stepped at cycle"):
+        run.run_to_completion()
+
+
+def test_superseded_timer_never_fires(monkeypatch):
+    # Mems here ask to be stepped five cycles later than they need, so packets
+    # often arrive and wake one before its timer runs out. It must then be
+    # stepped only when its latest step asked or after another arrival, never
+    # also when the superseded timer runs out.
+    asked = {}
+    step = uarch.MemModel.step
+
+    def late_step(self, cycle):
+        arrived = bool(self.inbox)
+        want = asked.get(self.id)
+        assert cycle == want or (arrived and (want is None or cycle < want))
+        wake = step(self, cycle)
+        asked[self.id] = wake = wake and wake + 5
+        return wake
+
+    monkeypatch.setattr(uarch.MemModel, "step", late_step)
+    a = rmat_csr(6, 4, seed=16)
+    stats, _, _ = engine.run_spgemm_simulation(a, a, uarch.CHIP_TILE4, mapper(), seed=3)
+    assert stats.conservation["ok"]
+
+
 def test_grid_tallies_sum_to_hacc_count():
     a = rmat_csr(6, 4, seed=20)
     plan = oracle.symbolic_pass(a, a)
@@ -266,3 +299,69 @@ def test_grid_tallies_sum_to_hacc_count():
     assert int(stats.grid.sum()) == plan.total_fma
     assert sum(stats.mem_loads) == plan.total_fma
     assert sum(stats.core_loads) == plan.total_fma
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+# ---------------------------------------------------------------------------
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Each run covers a different model path: rolling and barrier eviction, a
+# multi-window fence with barrier flushes, the larger tile16 torus, the direct
+# eviction path and full-parallel tag compare. The first run has non-zero reg,
+# operand, port and dispatch stalls. Any change to these digests is a change
+# of the modelled machine, not of the engine's speed.
+PINNED_RUNS = [
+    # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget,
+    #  sha256 of stats.json, result CSR, occupancy_trace, inflight_trace)
+    ("tile4-rolling-drhm-low", (7, 4, 3), uarch.CHIP_TILE4, mapping.DRHM_LOW, engine.ROLLING, None,
+     "c8ea668740755970fd14f6a6fa7bdc17b9d24c07252acaf3faf61c556b54a274",
+     "4e231754fac67794292987171e73ff651540718318a17dac1a00145235bc2fcd",
+     "1900066ed06975a3fd64fbc7a042d699785d9d25999b252c714fc3cca00ff250",
+     "bfcfb2d1947c29037ffb3fdf7f7c300bd34c28bbe6881cc57c83366eec72841f"),
+    ("tile4-barrier-ring-windows", (6, 6, 21), uarch.CHIP_TILE4, mapping.RING, engine.BARRIER, 512,
+     "19fe17160821c9014f9a94e370b76c7b605d56ccf3349eaf61498d9dfa6913de",
+     "61fa63a86af288a49037f42ab4f4b41ea5a63f2b57d911d993e9303c2ace4933",
+     "e24135e898872e0739439b01776b525bd5e41e86ea5f1f8ea43ed376df4fa662",
+     "510c91fe77dd7ac476a38f396b61cb205f081b2a891e83c1853f76b3559346b9"),
+    ("tile16-barrier-random", (6, 4, 7), uarch.CHIP_TILE16, mapping.RANDOM_TABLE, engine.BARRIER,
+     None,
+     "cadadeb23e00d31358059ef62a7700740b6874802bcc18ffa83413c50b9c68d8",
+     "5b55008794d9a7bb607b09bbe115f21b360b52b4e474db089157fee478b74f3b",
+     "0776482d21c15dc5955d2cdcc0118b0cf13a678d863c6d026ee3710a092770bb",
+     "ba3cc5296ae4a49bc11cc15b29eeb017fbf1dd17cc1f4d184579c5e65e38157b"),
+    ("tile4-direct-evictions", (6, 4, 9), replace(uarch.CHIP_TILE4, eviction_path="direct"),
+     mapping.DRHM_LOW, engine.ROLLING, None,
+     "95846c1e3fec37a5871f53034c8dee7e08c92798c0c0994816ac0335b48bee34",
+     "1c37e5d278107a5e3e56100dc31a9fffd1bd58128b31fe2e0fd7c2c3cadb9ef9",
+     "a031971fc0ad08345df4449e3ab9bc564d3a906209bd9206271cd660fa294803",
+     "02de992d4f570cb2b3c4e07e89acbba72a6d80ca5db6790fbf48255470dfcd90"),
+    ("tile4-full-parallel-compare", (6, 4, 11), replace(uarch.CHIP_TILE4, full_parallel_compare=True),
+     mapping.DRHM_LOW, engine.ROLLING, None,
+     "4b7ae6e75d06829838ac6222d8dca9a82ae4316e704e509822365a6f6c366293",
+     "3a0a5064786ea5201257f2d833850a305a2c60e2a4cdd9152d59d9293e9e04f0",
+     "132f9332d6b38dac6359a4f1ab5e796d9c0f3b362441a708f7141c471487b0cd",
+     "eae572e2560ceb48f56f71febd51adbc8fed14cf0f85b4ebc9575310c0bab6be"),
+]
+
+
+@pytest.mark.parametrize(
+    "rmat,chip,strategy,mode,budget,want", [pytest.param(*c[1:6], c[6:], id=c[0]) for c in PINNED_RUNS]
+)
+def test_pinned_run_digests(rmat, chip, strategy, mode, budget, want):
+    scale, edge_factor, seed = rmat
+    a = rmat_csr(scale, edge_factor, seed)
+    stats, out, _ = engine.run_spgemm_simulation(
+        a, a, chip, mapper(strategy), seed=seed, eviction_mode=mode, spad_budget=budget
+    )
+    got = (
+        digest(stats.to_json().encode()),
+        digest(out.row_offsets.tobytes() + out.col_indices.tobytes() + out.values.tobytes()),
+        digest(json.dumps(stats.occupancy_trace).encode()),
+        digest(json.dumps(stats.inflight_trace).encode()),
+    )
+    assert got == want

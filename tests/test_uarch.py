@@ -112,6 +112,55 @@ def test_route_hop_count_equals_torus_distance_property():
         assert hops <= diameter
 
 
+@pytest.mark.parametrize("name", sorted(uarch.NAMED_CHIPS))
+def test_route_tables_match_reference_routing(name):
+    chip = uarch.build_chip(uarch.named_chip(name))
+    w, h, routers = chip.width, chip.height, chip.routers
+    n = len(routers)
+    xs, ys = np.arange(n) % w, np.arange(n) // w
+
+    def distances(rid):
+        """torus_distance from ``rid`` to every router."""
+        dx, dy = abs(xs - rid % w), abs(ys - rid // w)
+        return np.minimum(dx, w - dx) + np.minimum(dy, h - dy)
+
+    assert list(distances(n - 1)) == [uarch.torus_distance(n - 1, d, w, h) for d in range(n)]
+    pkt = uarch.Packet(0, uarch.K_REQ, ())
+    for router in routers:
+        table = np.frombuffer(router.next_port, dtype=np.uint8)
+        assert len(table) == n
+        # The reference, with every queue empty, takes east/south at a tie.
+        want = []
+        for dst in range(n):
+            pkt.dst = dst
+            want.append(engine._route_port(pkt, router, routers, w, h))
+        want = np.array(want)
+        ties = np.isin(table, (uarch.TIE_X, uarch.TIE_Y))
+        assert np.array_equal(table[~ties], want[~ties])
+        assert np.all(want[table == uarch.TIE_X] == uarch.P_EAST)
+        assert np.all(want[table == uarch.TIE_Y] == uarch.P_SOUTH)
+        # A tie is marked exactly where both ways round the ring are equally long.
+        east, south = (xs - router.x) % w, (ys - router.y) % h
+        half_x = (east != 0) & (2 * east == w)
+        half_y = (east == 0) & (south != 0) & (2 * south == h)
+        assert np.array_equal(table == uarch.TIE_X, half_x)
+        assert np.array_equal(table == uarch.TIE_Y, half_y)
+        # Each hop (either way at a tie) takes a flit one step closer, and it
+        # ejects only at its destination, so following the table reaches every
+        # destination in torus_distance hops.
+        here = distances(router.rid)
+        assert np.array_equal(np.flatnonzero(table == 0), [router.rid])
+        for port, back, tie in ((uarch.P_EAST, uarch.P_WEST, uarch.TIE_X),
+                                (uarch.P_WEST, uarch.P_EAST, uarch.TIE_X),
+                                (uarch.P_NORTH, uarch.P_SOUTH, uarch.TIE_Y),
+                                (uarch.P_SOUTH, uarch.P_NORTH, uarch.TIE_Y)):
+            nrid = router.out_rid[port]
+            assert nrid == engine._neighbor(router.rid, port, w, h)
+            assert router.out_q[port] is routers[nrid].in_q[back]
+            step = (table == port) | (table == tie)
+            assert np.array_equal(distances(nrid)[step], here[step] - 1)
+
+
 def test_no_packet_lost_and_hop_bound_under_random_traffic():
     # drive a real workload and audit delivered flit hop counts
     coo = matio.with_integer_values(
