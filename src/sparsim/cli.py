@@ -492,7 +492,7 @@ def cmd_gcn(args) -> int:
         aggregated = job.run_aggregation()
         stats = None
     else:
-        x_csr = oracle.features_as_csr(x)
+        x_csr = matio.dense_to_csr(x)
         mcfg = mapper_config(args)
         stats, agg_csr, _ = engine.run_spgemm_simulation(
             adj, x_csr, chip_config(args.config), mcfg, seed=args.seed
@@ -530,19 +530,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrices=True):
-        if matrices:
-            p.add_argument("--matrix", help="input matrix (.mtx or edge list)")
-            p.add_argument("--matrix-b", dest="matrix_b", help="optional second operand")
-            p.add_argument("--rmat", help="synthetic input, scale:ef[:a:b:c:d]")
-            p.add_argument("--integer-mode", action="store_true",
-                           help="replace values with small integers (exact arithmetic)")
+    def inputs(p):
+        p.add_argument("--matrix", help="input matrix (.mtx or edge list)")
+        p.add_argument("--matrix-b", dest="matrix_b", help="optional second operand")
+        p.add_argument("--rmat", help="synthetic input, scale:ef[:a:b:c:d]")
+        p.add_argument("--integer-mode", action="store_true",
+                       help="replace values with small integers (exact arithmetic)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="sparsim-out", help="output directory")
+
+    def common(p):
+        inputs(p)
         p.add_argument("--config", default="tile4",
                        help="tile4|tile16|tile64|tile16-gnn|file:PATH")
         p.add_argument("--mapper", default=mapping.DRHM_LOW, choices=MAPPER_CHOICES)
         p.add_argument("--k", type=int, default=16, help="mapper shift bit count")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="sparsim-out", help="output directory")
 
     p = sub.add_parser("run", help="simulate one sparse multiply")
     common(p)
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bloat)
 
     p = sub.add_parser("smash", help="run the host hashing kernel")
-    common(p)
+    inputs(p)
     p.add_argument("--smash-version", dest="smash_version", default="all",
                    choices=SMASH_CHOICES)
     p.add_argument("--workers", type=int, default=4)

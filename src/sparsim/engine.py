@@ -12,9 +12,15 @@ effects only happen in the commit phase, final statistics and the output
 matrix are bit-for-bit functions of (program, chip config, mapper config,
 seed).
 
+Window fences need no per-window tallies: the dispatcher never issues an
+instruction of a later window, so every issued MMH4 and every HACC in
+flight belongs to the current window, and the window has drained once
+its last instruction is issued, retired MMH4s equal issued ones and
+committed HACCs equal created ones.
+
 The memory system is an analytic channel model per tile: bandwidth cap,
-fixed pipelined latency, bounded queue. Runs end when every instruction
-has retired, every hash line has been evicted and written back, and all
+fixed pipelined latency, bounded queue. Runs end when the last window has
+drained, every hash line has been evicted and written back, and all
 queues are empty; conservation invariants are checked at exit. A watchdog
 raises a diagnostic deadlock error if nothing makes progress for an
 extended window.
@@ -59,6 +65,7 @@ __all__ = [
 
 ROLLING = "rolling"
 BARRIER = "barrier"
+SAMPLE_INTERVAL = 64  # cycles between occupancy and in-flight read samples
 
 _RING = (0, 1, 1, 2, 2)  # ring (1 = X, 2 = Y) each output port travels along
 # Input-queue scan order per (cycle + rid) % 5, rotating which input goes first.
@@ -208,7 +215,6 @@ class _Dispatcher:
             core.dispatch_latch = ins
             run.wake(core)
             run.stats.mmh4_issued += 1
-            run.window_issued[ins.window] += 1
             self.log.append((self.pointer, core.id))
             pushed.add(core.id)
             self.pointer += 1
@@ -221,19 +227,6 @@ class _Dispatcher:
                 self.rr = (self.rr + off + 1) % n
                 return core
         return None
-
-
-class _TagWindow:
-    """Window id of a tag, looked up through its packed row field."""
-
-    __slots__ = ("row_window", "col_bits")
-
-    def __init__(self, row_window, col_bits):
-        self.row_window = row_window
-        self.col_bits = col_bits
-
-    def get(self, tag, default=0):
-        return self.row_window.get(tag >> self.col_bits, default)
 
 
 class SimRun:
@@ -249,7 +242,6 @@ class SimRun:
         window_plan=None,
         seed: int = 0,
         eviction_mode: str = ROLLING,
-        sample_interval: int = 64,
         trace_stages: bool = False,
     ):
         if eviction_mode not in (ROLLING, BARRIER):
@@ -257,12 +249,8 @@ class SimRun:
         self.program = program
         self.chip_cfg = chip_cfg
         self.chip = build_chip(chip_cfg)
-        self.plan = plan
-        self.window_plan = window_plan
-        self.seed = seed
         self.eviction_mode = eviction_mode
         self.rolling_evictions = eviction_mode == ROLLING
-        self.sample_interval = sample_interval
         self.cycle = 0
         self.stats = SimStats()
         self.stats.seed = seed
@@ -300,20 +288,8 @@ class SimRun:
         self._col_bits = program.layout.col_bits
         self._col_mask = (1 << self._col_bits) - 1
 
-        # window accounting
-        n_win = max(program.n_windows, 1)
-        self.window_total = [0] * n_win
-        row_window = {}
-        for ins in program.instrs:
-            self.window_total[ins.window] += 1
-            for r in ins.a_rows:
-                row_window[r] = ins.window
-        self.window_issued = [0] * n_win
-        self.window_retired = [0] * n_win
-        self.window_hacc_created = [0] * n_win
-        self.window_hacc_committed = [0] * n_win
+        self.n_windows = max(program.n_windows, 1)
         self.current_window = 0
-        self._hacc_window = _TagWindow(row_window, self._col_bits)
         self._window_caps = None
         if window_plan is not None:
             self._window_caps = [w.capacity for w in window_plan.windows]
@@ -323,7 +299,6 @@ class SimRun:
         for idx, comp in enumerate(self.components):
             comp._engine_idx = idx
         self._mem_base = self.chip.n_cores
-        self._mc_base = self.chip.n_cores + self.chip.n_mems
         self.active = set()  # components that asked to be stepped next cycle
         self._woken = set()
         self._timers = {}  # cycle -> components to step then
@@ -354,13 +329,11 @@ class SimRun:
         addr = self._out_base + int(self._out_prefix[i]) * 12
         return i, j, addr, 12
 
-    def on_mmh4_retired(self, instr):
+    def on_mmh4_retired(self):
         self.stats.mmh4_retired += 1
-        self.window_retired[instr.window] += 1
 
-    def on_hacc_committed(self, tag):
+    def on_hacc_committed(self):
         self.stats.hacc_committed += 1
-        self.window_hacc_committed[self._hacc_window.get(tag, 0)] += 1
 
     def on_eviction_arrived(self):
         self.evictions_arrived += 1
@@ -538,7 +511,6 @@ class SimRun:
                 q.popleft()
                 pkt.ring = dim
                 pkt.moved_at = cycle
-                pkt.hops += 1
                 nq.append(pkt)
                 self._live_routers.add(router.out_rid[port])  # wake set during commit
                 out_used |= bit
@@ -576,10 +548,8 @@ class SimRun:
                 break
             outbox.popleft()
             if kind == K_HACC:
-                tag = pkt.payload[0]
-                pkt.dst = mem_rids[mapper.map_for_accumulation(tag)]
+                pkt.dst = mem_rids[mapper.map_for_accumulation(pkt.payload[0])]
                 stats.hacc_created += 1
-                self.window_hacc_created[self._hacc_window.get(tag, 0)] += 1
                 if is_core:
                     rec = comp.inflight.get(pkt.payload[4])
                     if rec is not None:
@@ -601,12 +571,13 @@ class SimRun:
 
     def _advance_window_fence(self) -> int:
         w = self.current_window
-        if w >= len(self.window_total):
+        if w >= self.n_windows:
             return 0
-        total = self.window_total[w]
-        if self.window_issued[w] < total or self.window_retired[w] < total:
+        dispatcher = self.dispatcher
+        if not dispatcher.done and self.program.instrs[dispatcher.pointer].window == w:
             return 0
-        if self.window_hacc_committed[w] < self.window_hacc_created[w]:
+        s = self.stats
+        if s.mmh4_retired < s.mmh4_issued or s.hacc_committed < s.hacc_created:
             return 0
         for mem in self.chip.mems:
             if self.eviction_mode == BARRIER and mem.occupancy:
@@ -630,20 +601,13 @@ class SimRun:
                     f"hashpad occupancy {occ} exceeds window {self.current_window} "
                     f"capacity {cap} at cycle {cycle}"
                 )
-        if cycle % self.sample_interval == 0:
+        if cycle % SAMPLE_INTERVAL == 0:
             stats.occupancy_trace.append((cycle, occ))
             stats.inflight_trace.append((cycle, self.reads_outstanding))
 
     def _finished(self) -> bool:
-        if not self.dispatcher.done:
-            return False
-        s = self.stats
         prog = self.program
-        if s.mmh4_retired < s.mmh4_issued:
-            return False
-        if s.hacc_created < prog.total_fma or s.hacc_committed < s.hacc_created:
-            return False
-        if self.current_window < len(self.window_total):
+        if self.current_window < self.n_windows or self.stats.hacc_created < prog.total_fma:
             return False
         if self.reads_outstanding or self.net_flits:
             return False

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, SparsimError
-from .matio import CsrMatrix, dense_to_csr
+from .matio import CsrMatrix
 
 DEFAULT_CF = 4.0
 DEFAULT_EF = 1.5
@@ -87,13 +87,6 @@ class WindowPlan:
     ef: float
     threshold: float
     spad_budget: int
-
-    def window_of_row(self) -> dict:
-        out = {}
-        for w, win in enumerate(self.windows):
-            for r in win.rows:
-                out[r] = w
-        return out
 
     def to_json(self) -> str:
         return json.dumps(
@@ -406,8 +399,3 @@ def gcn_layer_workload(adj: CsrMatrix, x: np.ndarray, w: np.ndarray) -> GcnLayer
 
     reference = relu(csr_to_dense(adj) @ x @ w)
     return GcnLayerJob(adjacency=adj, features=x, weights=w, reference=reference)
-
-
-def features_as_csr(x: np.ndarray) -> CsrMatrix:
-    """Dense feature matrix as CSR so it can feed the sparse pipelines."""
-    return dense_to_csr(x)

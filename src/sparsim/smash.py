@@ -65,7 +65,6 @@ class ScratchpadHashTable:
 
     capacity: int
     direct: bool = False
-    probe_limit: int | None = None
     tags: list = field(init=False)
     vals: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
@@ -73,8 +72,6 @@ class ScratchpadHashTable:
     def __post_init__(self):
         if self.capacity < 1:
             raise ConfigError("capacity must be >= 1")
-        if self.probe_limit is None:
-            self.probe_limit = self.capacity
         self.tags = [EMPTY] * self.capacity
         self.vals = np.zeros(self.capacity, dtype=np.float64)
         self.counts = np.zeros(self.capacity, dtype=np.int64)
@@ -96,12 +93,12 @@ def hash_probe_insert(t: ScratchpadHashTable, tag: int, value: float):
     Returns ("INSERTED", 0) for a home-slot insert, ("UPDATED", k) when the
     value was accumulated into an existing cell found after k probes, and
     ("PROBED", k) when an empty slot was claimed after k quadratic probes.
-    Raises HashOverflowError when probe_limit slots were examined without
-    finding the tag or a free cell.
+    Raises HashOverflowError when every probe up to the capacity was
+    examined without finding the tag or a free cell.
     """
     cap = t.capacity
     home = (tag & 0xFFFFFFFF) % cap if t.direct else tag % cap
-    for k in range(t.probe_limit + 1):
+    for k in range(cap + 1):
         slot = home if k == 0 else (home + k * k) % cap
         lock = t._lock_for(slot)
         with lock:
@@ -118,7 +115,7 @@ def hash_probe_insert(t: ScratchpadHashTable, tag: int, value: float):
         if t.direct:
             # 1:1 mapping cannot collide; a mismatch is a bookkeeping bug.
             raise HashOverflowError(f"direct-mapped slot {slot} holds foreign tag")
-    raise HashOverflowError(f"no slot for tag {tag:#x} within {t.probe_limit} probes")
+    raise HashOverflowError(f"no slot for tag {tag:#x} within {cap} probes")
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,7 @@ def _planning_csr(a) -> CsrMatrix:
     return a
 
 
-def _build_window_tables(window, plan):
+def _build_window_tables(window):
     tables = {}
     for r, cls, cap in zip(window.rows, window.classification, window.hash_capacity):
         tables[r] = ScratchpadHashTable(capacity=cap, direct=(cls == oracle.DENSE))
@@ -357,7 +354,7 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
         hash_fn = _HASH_FNS[cfg.version]
         for w_id, window in enumerate(wplan.windows):
             fetched = _prefetch(window, read_row, own_audit)
-            tables = _build_window_tables(window, plan)
+            tables = _build_window_tables(window)
             hash_units = sum(int(plan.fma_per_row[r]) for r in window.rows)
             own_audit.phase_units["hash"] = own_audit.phase_units.get("hash", 0) + hash_units
             hash_fn(window, fetched, b, tables, cfg, own_audit, w_id)
@@ -407,7 +404,7 @@ def run_pipelined(windows, read_row, b, plan, cfg, audit, out_rows, keep_tables=
             t.start()
         if entry["hash"] is not None:
             w = hs
-            tables[w] = _build_window_tables(windows[w], plan)
+            tables[w] = _build_window_tables(windows[w])
             hash_units = sum(int(plan.fma_per_row[r]) for r in windows[w].rows)
             audit.phase_units["hash"] = audit.phase_units.get("hash", 0) + hash_units
             run_tokenized_window(windows[w], fetched[w], b, tables[w], cfg, audit, w)

@@ -55,18 +55,17 @@ class Packet:
     slots so every ring always keeps a bubble (no circular wait); moving
     along a ring needs one."""
 
-    __slots__ = ("dst", "kind", "payload", "hops", "ring", "moved_at")
+    __slots__ = ("dst", "kind", "payload", "ring", "moved_at")
 
     def __init__(self, dst, kind, payload):
         self.dst = dst
         self.kind = kind
         self.payload = payload
-        self.hops = 0
         self.ring = 0
         self.moved_at = -1
 
     def __repr__(self):
-        return f"Packet(dst={self.dst}, kind={self.kind}, hops={self.hops})"
+        return f"Packet(dst={self.dst}, kind={self.kind})"
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +193,15 @@ class ChipConfig:
         tile = self.tile
         if self.n_tiles < 1 or tile.cores_per_tile < 1 or tile.mems_per_tile < 1:
             raise ConfigError("chip needs at least one tile with cores and mems")
-        # The model divides by these, or cannot move work without one of each.
+        # The model divides by these or cannot move work without one of each;
+        # a stage latency or register count below one would run a time or a
+        # limit the model does not have.
         for name, value in (
+            ("decode_latency", self.decode_latency),
+            ("regalloc_latency", self.regalloc_latency),
+            ("mul_latency", self.mul_latency),
+            ("accumulate_latency", self.accumulate_latency),
+            ("regs_per_mmh4", self.regs_per_mmh4),
             ("tile.pipelines_per_core", tile.pipelines_per_core),
             ("tile.multipliers", tile.multipliers),
             ("tile.addr_generators", tile.addr_generators),
@@ -211,6 +217,11 @@ class ChipConfig:
         ):
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
+        if self.mem_buffer_depth < 0:
+            raise ConfigError(
+                f"mem_buffer_depth must be at least 0 (0 = 4 * tile.hash_engines), "
+                f"got {self.mem_buffer_depth}"
+            )
         if self.router_queue_depth < 2:
             raise ConfigError(
                 f"router_queue_depth must be at least 2 (entering a ring needs two free "
@@ -242,10 +253,6 @@ class ChipConfig:
     @property
     def total_pipelines(self) -> int:
         return self.n_cores * self.tile.pipelines_per_core
-
-    @property
-    def total_hash_engines(self) -> int:
-        return self.n_mems * self.tile.hash_engines
 
     @property
     def hashpad_bytes(self) -> int:
@@ -445,7 +452,7 @@ class CoreModel:
         "id", "rid", "cfg", "ctx", "dispatch_latch", "inflight", "pipes",
         "free_regs", "rr_pipe", "req_queue", "outbox", "inbox",
         "stalls_reg", "stalls_operand", "stalls_port", "lanes_executed",
-        "cpi", "retired", "seq_gen", "activity", "trace_stages", "_engine_idx",
+        "cpi", "seq_gen", "activity", "trace_stages", "_engine_idx",
         "last_step", "reg_stalling", "operand_stalling",
     )
 
@@ -467,7 +474,6 @@ class CoreModel:
         self.stalls_port = 0
         self.lanes_executed = 0
         self.cpi = {}
-        self.retired = 0
         self.seq_gen = 0
         self.activity = 0
         self.trace_stages = False
@@ -475,9 +481,6 @@ class CoreModel:
         self.last_step = -1  # cycle of the last step
         self.reg_stalling = 0  # reg stalls the last step counted
         self.operand_stalling = 0  # operand stalls the last step counted
-
-    def buffer_free(self) -> bool:
-        return self.dispatch_latch is None
 
     def _mark(self, rec, stage_name, cycle):
         if rec.stage_trace is not None:
@@ -622,11 +625,10 @@ class CoreModel:
         del self.inflight[rec.seq]
         cycles = cycle - rec.accept_cycle
         self.cpi[cycles] = self.cpi.get(cycles, 0) + 1
-        self.retired += 1
         self._mark(rec, "retire", cycle)
         if rec.stage_trace is not None:
             self.ctx.stage_traces.append(rec.stage_trace)
-        self.ctx.on_mmh4_retired(rec.instr)
+        self.ctx.on_mmh4_retired()
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +811,7 @@ class MemModel:
             region = self.regions[e]
             value = region.vals[slot]
             self._evict_line(region, slot, tag, value)
-        ctx.on_hacc_committed(tag)
+        ctx.on_hacc_committed()
 
     def _evict_line(self, region, slot, tag, value):
         region.tags[slot] = _TOMBSTONE
@@ -851,7 +853,9 @@ class MemCtrlModel:
     Read requests are split into granule touches; within a bounded reorder
     window all touches of one granule merge into a single transaction.
     Evictions write-combine per granule the same way. Reads have priority;
-    one transaction issues per cycle at most.
+    one transaction issues per cycle at most. Completions arrive in issue
+    order: the channel starts transactions in order at non-decreasing
+    cycles and adds a fixed latency, so ``inflight`` is a FIFO.
 
     ``step(cycle)`` returns ``cycle + 1`` while the outbox holds responses
     or the channel can take the next pending transaction, else the earlier
@@ -864,7 +868,7 @@ class MemCtrlModel:
         "id", "rid", "cfg", "ctx", "channel", "inbox", "outbox",
         "read_pending", "write_pending", "inflight", "bytes_read", "bytes_written",
         "reads_merged", "transactions_read", "transactions_write", "activity",
-        "writes_outstanding", "touch_remaining", "stalls_port", "_engine_idx",
+        "touch_remaining", "stalls_port", "_engine_idx",
     )
 
     def __init__(self, mc_id, rid, cfg: ChipConfig, channel: MemChannelModel):
@@ -877,13 +881,12 @@ class MemCtrlModel:
         self.outbox = deque()
         self.read_pending = deque()  # (granule, core_id, seq, field, touches)
         self.write_pending = deque()  # granule ids
-        self.inflight = []  # (completion, responses, is_write), sorted by completion
+        self.inflight = deque()  # (completion, responses), completions in order
         self.bytes_read = 0
         self.bytes_written = 0
         self.reads_merged = 0
         self.transactions_read = 0
         self.transactions_write = 0
-        self.writes_outstanding = 0
         self.touch_remaining = {}  # request key -> granule touches still in flight
         self.activity = 0
         self.stalls_port = 0
@@ -911,9 +914,7 @@ class MemCtrlModel:
 
         # completions
         while self.inflight and self.inflight[0][0] <= cycle:
-            _, responses, is_write = self.inflight.pop(0)
-            if is_write:
-                self.writes_outstanding -= 1
+            _, responses = self.inflight.popleft()
             for core_id, seq, field in responses:
                 self.outbox.append(
                     Packet(self.ctx.core_rid(core_id), K_RESP, (core_id, seq, field))
@@ -948,7 +949,7 @@ class MemCtrlModel:
                     responses.append(key)
                 else:
                     self.touch_remaining[key] = remaining
-            self._push_inflight(completion, responses, False)
+            self.inflight.append((completion, responses))
             acted += 1
         elif self.write_pending and self.channel.can_submit(cycle):
             pending = self.write_pending
@@ -962,8 +963,7 @@ class MemCtrlModel:
             completion = self.channel.submit(cycle, granule)
             self.bytes_written += granule
             self.transactions_write += 1
-            self.writes_outstanding += 1
-            self._push_inflight(completion, [], True)
+            self.inflight.append((completion, ()))
             acted += 1
 
         self.activity += acted
@@ -976,13 +976,6 @@ class MemCtrlModel:
             if wake is None or free < wake:
                 wake = free
         return wake
-
-    def _push_inflight(self, completion, responses, is_write):
-        # keep sorted by completion; depths are small so linear insert is fine
-        pos = len(self.inflight)
-        while pos > 0 and self.inflight[pos - 1][0] > completion:
-            pos -= 1
-        self.inflight.insert(pos, (completion, responses, is_write))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,11 @@ def test_smash_command_all_versions(tmp_path, capsys):
     assert set(report["versions"]) == {"base", "v1", "v2", "v3"}
     v2 = report["versions"]["v2"]
     assert v2["tokens_total"] == sum(v2["tokens_per_worker"].values())
+    # The host kernel takes no chip or mapper, so it accepts no flag for one.
+    for flag in (["--config", "tile4"], ["--mapper", "ring"], ["--k", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["smash", "--rmat", "5:3", "--out", str(tmp_path / "o"), *flag])
+        assert exc.value.code == cli.EXIT_USAGE
 
 
 def test_gcn_identity_graph(identity_mtx, tmp_path, capsys):
@@ -268,6 +273,14 @@ BAD_INPUT_CASES = [
      "router_queue_depth"),
     ("config-regs-per-mmh4-above-pipeline", [], chip_file(regs_per_mmh4=5), cli.EXIT_USAGE,
      "regs_per_mmh4"),
+    # Stage latencies and register counts below 1 would run silently: a
+    # negative latency, no register limit, or a zero latency timed as one.
+    *[(f"config-{key}={value}", [], chip_file(**{key: value}), cli.EXIT_USAGE, key)
+      for key in ("decode_latency", "regalloc_latency", "mul_latency", "accumulate_latency",
+                  "regs_per_mmh4")
+      for value in (0, -1)],
+    ("config-negative-mem-buffer-depth", [], chip_file(mem_buffer_depth=-1), cli.EXIT_USAGE,
+     "mem_buffer_depth"),
 ]
 
 

@@ -233,6 +233,42 @@ def test_barrier_mode_with_multiple_windows():
     assert stats.evictions == plan.total_out_nnz
 
 
+@pytest.mark.parametrize("mode", [engine.ROLLING, engine.BARRIER])
+def test_fence_keeps_all_work_in_current_window(mode):
+    # After every cycle, every latched or in-flight MMH4 and every HACC still
+    # in a core outbox, a router queue, a mem inbox or a hash engine belongs
+    # to the current window: a window's work has fully drained before the
+    # fence lets the next one issue.
+    a = rmat_csr(6, 6, seed=21)
+    plan, wplan, prog = lower_for(a, a, budget=512)
+    assert prog.n_windows >= 3
+    window_of_row = {r: w for w, win in enumerate(wplan.windows) for r in win.rows}
+    col_bits = prog.layout.col_bits
+    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=3,
+                        eviction_mode=mode)
+    seen = set()
+    while True:
+        run._step_cycle()
+        w = run.current_window
+        instrs = [c.dispatch_latch for c in run.chip.cores if c.dispatch_latch is not None]
+        instrs += [rec.instr for c in run.chip.cores for rec in c.inflight.values()]
+        tags = [p.payload[0] for c in run.chip.cores for p in c.outbox if p.kind == uarch.K_HACC]
+        tags += [p.payload[0] for r in run.chip.routers for q in r.in_q for p in q
+                 if p.kind == uarch.K_HACC]
+        tags += [p.payload[0] for m in run.chip.mems for p in m.inbox]
+        tags += [pend[4] for m in run.chip.mems for pend in m.engines_pending if pend is not None]
+        assert all(ins.window == w for ins in instrs)
+        assert all(window_of_row[tag >> col_bits] == w for tag in tags)
+        if instrs or tags:
+            seen.add(w)
+        if run._finished():
+            break
+        run.cycle += 1
+    assert run.current_window == prog.n_windows
+    assert seen == set(range(prog.n_windows))
+    assert run.stats.hacc_committed == plan.total_fma
+
+
 def test_eviction_path_direct_flag():
     a = rmat_csr(5, 3, seed=18)
     from dataclasses import replace
@@ -310,10 +346,10 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# Each run covers a different model path: rolling and barrier eviction, a
-# multi-window fence with barrier flushes, the larger tile16 torus, the direct
-# eviction path and full-parallel tag compare. The first run has non-zero reg,
-# operand, port and dispatch stalls. Any change to these digests is a change
+# Each run covers a different model path: rolling and barrier eviction,
+# multi-window fences with and without barrier flushes, the larger tile16
+# torus, the direct eviction path and full-parallel tag compare. The first
+# run has non-zero reg, operand, port and dispatch stalls. Any change to these digests is a change
 # of the modelled machine, not of the engine's speed.
 PINNED_RUNS = [
     # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget,
@@ -346,6 +382,11 @@ PINNED_RUNS = [
      "3a0a5064786ea5201257f2d833850a305a2c60e2a4cdd9152d59d9293e9e04f0",
      "132f9332d6b38dac6359a4f1ab5e796d9c0f3b362441a708f7141c471487b0cd",
      "eae572e2560ceb48f56f71febd51adbc8fed14cf0f85b4ebc9575310c0bab6be"),
+    ("tile4-rolling-windows", (7, 6, 3), uarch.CHIP_TILE4, mapping.DRHM_LOW, engine.ROLLING, 512,
+     "729838aa726c1a2e2ea98258a8e9088567f21738282bc38fd8e644ed8e0893f6",
+     "d653554f920817ca76c1fc112519eb43d1bbb461132a43281d8010441e0fb635",
+     "8162011f18bcdb1a9c787b3b68c8fb3ec95c3ed87c7e47219b86c0a665106734",
+     "bc302d7d410d7af23b194b92f82a7754d328e387b65488f990ce402e7123fb97"),
 ]
 
 

@@ -276,17 +276,14 @@ class _MemCtx:
     rolling_evictions = True
     n_cores = 4
 
-    def __init__(self):
-        self.committed = []
-
     def eviction_target(self, tag):
         return tag >> 16, tag & 0xFFFF, 0x100000, 12
 
     def memctrl_rid_for(self, addr):
         return 0
 
-    def on_hacc_committed(self, tag):
-        self.committed.append(tag)
+    def on_hacc_committed(self):
+        pass
 
 
 def make_mem(rolling=True):
