@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -176,10 +177,11 @@ def collect_cpi(stats: SimStats, kind: str) -> dict:
 class _Dispatcher:
     """Issues tile instructions in program order: round-robin over cores
     with buffer space, consecutive tiles of one A-column group pinned to
-    one core, window fences respected."""
+    one core, window fences respected. It keeps no link to its run, which
+    passes itself to ``step``."""
 
-    def __init__(self, run):
-        self.run = run
+    def __init__(self, n_instrs):
+        self.n_instrs = n_instrs
         self.pointer = 0
         self.rr = 0
         self.active_group = None
@@ -188,10 +190,9 @@ class _Dispatcher:
 
     @property
     def done(self) -> bool:
-        return self.pointer >= len(self.run.program.instrs)
+        return self.pointer >= self.n_instrs
 
-    def step(self, cycle):
-        run = self.run
+    def step(self, run, cycle):
         instrs = run.program.instrs
         cores = run.chip.cores
         pushed = set()
@@ -279,12 +280,10 @@ class SimRun:
 
         # Output region: evictions write 12-byte elements row-contiguously
         # after the input image; addresses drive channel interleave only.
-        out_prefix = np.zeros(program.n_rows + 1, dtype=np.int64)
-        np.cumsum(plan.out_nnz_per_row, out=out_prefix[1:])
         granule = chip_cfg.granule
         image_end = program.image._next_base
         self._out_base = ((image_end + granule - 1) // granule) * granule
-        self._out_prefix = out_prefix
+        self._out_prefix = plan.out_offsets
         self._col_bits = program.layout.col_bits
         self._col_mask = (1 << self._col_bits) - 1
 
@@ -294,11 +293,13 @@ class SimRun:
         if window_plan is not None:
             self._window_caps = [w.capacity for w in window_plan.windows]
 
-        self.dispatcher = _Dispatcher(self)
+        self.dispatcher = _Dispatcher(len(program.instrs))
         self.components = list(self.chip.cores) + list(self.chip.mems) + list(self.chip.memctrls)
         for idx, comp in enumerate(self.components):
             comp._engine_idx = idx
         self._mem_base = self.chip.n_cores
+        self._mem_end = self.chip.n_cores + self.chip.n_mems
+        self._occupancy = 0  # hashpad lines held over all mems, as last summed
         self.active = set()  # components that asked to be stepped next cycle
         self._woken = set()
         self._timers = {}  # cycle -> components to step then
@@ -358,23 +359,36 @@ class SimRun:
         )
         watchdog_limit = 10 * (diameter + max_stage)
         idle_cycles = 0
-        while True:
-            progressed = self._step_cycle()
-            if self._finished():
-                break
-            if progressed:
-                idle_cycles = 0
-            else:
-                idle_cycles += 1
-                if idle_cycles > watchdog_limit:
-                    raise DeadlockError(self._deadlock_dump(watchdog_limit))
-            self.cycle += 1
+        try:
+            while True:
+                progressed = self._step_cycle()
+                if self._finished():
+                    break
+                if progressed:
+                    idle_cycles = 0
+                else:
+                    idle_cycles += 1
+                    if idle_cycles > watchdog_limit:
+                        raise DeadlockError(self._deadlock_dump(watchdog_limit))
+                self.cycle += 1
+        finally:
+            self._release_components()
         self.stats.cycles = self.cycle
         self._finalize()
         self.stats.wall_seconds = time.perf_counter() - t0
         if self.stats.wall_seconds > 0:
             self.stats.kcps = (self.cycle / 1000.0) / self.stats.wall_seconds
         return self.stats
+
+    def _release_components(self):
+        """Unlink the components from the run once it has ended or raised.
+
+        Their ``ctx`` is the only link back to the run, so without this a
+        run and everything it holds would outlive its last reference until
+        the cyclic collector next ran, and a process running several
+        simulations would peak at a size set by when that happens."""
+        for comp in self.components:
+            comp.ctx = None
 
     def _step_cycle(self) -> bool:
         cycle = self.cycle
@@ -383,7 +397,7 @@ class SimRun:
         # Phase 0: dispatch
         before = self.stats.mmh4_issued
         if not self.dispatcher.done:
-            self.dispatcher.step(cycle)
+            self.dispatcher.step(self, cycle)
         events += self.stats.mmh4_issued - before
 
         # Phase 1: step the due components (each touches its own state only)
@@ -397,6 +411,9 @@ class SimRun:
                 timer_of[idx] = 0
             due |= expired
         order = sorted(due)
+        # Hashpad occupancy changes only in mem steps and window flushes.
+        at = bisect_left(order, self._mem_base)
+        mem_stepped = at < len(order) and order[at] < self._mem_end
         still_busy = set()
         comps = self.components
         nxt = cycle + 1
@@ -421,8 +438,9 @@ class SimRun:
         self.active = still_busy | self._woken
         self._woken.clear()
 
-        events += self._advance_window_fence()
-        self._sample(cycle)
+        fenced = self._advance_window_fence()
+        events += fenced
+        self._sample(cycle, mem_stepped or fenced)
         return events > 0
 
     def _commit(self, cycle, order) -> int:
@@ -587,10 +605,16 @@ class SimRun:
         self.current_window = w + 1
         return 1
 
-    def _sample(self, cycle):
-        occ = 0
-        for mem in self.chip.mems:
-            occ += mem.occupancy
+    def _sample(self, cycle, recount):
+        """Track occupancy and take the periodic samples; the mems are only
+        summed again when ``recount`` says their occupancy may have moved."""
+        if recount:
+            occ = 0
+            for mem in self.chip.mems:
+                occ += mem.occupancy
+            self._occupancy = occ
+        else:
+            occ = self._occupancy
         stats = self.stats
         if occ > stats.hashpad_occupancy_max:
             stats.hashpad_occupancy_max = occ

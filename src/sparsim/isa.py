@@ -249,13 +249,11 @@ def lower_spgemm(
     b_data_base = image.add("b_data", b.values.astype(np.float64))
 
     a_data = np.empty(a.nnz, dtype=np.float64)
-    contrib = plan.contrib_counter
+    a_row_of = np.empty(a.nnz, dtype=np.int64)  # output row of each a_data entry
     b_off = b.row_offsets
-    b_cols_arr = b.col_indices
 
     instrs = []
     window_starts = []
-    roll = []
     a_cursor = 0
     group_id = 0
     for w, bucket in enumerate(per_window):
@@ -274,18 +272,11 @@ def lower_spgemm(
                 a_grp = bucket[a_start : min(a_start + TILE, end)]
                 rows = tuple(i for _, i, _ in a_grp)
                 a_addr = a_cursor
-                for _, _, v in a_grp:
+                for _, i, v in a_grp:
                     a_data[a_cursor] = v
+                    a_row_of[a_cursor] = i
                     a_cursor += 1
                 for b_start in range(b_lo, b_hi, TILE):
-                    n_b = min(TILE, b_hi - b_start)
-                    roll_addr_idx = len(instrs) * TILE * TILE
-                    block = [0] * (TILE * TILE)
-                    for ai, i in enumerate(rows):
-                        for bj in range(n_b):
-                            j = int(b_cols_arr[b_start + bj])
-                            block[ai * TILE + bj] = contrib[(i, j)] - 1
-                    roll.extend(block)
                     # a_data_addr/roll_counter_addr hold element offsets here;
                     # they become byte addresses once the segments have bases.
                     instrs.append(
@@ -294,10 +285,10 @@ def lower_spgemm(
                             a_data_addr=a_addr,
                             b_col_ind_addr=b_col_base + b_start * 4,
                             b_data_addr=b_data_base + b_start * 8,
-                            roll_counter_addr=roll_addr_idx,
+                            roll_counter_addr=len(instrs) * TILE * TILE,
                             a_rows=rows,
                             n_a=len(rows),
-                            n_b=n_b,
+                            n_b=min(TILE, b_hi - b_start),
                             window=w,
                             group=group_id,
                         )
@@ -305,8 +296,9 @@ def lower_spgemm(
                 group_id += 1
             pos = end
 
+    roll = _roll_counters(instrs, a_row_of, b, b_col_base, plan)
     a_base = image.add("a_data", a_data[:a_cursor])
-    roll_base = image.add("roll_counters", np.asarray(roll, dtype=np.int32))
+    roll_base = image.add("roll_counters", roll)
     fixed = [
         _patch_addrs(ins, a_base, roll_base)
         for ins in instrs
@@ -321,6 +313,38 @@ def lower_spgemm(
         total_fma=plan.total_fma,
         total_out_nnz=plan.total_out_nnz,
     )
+
+
+def _roll_counters(instrs, a_row_of, b, b_col_base, plan) -> np.ndarray:
+    """Roll-counter table: TILE*TILE lanes per instruction, contributions-1
+    on each live lane and 0 on the rest.
+
+    Each live lane's output element (row, column) is found among the
+    plan's elements with one ``searchsorted`` over their keys
+    ``row * n_cols + column``, which are ascending in the plan's layout.
+    """
+    n = len(instrs)
+    lane = np.arange(TILE)
+    a_at = np.fromiter((ins.a_data_addr for ins in instrs), dtype=np.int64, count=n)
+    n_a = np.fromiter((ins.n_a for ins in instrs), dtype=np.int64, count=n)
+    b_at = np.fromiter((ins.b_col_ind_addr for ins in instrs), dtype=np.int64, count=n)
+    b_at = (b_at - b_col_base) // 4
+    n_b = np.fromiter((ins.n_b for ins in instrs), dtype=np.int64, count=n)
+    live_a = lane < n_a[:, None]
+    live_b = lane < n_b[:, None]
+    rows = a_row_of[np.where(live_a, a_at[:, None] + lane, 0)]
+    cols = b.col_indices[np.where(live_b, b_at[:, None] + lane, 0)]
+    live = live_a[:, :, None] & live_b[:, None, :]
+    lane_keys = (rows[:, :, None] * plan.n_cols + cols[:, None, :])[live]
+    plan_keys = np.repeat(np.arange(plan.n_rows, dtype=np.int64), plan.out_nnz_per_row)
+    plan_keys *= plan.n_cols
+    plan_keys += plan.out_cols
+    at = np.searchsorted(plan_keys, lane_keys)
+    if len(at) and (not len(plan_keys) or np.any(np.take(plan_keys, at, mode="clip") != lane_keys)):
+        raise LoweringError("symbolic plan lacks output elements of this product")
+    roll = np.zeros((n, TILE, TILE), dtype=np.int32)
+    roll[live] = plan.counts[at] - 1
+    return roll.reshape(-1)
 
 
 def _patch_addrs(ins: Mmh4Instr, a_base: int, roll_base: int) -> Mmh4Instr:

@@ -131,8 +131,9 @@ class MapCsrMatrix:
 class RmatParams:
     """Recursive-matrix generator parameters.
 
-    ``scale`` is log2 of the (square) dimension, ``edge_factor`` the target
-    edges per node. The quadrant probabilities (a, b, c, d) must sum to 1.
+    ``scale`` is log2 of the (square) dimension, at most 31 because CSR
+    indices are int32; ``edge_factor`` the target edges per node. The
+    quadrant probabilities (a, b, c, d) must sum to 1.
     """
 
     scale: int
@@ -146,6 +147,8 @@ class RmatParams:
     def __post_init__(self):
         if self.scale < 1:
             raise ConfigError("scale must be >= 1")
+        if self.scale > 31:
+            raise ConfigError(f"scale must be <= 31 (indices are 32-bit), got {self.scale}")
         if self.edge_factor < 0:
             raise ConfigError("edge_factor must be >= 0")
         if min(self.a, self.b, self.c, self.d) < 0:

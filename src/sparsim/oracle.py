@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,23 +26,44 @@ from .matio import CsrMatrix
 DEFAULT_CF = 4.0
 DEFAULT_EF = 1.5
 
+# Partial products expanded at once by symbolic_pass: rows are taken in
+# blocks whose products fit this bound (a single row above it forms its own
+# block), which caps the pass's scratch memory at a few tens of MiB.
+SYMBOLIC_BLOCK_PP = 1 << 20
+
 
 @dataclass(frozen=True)
 class SymbolicPlan:
     """Output of the symbolic (first) pass over C = A * B.
 
-    ``contrib_counter`` maps each output coordinate (i, j) to the number of
+    The per-element contribution counts are stored CSR-shaped: the output
+    elements of row i are ``out_cols[out_offsets[i]:out_offsets[i + 1]]``,
+    sorted by column, and ``counts`` holds, for each of them, the number of
     k with A[i,k] != 0 and B[k,j] != 0, i.e. the number of partial products
-    that will land on that element.
+    that will land on that element. ``fma_per_row`` sums ``counts`` per
+    row and ``out_nnz_per_row`` is the row's element count.
     """
 
     n_rows: int
     n_cols: int
     fma_per_row: np.ndarray  # int64
     out_nnz_per_row: np.ndarray  # int64
-    contrib_counter: dict
+    out_offsets: np.ndarray  # int64, n_rows + 1
+    out_cols: np.ndarray  # int32, total_out_nnz
+    counts: np.ndarray  # int32, total_out_nnz
     total_fma: int
     total_out_nnz: int
+
+    @cached_property
+    def contrib_counter(self) -> dict:
+        """The counts as a dict {(i, j): count}, built on first access.
+
+        One tuple per output element makes this many times larger and
+        slower than the arrays; nothing in the package reads it, it is kept
+        for tests that compare against brute-force counts.
+        """
+        rows = np.repeat(np.arange(self.n_rows), self.out_nnz_per_row)
+        return dict(zip(zip(rows.tolist(), self.out_cols.tolist()), self.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,34 +212,70 @@ def spmm_csr_dense(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
-    """Count FMA work and per-output-element contributions for C = A * B."""
+    """Count FMA work and per-output-element contributions for C = A * B.
+
+    Rows of A are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial
+    products (one row with more forms a block of its own). A block expands
+    each A entry (i, k) into B's row k, forms the keys ``i * n_cols + j``
+    (i counted from the block's first row), sorts them and counts each run
+    of equal keys: the run starts are the block's output elements in
+    (row, column) order, the run lengths their contribution counts.
+    """
     if a.n_cols != b.n_rows:
         raise ConfigError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    b_row_nnz = np.diff(b.row_offsets)
-    fma_per_row = np.zeros(a.n_rows, dtype=np.int64)
-    out_nnz_per_row = np.zeros(a.n_rows, dtype=np.int64)
-    contrib = {}
-    b_off = b.row_offsets
+    n_rows, n_cols = a.n_rows, b.n_cols
+    a_off = np.asarray(a.row_offsets, dtype=np.int64)
+    a_cols = a.col_indices
+    b_off = np.asarray(b.row_offsets, dtype=np.int64)
     b_cols = b.col_indices
-    for i in range(a.n_rows):
-        ks, _ = a.row(i)
-        if not len(ks):
-            continue
-        fma_per_row[i] = int(b_row_nnz[ks].sum())
-        pieces = [b_cols[int(b_off[k]) : int(b_off[k + 1])] for k in ks.tolist()]
-        cols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        uniq, counts = np.unique(cols, return_counts=True)
-        out_nnz_per_row[i] = len(uniq)
-        for j, c in zip(uniq.tolist(), counts.tolist()):
-            contrib[(i, j)] = c
+    pp_per_entry = np.diff(b_off)[a_cols]
+    entry_prefix = np.zeros(len(a_cols) + 1, dtype=np.int64)
+    np.cumsum(pp_per_entry, out=entry_prefix[1:])
+    row_prefix = entry_prefix[a_off]  # partial products before each row
+    fma_per_row = np.diff(row_prefix)
+
+    out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
+    col_parts = []
+    count_parts = []
+    r0 = 0
+    while r0 < n_rows:
+        limit = row_prefix[r0] + SYMBOLIC_BLOCK_PP
+        r1 = max(int(np.searchsorted(row_prefix, limit, side="right")) - 1, r0 + 1)
+        t0, t1 = int(a_off[r0]), int(a_off[r1])
+        n_pp = int(entry_prefix[t1] - entry_prefix[t0])
+        if n_pp:
+            # Position in b_cols of every partial product of A entries t0..t1.
+            pos = np.arange(n_pp, dtype=np.int64)
+            pos += np.repeat(
+                b_off[a_cols[t0:t1]] - (entry_prefix[t0:t1] - entry_prefix[t0]), pp_per_entry[t0:t1]
+            )
+            keys = np.repeat(np.arange(r1 - r0, dtype=np.int64), fma_per_row[r0:r1])
+            keys *= n_cols
+            keys += b_cols[pos]
+            del pos
+            keys.sort()
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            uniq = keys[starts]
+            del keys
+            local_rows = uniq // n_cols
+            col_parts.append((uniq - local_rows * n_cols).astype(np.int32))
+            count_parts.append(np.diff(starts, append=n_pp).astype(np.int32))
+            out_nnz_per_row[r0:r1] = np.bincount(local_rows, minlength=r1 - r0)
+        r0 = r1
+
+    out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(out_nnz_per_row, out=out_offsets[1:])
+    empty = np.zeros(0, dtype=np.int32)
     return SymbolicPlan(
-        n_rows=a.n_rows,
-        n_cols=b.n_cols,
+        n_rows=n_rows,
+        n_cols=n_cols,
         fma_per_row=fma_per_row,
         out_nnz_per_row=out_nnz_per_row,
-        contrib_counter=contrib,
-        total_fma=int(fma_per_row.sum()),
-        total_out_nnz=int(out_nnz_per_row.sum()),
+        out_offsets=out_offsets,
+        out_cols=np.concatenate([empty, *col_parts]),
+        counts=np.concatenate([empty, *count_parts]),
+        total_fma=int(row_prefix[-1]),
+        total_out_nnz=int(out_offsets[-1]),
     )
 
 

@@ -460,7 +460,7 @@ class CoreModel:
         self.id = core_id
         self.rid = rid
         self.cfg = cfg
-        self.ctx = None  # set by the engine: shared run context
+        self.ctx = None  # set by the engine: shared run context, cleared when the run ends
         self.dispatch_latch = None
         self.inflight = {}
         self.pipes = [deque() for _ in range(cfg.tile.pipelines_per_core)]

@@ -257,6 +257,7 @@ BAD_INPUT_CASES = [
     ("config-unknown-name", ["--config", "tile99"], None, cli.EXIT_USAGE, "tile99"),
     ("rmat-bad-int", ["--rmat", "4:x"], None, cli.EXIT_USAGE, "edge_factor"),
     ("rmat-bad-float", ["--rmat", "4:2:p:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "must be float"),
+    ("rmat-scale-above-int32", ["--rmat", "32:1"], None, cli.EXIT_USAGE, "scale must be <= 31"),
     ("rmat-negative-edge-factor", ["--rmat", "4:-1"], None, cli.EXIT_USAGE, "edge_factor"),
     ("rmat-negative-quadrant", ["--rmat", "4:2:1.1:-0.1:0:0"], None, cli.EXIT_USAGE, "a, b, c, d"),
     ("rmat-nan-quadrant", ["--rmat", "4:2:nan:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "sum to 1"),

@@ -1,7 +1,10 @@
 """Simulation kernel: dispatch policy, determinism, conservation, CPI."""
 
+import gc
 import hashlib
 import json
+import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +262,8 @@ def test_fence_keeps_all_work_in_current_window(mode):
         tags += [pend[4] for m in run.chip.mems for pend in m.engines_pending if pend is not None]
         assert all(ins.window == w for ins in instrs)
         assert all(window_of_row[tag >> col_bits] == w for tag in tags)
+        # The occupancy the engine reuses between mem steps and fences is current.
+        assert run._occupancy == sum(m.occupancy for m in run.chip.mems)
         if instrs or tags:
             seen.add(w)
         if run._finished():
@@ -326,6 +331,27 @@ def test_superseded_timer_never_fires(monkeypatch):
     a = rmat_csr(6, 4, seed=16)
     stats, _, _ = engine.run_spgemm_simulation(a, a, uarch.CHIP_TILE4, mapper(), seed=3)
     assert stats.conservation["ok"]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["finished", "raised"])
+def test_ended_run_freed_without_cycle_collector(monkeypatch, fails):
+    # Once a run has finished or raised, dropping the last reference to it
+    # must free it at once. The collector is off here, so a reference cycle
+    # through a component would keep it alive.
+    a = rmat_csr(5, 4, seed=2)
+    plan, wplan, prog = lower_for(a, a)
+    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
+    if fails:
+        monkeypatch.setattr(uarch.MemModel, "step", lambda self, cycle: cycle)
+    gc.disable()
+    try:
+        with pytest.raises(SimulationError) if fails else nullcontext():
+            run.run_to_completion()
+        ref = weakref.ref(run)
+        del run
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_grid_tallies_sum_to_hacc_count():

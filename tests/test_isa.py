@@ -1,5 +1,7 @@
 """Tag packing, tile expansion, lowering conservation, replay, trace I/O."""
 
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -170,6 +172,16 @@ def test_replay_equals_gustavson_exact_integer():
         assert np.array_equal(got.values, want.values)
 
 
+def test_lower_rejects_plan_of_other_operands():
+    ones = matio.to_csr(matio.coo_from_entries(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0] * 4))
+    eye = matio.to_csr(matio.coo_from_entries(2, 2, [0, 1], [0, 1], [1.0, 1.0]))
+    empty = matio.to_csr(matio.coo_from_entries(2, 2, [], [], []))
+    a_csc = matio.to_csc(matio.csr_to_coo(ones))
+    for plan in (oracle.symbolic_pass(eye, eye), oracle.symbolic_pass(empty, empty)):
+        with pytest.raises(LoweringError):
+            isa.lower_spgemm(a_csc, ones, plan)
+
+
 def test_lower_with_windows_orders_by_window():
     a = rmat_csr(5, 3, seed=77)
     plan = oracle.symbolic_pass(a, a)
@@ -183,6 +195,51 @@ def test_lower_with_windows_orders_by_window():
     out = isa.replay(prog)
     want = oracle.spgemm_gustavson(a, a)
     assert np.array_equal(out.values, want.values)
+
+
+PINNED_LOWERINGS = [
+    # (id, (scale, edge_factor, seed of A, seed of B), spad_budget or None for
+    #  one window, sha256 of the a_data and roll_counters segments and every
+    #  instruction's fields)
+    ("rmat6-two-seeds", (6, 4, 5, 6), None,
+     "ccb0969131ae1954f68e528e0f3c5916d4cf200fa6f26285dc0cb4efd003e7a0"),
+    ("rmat6-two-seeds-windows", (6, 4, 5, 6), 512,
+     "90ca15fd6d3ea1d74063a458ad9ff5171e667532aa9aea8baade4c1d91e3bd82"),
+    ("rmat7-square", (7, 6, 2, 2), None,
+     "6ceed014aad2c5af843132770f8c619d45c9ce523b78f593071f67e0baa3ae51"),
+    ("rmat7-square-windows", (7, 6, 2, 2), 1024,
+     "690aa0db6b9ef439b3718c14f3c9977448424d5231d63be80c156702a87ba791"),
+    ("rmat8-two-seeds", (8, 4, 11, 12), None,
+     "b2ff302ee3e082bc58c8be4eaf561d31eff47f7de93e549b0c26166ca9c7978f"),
+    ("rmat8-two-seeds-windows", (8, 4, 11, 12), 2048,
+     "ca5fa6553029ece61de749df6cfed3266768b2817b6721a852c5a06ed24856a6"),
+]
+
+
+def lowering_digest(prog):
+    h = hashlib.sha256()
+    for name in ("a_data", "roll_counters"):
+        base, data = prog.image.segments[name]
+        h.update(f"{name} {base:#x} {data.dtype} {data.size}\n".encode())
+        h.update(data.tobytes())
+    for ins in prog.instrs:
+        h.update((repr(dataclasses.astuple(ins)) + "\n").encode())
+    h.update(repr((prog.window_starts, prog.total_fma, prog.total_out_nnz)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "rmat,budget,want", [pytest.param(*c[1:], id=c[0]) for c in PINNED_LOWERINGS]
+)
+def test_pinned_lowering_digests(rmat, budget, want):
+    scale, ef, seed_a, seed_b = rmat
+    a = rmat_csr(scale, ef, seed_a)
+    b = a if seed_b == seed_a else rmat_csr(scale, ef, seed_b)
+    plan = oracle.symbolic_pass(a, b)
+    wp = None if budget is None else oracle.plan_windows(plan, spad_budget=budget)
+    prog = isa.lower_spgemm(matio.to_csc(matio.csr_to_coo(a)), b, plan, windows=wp)
+    assert prog.n_windows == (1 if wp is None else len(wp.windows))
+    assert lowering_digest(prog) == want
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,73 @@ def brute_force_counts(a_dense, b_dense):
     return contrib
 
 
+def reference_symbolic(a, b):
+    """Row-at-a-time reference for symbolic_pass: one ``np.unique`` per
+    row, counts in a dict. Returns (fma_per_row, out_nnz_per_row,
+    {(i, j): count})."""
+    b_row_nnz = np.diff(b.row_offsets)
+    fma_per_row = np.zeros(a.n_rows, dtype=np.int64)
+    out_nnz_per_row = np.zeros(a.n_rows, dtype=np.int64)
+    contrib = {}
+    b_off = b.row_offsets
+    b_cols = b.col_indices
+    for i in range(a.n_rows):
+        ks, _ = a.row(i)
+        if not len(ks):
+            continue
+        fma_per_row[i] = int(b_row_nnz[ks].sum())
+        pieces = [b_cols[int(b_off[k]) : int(b_off[k + 1])] for k in ks.tolist()]
+        cols = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        uniq, counts = np.unique(cols, return_counts=True)
+        out_nnz_per_row[i] = len(uniq)
+        for j, c in zip(uniq.tolist(), counts.tolist()):
+            contrib[(i, j)] = c
+    return fma_per_row, out_nnz_per_row, contrib
+
+
+def sparse_csr(n_rows, n_cols, density, seed, empty_rows=()):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dense = (rng.random((n_rows, n_cols)) < density) * rng.integers(1, 5, size=(n_rows, n_cols))
+    dense[list(empty_rows)] = 0
+    return matio.dense_to_csr(dense.astype(np.float64))
+
+
+SYMBOLIC_CASES = {
+    "rectangular": lambda: (sparse_csr(23, 31, 0.2, 1), sparse_csr(31, 9, 0.3, 2)),
+    "empty-rows-in-a": lambda: (sparse_csr(20, 20, 0.3, 3, empty_rows=(0, 5, 6, 7, 19)), sparse_csr(20, 20, 0.3, 4)),
+    "empty-rows-in-b": lambda: (sparse_csr(20, 20, 0.3, 5), sparse_csr(20, 20, 0.3, 6, empty_rows=range(0, 20, 2))),
+    "all-empty-product": lambda: (
+        matio.to_csr(matio.coo_from_entries(6, 4, [0, 2, 5], [1, 3, 1], [1.0] * 3)),
+        matio.to_csr(matio.coo_from_entries(4, 5, [0, 2], [4, 0], [1.0, 1.0])),
+    ),
+    "empty-matrices": lambda: (sparse_csr(5, 7, 0.0, 7), sparse_csr(7, 3, 0.0, 8)),
+    # One row with about 800 partial products: above every small block below.
+    "one-dense-row": lambda: (sparse_csr(1, 40, 0.8, 9), sparse_csr(40, 50, 0.5, 10)),
+    "rmat-squared": lambda: (rmat_csr(7, 6, seed=3), rmat_csr(7, 6, seed=3)),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 100])
+@pytest.mark.parametrize("case", sorted(SYMBOLIC_CASES))
+def test_symbolic_matches_per_row_reference(case, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(oracle, "SYMBOLIC_BLOCK_PP", block)
+    a, b = SYMBOLIC_CASES[case]()
+    fma, out_nnz, contrib = reference_symbolic(a, b)
+    plan = oracle.symbolic_pass(a, b)
+    keys = sorted(contrib)
+    assert (plan.n_rows, plan.n_cols) == (a.n_rows, b.n_cols)
+    assert plan.fma_per_row.dtype == np.int64 and plan.fma_per_row.tolist() == fma.tolist()
+    assert plan.out_nnz_per_row.dtype == np.int64 and plan.out_nnz_per_row.tolist() == out_nnz.tolist()
+    assert plan.out_offsets.dtype == np.int64
+    assert plan.out_offsets.tolist() == [0] + np.cumsum(out_nnz).tolist()
+    assert plan.out_cols.tolist() == [j for _, j in keys]
+    assert plan.counts.tolist() == [contrib[k] for k in keys]
+    assert plan.contrib_counter == contrib
+    assert plan.total_fma == int(fma.sum())
+    assert plan.total_out_nnz == len(contrib)
+
+
 def test_symbolic_identity_times_b():
     b = rmat_csr(4, 3, seed=2)
     eye = matio.to_csr(matio.coo_from_entries(16, 16, range(16), range(16), [1.0] * 16))
@@ -169,7 +236,9 @@ def test_bloat_formula():
         n_cols=1,
         fma_per_row=np.array([305]),
         out_nnz_per_row=np.array([100]),
-        contrib_counter={},
+        out_offsets=np.array([0, 100]),
+        out_cols=np.arange(100, dtype=np.int32),
+        counts=np.array([4] * 5 + [3] * 95, dtype=np.int32),
         total_fma=305,
         total_out_nnz=100,
     )
