@@ -6,7 +6,7 @@ Layers, bottom up:
              Matrix Market and edge-list I/O, power-law generation
 * oracle  -- ground-truth kernels, the symbolic contribution pass, bloat
              accounting, scratchpad window planning, GCN-layer workloads
-* smash   -- the multithreaded host hashing kernel (base/v1/v2/v3)
+* smash   -- the host hashing kernel (base/v1/v2/v3) and its virtual-worker audit
 * isa     -- tile-multiply / hash-accumulate instructions, lowering,
              functional replay, trace files
 * mapping -- work-to-unit mapping strategies and uniformity statistics

@@ -556,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="diff every execution path against the oracles")
     common(p)
     p.add_argument("--trace", help="replay this instruction trace instead")
-    p.add_argument("--workers", type=int, default=4, help="host kernel workers")
+    p.add_argument("--workers", type=int, default=4,
+                   help="virtual SMASH workers; no result depends on it")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run a config x mapper x matrix grid")
@@ -580,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(p)
     p.add_argument("--smash-version", dest="smash_version", default="all",
                    choices=SMASH_CHOICES)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=4,
+                   help="virtual workers in the audit ledger; results do not depend on it")
     p.set_defaults(func=cmd_smash)
 
     p = sub.add_parser("gcn", help="one graph-convolution layer")

@@ -748,53 +748,6 @@ class SimRun:
             raise SimulationError(f"conservation violated: {cons}")
 
 
-def _route_port(pkt, router, routers, w, h):
-    """Output port for a flit: dimension order (X then Y) with shortest
-    wraparound; exact ties broken adaptively toward the shorter downstream
-    queue. Returns 0 when the flit should eject at this router.
-
-    The engine routes from the tables ``build_chip`` precomputes; this and
-    ``_neighbor`` are the reference the tests check those tables against."""
-    dst = pkt.dst
-    x, y = router.x, router.y
-    dx_raw = (dst % w) - x
-    if dx_raw != 0:
-        dx = dx_raw % w
-        east, west = dx, w - dx
-        if east < west:
-            return P_EAST
-        if west < east:
-            return P_WEST
-        eq = routers[_neighbor(router.rid, P_EAST, w, h)].in_q[P_WEST]
-        wq = routers[_neighbor(router.rid, P_WEST, w, h)].in_q[P_EAST]
-        return P_EAST if len(eq) <= len(wq) else P_WEST
-    dy_raw = (dst // w) - y
-    if dy_raw == 0:
-        return 0
-    dy = dy_raw % h
-    south, north = dy, h - dy  # +y is "south" (row-major downward)
-    if south < north:
-        return P_SOUTH
-    if north < south:
-        return P_NORTH
-    sq = routers[_neighbor(router.rid, P_SOUTH, w, h)].in_q[P_NORTH]
-    nq = routers[_neighbor(router.rid, P_NORTH, w, h)].in_q[P_SOUTH]
-    return P_SOUTH if len(sq) <= len(nq) else P_NORTH
-
-
-def _neighbor(rid, port, w, h):
-    x, y = rid % w, rid // w
-    if port == P_EAST:
-        x = (x + 1) % w
-    elif port == P_WEST:
-        x = (x - 1) % w
-    elif port == P_SOUTH:
-        y = (y + 1) % h
-    else:
-        y = (y - 1) % h
-    return y * w + x
-
-
 def run_spgemm_simulation(
     a_csr,
     b_csr,

@@ -252,12 +252,15 @@ def lower_spgemm(
     a_row_of = np.empty(a.nnz, dtype=np.int64)  # output row of each a_data entry
     b_off = b.row_offsets
 
-    instrs = []
+    # Per instruction: A and B element offsets, output rows, B lanes,
+    # window and group. The instructions are built once the a_data and
+    # roll_counters segments have their bases.
+    fields = []
     window_starts = []
     a_cursor = 0
     group_id = 0
     for w, bucket in enumerate(per_window):
-        window_starts.append(len(instrs))
+        window_starts.append(len(fields))
         pos = 0
         while pos < len(bucket):
             k = bucket[pos][0]
@@ -277,34 +280,31 @@ def lower_spgemm(
                     a_row_of[a_cursor] = i
                     a_cursor += 1
                 for b_start in range(b_lo, b_hi, TILE):
-                    # a_data_addr/roll_counter_addr hold element offsets here;
-                    # they become byte addresses once the segments have bases.
-                    instrs.append(
-                        Mmh4Instr(
-                            base_addr=0,
-                            a_data_addr=a_addr,
-                            b_col_ind_addr=b_col_base + b_start * 4,
-                            b_data_addr=b_data_base + b_start * 8,
-                            roll_counter_addr=len(instrs) * TILE * TILE,
-                            a_rows=rows,
-                            n_a=len(rows),
-                            n_b=min(TILE, b_hi - b_start),
-                            window=w,
-                            group=group_id,
-                        )
-                    )
+                    fields.append((a_addr, b_start, rows, min(TILE, b_hi - b_start), w, group_id))
                 group_id += 1
             pos = end
 
-    roll = _roll_counters(instrs, a_row_of, b, b_col_base, plan)
+    roll = _roll_counters(fields, a_row_of, b, plan)
     a_base = image.add("a_data", a_data[:a_cursor])
     roll_base = image.add("roll_counters", roll)
-    fixed = [
-        _patch_addrs(ins, a_base, roll_base)
-        for ins in instrs
+    lane_bytes = TILE * TILE * 4
+    instrs = [
+        Mmh4Instr(
+            base_addr=0,
+            a_data_addr=a_base + a_addr * 8,
+            b_col_ind_addr=b_col_base + b_start * 4,
+            b_data_addr=b_data_base + b_start * 8,
+            roll_counter_addr=roll_base + n * lane_bytes,
+            a_rows=rows,
+            n_a=len(rows),
+            n_b=n_b,
+            window=w,
+            group=group,
+        )
+        for n, (a_addr, b_start, rows, n_b, w, group) in enumerate(fields)
     ]
     return Program(
-        instrs=fixed,
+        instrs=instrs,
         image=image,
         layout=layout,
         n_rows=a.n_rows,
@@ -315,21 +315,22 @@ def lower_spgemm(
     )
 
 
-def _roll_counters(instrs, a_row_of, b, b_col_base, plan) -> np.ndarray:
+def _roll_counters(fields, a_row_of, b, plan) -> np.ndarray:
     """Roll-counter table: TILE*TILE lanes per instruction, contributions-1
     on each live lane and 0 on the rest.
 
-    Each live lane's output element (row, column) is found among the
-    plan's elements with one ``searchsorted`` over their keys
-    ``row * n_cols + column``, which are ascending in the plan's layout.
+    ``fields`` holds each instruction's (A element offset, B element
+    offset, output rows, B lanes, ...). Each live lane's output element
+    (row, column) is found among the plan's elements with one
+    ``searchsorted`` over their keys ``row * n_cols + column``, which are
+    ascending in the plan's layout.
     """
-    n = len(instrs)
+    n = len(fields)
     lane = np.arange(TILE)
-    a_at = np.fromiter((ins.a_data_addr for ins in instrs), dtype=np.int64, count=n)
-    n_a = np.fromiter((ins.n_a for ins in instrs), dtype=np.int64, count=n)
-    b_at = np.fromiter((ins.b_col_ind_addr for ins in instrs), dtype=np.int64, count=n)
-    b_at = (b_at - b_col_base) // 4
-    n_b = np.fromiter((ins.n_b for ins in instrs), dtype=np.int64, count=n)
+    a_at = np.fromiter((f[0] for f in fields), dtype=np.int64, count=n)
+    b_at = np.fromiter((f[1] for f in fields), dtype=np.int64, count=n)
+    n_a = np.fromiter((len(f[2]) for f in fields), dtype=np.int64, count=n)
+    n_b = np.fromiter((f[3] for f in fields), dtype=np.int64, count=n)
     live_a = lane < n_a[:, None]
     live_b = lane < n_b[:, None]
     rows = a_row_of[np.where(live_a, a_at[:, None] + lane, 0)]
@@ -345,21 +346,6 @@ def _roll_counters(instrs, a_row_of, b, b_col_base, plan) -> np.ndarray:
     roll = np.zeros((n, TILE, TILE), dtype=np.int32)
     roll[live] = plan.counts[at] - 1
     return roll.reshape(-1)
-
-
-def _patch_addrs(ins: Mmh4Instr, a_base: int, roll_base: int) -> Mmh4Instr:
-    return Mmh4Instr(
-        base_addr=0,
-        a_data_addr=a_base + ins.a_data_addr * 8,
-        b_col_ind_addr=ins.b_col_ind_addr,
-        b_data_addr=ins.b_data_addr,
-        roll_counter_addr=roll_base + ins.roll_counter_addr * 4,
-        a_rows=ins.a_rows,
-        n_a=ins.n_a,
-        n_b=ins.n_b,
-        window=ins.window,
-        group=ins.group,
-    )
 
 
 # ---------------------------------------------------------------------------

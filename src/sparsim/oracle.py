@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,17 +52,6 @@ class SymbolicPlan:
     counts: np.ndarray  # int32, total_out_nnz
     total_fma: int
     total_out_nnz: int
-
-    @cached_property
-    def contrib_counter(self) -> dict:
-        """The counts as a dict {(i, j): count}, built on first access.
-
-        One tuple per output element makes this many times larger and
-        slower than the arrays; nothing in the package reads it, it is kept
-        for tests that compare against brute-force counts.
-        """
-        rows = np.repeat(np.arange(self.n_rows), self.out_nnz_per_row)
-        return dict(zip(zip(rows.tolist(), self.out_cols.tolist()), self.counts.tolist()))
 
 
 @dataclass(frozen=True)

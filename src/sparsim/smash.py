@@ -1,27 +1,42 @@
-"""Host-side multithreaded sparse-matmul kernel with scratchpad hashing.
+"""Host-side sparse-matmul kernel with scratchpad hashing (SMASH).
 
 The kernel works window by window (see oracle.plan_windows): each output
 row in a window owns a region of the scratchpad, sized by the symbolic
 pass. Partial products are merged into the region with prime-modulo
-hashing and quadratic probing. Four variants are provided:
+hashing: a tag probes ``home + k*k`` for k up to half the capacity, then
+scans on from its home over the slots the quadratic steps missed, so every
+slot is examined before a region reports overflow.
 
-* base -- one worker per row, row regions are private, no atomics
-* v1   -- every worker strides over each row's A entries, atomic updates
-* v2   -- two tokens per row (even/odd halves of the A entries), workers
-          poll a shared token pool
-* v3   -- v2 plus a lockstep three-stage pipeline (prefetch / hash /
-          write-back) over a scratchpad split into two halves
+Four versions model the paper's ways of sharing a window among workers:
 
-All variants produce the same structure; values are bitwise-deterministic
-when inputs are integer-valued (addition order cannot matter) and agree
-with the row-wise oracle within 1e-9 relative otherwise.
+* base -- one worker per row, rows dealt round-robin
+* v1   -- every worker strides over each row's A entries
+* v2   -- two tokens per row (first and second half of its A entries);
+          each token goes to the worker that has done the fewest partial
+          products so far in the window, the lowest worker id on a tie
+* v3   -- v2 plus a three-stage pipeline (prefetch window w+1, hash
+          window w, write back window w-1) over a scratchpad split into
+          two halves
+
+The workers are virtual: the schedule decides only the audit ledger
+(rows or tokens per worker, v3's phase steps), and the program runs on
+one thread. Every version merges each row's partial products in A-stream
+order (the row's A entries in order, each against its B row in order), so
+all four give the same result bit for bit, integer inputs or not, and
+every rerun gives the same result and ledger.
+
+One window is hashed at once with numpy: its partial-product stream is
+expanded, the distinct tags are found with their first touch, and each
+tag's value is its first product plus the rest in stream order. A tag's
+slot is fixed by its first insert, since lines are never deleted, so the
+Python probe loop runs once per distinct tag, in first-touch order, and
+fills the region tables exactly as ``hash_probe_insert`` applied to the
+stream one product at a time would.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +53,7 @@ V2 = "v2"
 V3 = "v3"
 VERSIONS = (BASE, V1, V2, V3)
 
-EVEN = "EVEN"
-ODD = "ODD"
-
-_N_LOCK_STRIPES = 16
+_COL_MASK = 0xFFFFFFFF
 
 
 def pack_tag(i: int, j: int) -> int:
@@ -50,7 +62,7 @@ def pack_tag(i: int, j: int) -> int:
 
 
 def unpack_tag(tag: int) -> tuple[int, int]:
-    return tag >> 32, tag & 0xFFFFFFFF
+    return tag >> 32, tag & _COL_MASK
 
 
 @dataclass
@@ -75,10 +87,6 @@ class ScratchpadHashTable:
         self.tags = [EMPTY] * self.capacity
         self.vals = np.zeros(self.capacity, dtype=np.float64)
         self.counts = np.zeros(self.capacity, dtype=np.int64)
-        self._locks = [threading.Lock() for _ in range(min(_N_LOCK_STRIPES, self.capacity))]
-
-    def _lock_for(self, slot: int) -> threading.Lock:
-        return self._locks[slot % len(self._locks)]
 
     def occupied(self):
         """(tag, value, contributions) for live slots, unordered."""
@@ -87,43 +95,56 @@ class ScratchpadHashTable:
                 yield t, self.vals[s], int(self.counts[s])
 
 
-def hash_probe_insert(t: ScratchpadHashTable, tag: int, value: float):
-    """Merge one partial product into a region.
+def probe_sequence(home: int, cap: int):
+    """Slots a probe from ``home`` examines in a region of ``cap`` slots.
 
-    Returns ("INSERTED", 0) for a home-slot insert, ("UPDATED", k) when the
-    value was accumulated into an existing cell found after k probes, and
-    ("PROBED", k) when an empty slot was claimed after k quadratic probes.
-    Raises HashOverflowError when every probe up to the capacity was
-    examined without finding the tag or a free cell.
+    First ``home + k*k`` for k = 0..cap // 2: on a prime capacity these
+    are (cap + 1) / 2 distinct slots, and a larger k only revisits one of
+    them. Then a scan from ``home`` over the slots not yet seen, so every
+    slot comes up before the sequence ends.
     """
-    cap = t.capacity
-    home = (tag & 0xFFFFFFFF) % cap if t.direct else tag % cap
-    for k in range(cap + 1):
-        slot = home if k == 0 else (home + k * k) % cap
-        lock = t._lock_for(slot)
-        with lock:
-            cur = t.tags[slot]
-            if cur == EMPTY:
-                t.tags[slot] = tag
-                t.vals[slot] = value
-                t.counts[slot] = 1
-                return ("INSERTED", 0) if k == 0 else ("PROBED", k)
-            if cur == tag:
-                t.vals[slot] += value
-                t.counts[slot] += 1
-                return ("UPDATED", k)
-        if t.direct:
+    half = cap // 2
+    for k in range(half + 1):
+        yield (home + k * k) % cap
+    seen = {(home + k * k) % cap for k in range(half + 1)}
+    for s in range(1, cap):
+        slot = (home + s) % cap
+        if slot not in seen:
+            yield slot
+
+
+def _probe(tags: list, tag: int, home: int, cap: int, direct: bool) -> tuple[int, int]:
+    """(k, slot) of the first probe that finds ``tag`` or an empty slot."""
+    for k, slot in enumerate(probe_sequence(home, cap)):
+        cur = tags[slot]
+        if cur == EMPTY or cur == tag:
+            return k, slot
+        if direct:
             # 1:1 mapping cannot collide; a mismatch is a bookkeeping bug.
             raise HashOverflowError(f"direct-mapped slot {slot} holds foreign tag")
     raise HashOverflowError(f"no slot for tag {tag:#x} within {cap} probes")
 
 
-@dataclass(frozen=True)
-class Token:
-    """Unit of v2 work: one half of one row's A entries."""
+def hash_probe_insert(t: ScratchpadHashTable, tag: int, value: float):
+    """Merge one partial product into a region.
 
-    row: int
-    half: str  # EVEN | ODD
+    Returns ("INSERTED", 0) for a home-slot insert, ("UPDATED", k) when the
+    value was accumulated into an existing cell found after k probes, and
+    ("PROBED", k) when an empty slot was claimed after k probes.
+    Raises HashOverflowError when every slot was examined without finding
+    the tag or a free cell.
+    """
+    cap = t.capacity
+    home = (tag & _COL_MASK) % cap if t.direct else tag % cap
+    k, slot = _probe(t.tags, tag, home, cap, t.direct)
+    if t.tags[slot] == tag:
+        t.vals[slot] += value
+        t.counts[slot] += 1
+        return ("UPDATED", k)
+    t.tags[slot] = tag
+    t.vals[slot] = value
+    t.counts[slot] = 1
+    return ("INSERTED", 0) if k == 0 else ("PROBED", k)
 
 
 @dataclass(frozen=True)
@@ -144,7 +165,7 @@ class SmashConfig:
 
 @dataclass
 class SmashAudit:
-    """Execution evidence: token accounting and the v3 phase ledger."""
+    """Execution evidence: the virtual workers' ledger and the v3 phase steps."""
 
     version: str
     n_windows: int = 0
@@ -172,6 +193,10 @@ class SmashAudit:
         }
 
 
+def _add_units(audit: SmashAudit, phase: str, units: int) -> None:
+    audit.phase_units[phase] = audit.phase_units.get(phase, 0) + units
+
+
 def _row_reader(a):
     """Row accessor preferring replica copies when the format has them."""
     if isinstance(a, MapCsrMatrix):
@@ -194,148 +219,142 @@ def _planning_csr(a) -> CsrMatrix:
     return a
 
 
-def _build_window_tables(window):
-    tables = {}
-    for r, cls, cap in zip(window.rows, window.classification, window.hash_capacity):
-        tables[r] = ScratchpadHashTable(capacity=cap, direct=(cls == oracle.DENSE))
-    return tables
-
-
-def _hash_span(row, a_cols, a_vals, lo, hi, b, tables, window_id):
-    """Multiply A[row, lo:hi] against the matching B rows into row's region."""
-    table = tables[row]
-    b_off = b.row_offsets
-    b_cols = b.col_indices
-    b_vals = b.values
-    for t in range(lo, hi):
-        k = int(a_cols[t])
-        av = a_vals[t]
-        for u in range(int(b_off[k]), int(b_off[k + 1])):
-            tag = (row << 32) | int(b_cols[u])
-            try:
-                hash_probe_insert(table, tag, av * b_vals[u])
-            except HashOverflowError as err:
-                raise HashOverflowError(f"window {window_id}, row {row}: {err}") from err
-
-
-def _run_base_window(window, fetched, b, tables, cfg, audit, window_id):
-    """One worker per row, rows dealt round-robin."""
-
-    def work(worker_id):
-        done = 0
-        for idx in range(worker_id, len(window.rows), cfg.n_workers):
-            r = window.rows[idx]
-            cols, vals = fetched[r]
-            _hash_span(r, cols, vals, 0, len(cols), b, tables, window_id)
-            done += 1
-        return worker_id, done
-
-    for wid, done in _run_workers(work, cfg.n_workers):
-        audit.rows_per_worker[wid] = audit.rows_per_worker.get(wid, 0) + done
-
-
-def _run_v1_window(window, fetched, b, tables, cfg, audit, window_id):
-    """All workers cooperate on every row, striding over its A entries."""
-
-    def work(worker_id):
-        for r in window.rows:
-            cols, vals = fetched[r]
-            for t in range(worker_id, len(cols), cfg.n_workers):
-                _hash_span(r, cols, vals, t, t + 1, b, tables, window_id)
-        return worker_id, len(window.rows)
-
-    for wid, done in _run_workers(work, cfg.n_workers):
-        audit.rows_per_worker[wid] = audit.rows_per_worker.get(wid, 0) + done
-
-
-def run_tokenized_window(window, fetched, b, tables, cfg, audit, window_id):
-    """v2 work distribution: a shared pool of two tokens per row.
-
-    Workers poll tokens until the pool is empty; the EVEN token covers the
-    first ceil(len/2) A entries of its row, the ODD token the rest. Each
-    token is consumed exactly once.
-    """
-    tokens = []
-    for r in window.rows:
-        tokens.append(Token(r, EVEN))
-        tokens.append(Token(r, ODD))
-    cursor = [0]
-    cursor_lock = threading.Lock()
-    concurrent = cfg.n_workers > 1
-    start = threading.Barrier(cfg.n_workers) if concurrent else None
-
-    def work(worker_id):
-        if start is not None:
-            start.wait()  # remove thread-startup skew from the polling race
-        taken = 0
-        while True:
-            with cursor_lock:
-                idx = cursor[0]
-                if idx >= len(tokens):
-                    break
-                cursor[0] = idx + 1
-            tok = tokens[idx]
-            cols, vals = fetched[tok.row]
-            mid = -(-len(cols) // 2)
-            lo, hi = (0, mid) if tok.half == EVEN else (mid, len(cols))
-            _hash_span(tok.row, cols, vals, lo, hi, b, tables, window_id)
-            taken += 1
-            if concurrent:
-                time.sleep(1e-6)  # hand the GIL to the next poller
-        return worker_id, taken
-
-    for wid, taken in _run_workers(work, cfg.n_workers):
-        audit.tokens_per_worker[wid] = audit.tokens_per_worker.get(wid, 0) + taken
-    audit.tokens_total += len(tokens)
-
-
-def _run_workers(work, n_workers):
-    if n_workers == 1:
-        return [work(0)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(work, w) for w in range(n_workers)]
-        return [f.result() for f in futures]
-
-
 def _prefetch(window, read_row, audit):
-    fetched = {}
-    units = 0
-    for r in window.rows:
-        cols, vals = read_row(r)
-        fetched[r] = (cols, vals)
-        units += len(cols)
-    audit.phase_units["prefetch"] = audit.phase_units.get("prefetch", 0) + units
-    return fetched
+    """A entries of the window's rows, in window order: (per-row entry
+    counts, column indices, values)."""
+    parts = [read_row(r) for r in window.rows]  # a window has at least one row
+    n_entries = np.array([len(cols) for cols, _ in parts], dtype=np.int64)
+    a_cols = np.concatenate([cols for cols, _ in parts])
+    a_vals = np.concatenate([vals for _, vals in parts])
+    _add_units(audit, "prefetch", len(a_cols))
+    return n_entries, a_cols, a_vals
 
 
-def _writeback(window, tables, out_rows, audit):
-    units = 0
-    for r in window.rows:
-        pairs = sorted((tag & 0xFFFFFFFF, val) for tag, val, _ in tables[r].occupied())
-        out_rows[r] = pairs
-        units += len(pairs)
-    audit.phase_units["writeback"] = audit.phase_units.get("writeback", 0) + units
+def _record_schedule(cfg, n_entries, entry_pp, audit):
+    """Deal the window's work to the virtual workers and log it.
+
+    The schedule decides only the ledger; results never depend on it. Every
+    window starts with all workers idle, as after a barrier.
+    """
+    n_workers = cfg.n_workers
+    n_rows = len(n_entries)
+    if cfg.version == BASE:
+        for w in range(n_workers):
+            audit.rows_per_worker[w] = audit.rows_per_worker.get(w, 0) + len(range(w, n_rows, n_workers))
+        return
+    if cfg.version == V1:
+        for w in range(n_workers):
+            audit.rows_per_worker[w] = audit.rows_per_worker.get(w, 0) + n_rows
+        return
+    # Two tokens per row: the first ceil(n/2) A entries, then the rest.
+    ends = np.cumsum(n_entries)
+    starts = ends - n_entries
+    mids = starts + (n_entries + 1) // 2
+    prefix = np.zeros(len(entry_pp) + 1, dtype=np.int64)
+    np.cumsum(entry_pp, out=prefix[1:])
+    token_pp = np.column_stack((prefix[mids] - prefix[starts], prefix[ends] - prefix[mids]))
+    clocks = [(0, w) for w in range(n_workers)]  # (partial products done, worker): a heap
+    taken = [0] * n_workers
+    for pp in token_pp.ravel().tolist():
+        clock, w = clocks[0]
+        taken[w] += 1
+        heapq.heapreplace(clocks, (clock + pp, w))
+    for w, n in enumerate(taken):
+        audit.tokens_per_worker[w] = audit.tokens_per_worker.get(w, 0) + n
+    audit.tokens_total += 2 * n_rows
 
 
-def _assemble(n_rows, n_cols, out_rows) -> CsrMatrix:
+def _hash_window(window, fetched, b, cfg, audit, window_id):
+    """Merge one window's partial products into its region tables.
+
+    Returns the tables and the window's distinct tags, ascending, with
+    their values.
+    """
+    n_entries, a_cols, a_vals = fetched
+    b_off = np.asarray(b.row_offsets, dtype=np.int64)
+    entry_pp = np.diff(b_off)[a_cols]
+    _record_schedule(cfg, n_entries, entry_pp, audit)
+    tables = {
+        r: ScratchpadHashTable(capacity=cap, direct=(cls == oracle.DENSE))
+        for r, cls, cap in zip(window.rows, window.classification, window.hash_capacity)
+    }
+
+    # The stream: each A entry against its B row, in order.
+    n_pp = int(entry_pp.sum())
+    _add_units(audit, "hash", n_pp)
+    entry_at = np.cumsum(entry_pp) - entry_pp
+    pos = np.arange(n_pp, dtype=np.int64)
+    pos += np.repeat(b_off[a_cols] - entry_at, entry_pp)
+    prods = np.repeat(a_vals, entry_pp) * b.values[pos]
+    tags = np.repeat(np.repeat(np.asarray(window.rows, dtype=np.int64), n_entries) << 32, entry_pp)
+    tags |= b.col_indices[pos]
+    del pos
+
+    uniq, first, inv = np.unique(tags, return_index=True, return_inverse=True)
+    counts = np.bincount(inv, minlength=len(uniq))
+    sums = prods[first]  # assigned, not added to 0.0, so a -0.0 stays
+    rest = np.ones(n_pp, dtype=bool)
+    rest[first] = False
+    np.add.at(sums, inv[rest], prods[rest])
+
+    # Claim slots in first-touch order. Each row's products are contiguous
+    # in the stream, so that order takes the rows in window order, and a
+    # row's distinct tags are the run of ``uniq`` holding its row bits.
+    order = np.argsort(first)
+    touched = uniq[order]
+    rows = np.asarray(window.rows, dtype=np.int64)
+    uniq_rows = uniq >> 32
+    n_distinct = np.searchsorted(uniq_rows, rows, "right") - np.searchsorted(uniq_rows, rows, "left")
+    caps = np.repeat(np.asarray(window.hash_capacity, dtype=np.int64), n_distinct)
+    direct = np.repeat(np.asarray(window.classification) == oracle.DENSE, n_distinct)
+    homes = np.where(direct, touched & _COL_MASK, touched) % caps
+    touched_l = touched.tolist()
+    homes_l = homes.tolist()
+    at = 0
+    for r, n in zip(window.rows, n_distinct.tolist()):
+        if not n:
+            continue
+        table = tables[r]
+        tl = table.tags
+        slots = []
+        try:
+            for tag, slot in zip(touched_l[at : at + n], homes_l[at : at + n]):
+                if tl[slot] != EMPTY:  # tags are distinct: a taken home holds another tag
+                    slot = _probe(tl, tag, slot, table.capacity, table.direct)[1]
+                tl[slot] = tag
+                slots.append(slot)
+        except HashOverflowError as err:
+            raise HashOverflowError(f"window {window_id}, row {r}: {err}") from err
+        sel = order[at : at + n]
+        table.vals[slots] = sums[sel]
+        table.counts[slots] = counts[sel]
+        at += n
+    return tables, uniq, sums
+
+
+def _assemble(n_rows, n_cols, parts) -> CsrMatrix:
+    """The output CSR from every window's (ascending tags, values)."""
+    tags = np.concatenate([np.zeros(0, dtype=np.int64)] + [t for t, _ in parts])
+    vals = np.concatenate([np.zeros(0)] + [v for _, v in parts])
+    order = np.argsort(tags)  # windows hold disjoint rows, so tags are distinct
+    tags = tags[order]
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    cols = []
-    vals = []
-    for r in range(n_rows):
-        for j, v in out_rows.get(r, ()):
-            cols.append(j)
-            vals.append(v)
-        offsets[r + 1] = len(cols)
-    return CsrMatrix(
-        n_rows, n_cols, offsets, np.asarray(cols, dtype=np.int32), np.asarray(vals, dtype=np.float64)
-    )
-
-
-_HASH_FNS = {BASE: _run_base_window, V1: _run_v1_window, V2: run_tokenized_window}
+    np.cumsum(np.bincount(tags >> 32, minlength=n_rows), out=offsets[1:])
+    return CsrMatrix(n_rows, n_cols, offsets, (tags & _COL_MASK).astype(np.int32), vals[order])
 
 
 def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = None) -> CsrMatrix:
-    """Multiply A (CSR or MAP-CSR) by B with the configured kernel version."""
+    """Multiply A (CSR or MAP-CSR) by B with the configured kernel version.
+
+    The windows go through three phases: prefetch (read the rows' A
+    entries), hash (merge the window into its region tables) and write
+    back (emit the window's output elements). v3 overlaps them as a
+    pipeline, with prefetch(w+1), hash(w) and writeback(w-1) in one step
+    of its ``phase_steps`` ledger; the other versions take one window
+    through all three before the next. The phases of a step run in
+    sequence either way. The region tables are kept in
+    ``audit.window_tables`` only when an audit is passed in.
+    """
     own_audit = audit if audit is not None else SmashAudit(version=cfg.version)
     keep_tables = audit is not None
     a_csr = _planning_csr(a)
@@ -344,70 +363,30 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     plan = oracle.symbolic_pass(a_csr, b)
     budget = cfg.spad_capacity // 2 if cfg.version == V3 else cfg.spad_capacity
     wplan = oracle.plan_windows(plan, cf=cfg.cf, ef=cfg.ef, threshold=cfg.threshold, spad_budget=budget)
-    own_audit.n_windows = len(wplan.windows)
+    windows = wplan.windows
+    n = len(windows)
+    own_audit.n_windows = n
     read_row = _row_reader(a)
-    out_rows = {}
 
     if cfg.version == V3:
-        run_pipelined(wplan.windows, read_row, b, plan, cfg, own_audit, out_rows, keep_tables)
+        steps = [(s, s - 1, s - 2) for s in range(n + 2)]
     else:
-        hash_fn = _HASH_FNS[cfg.version]
-        for w_id, window in enumerate(wplan.windows):
-            fetched = _prefetch(window, read_row, own_audit)
-            tables = _build_window_tables(window)
-            hash_units = sum(int(plan.fma_per_row[r]) for r in window.rows)
-            own_audit.phase_units["hash"] = own_audit.phase_units.get("hash", 0) + hash_units
-            hash_fn(window, fetched, b, tables, cfg, own_audit, w_id)
-            _writeback(window, tables, out_rows, own_audit)
+        steps = [(w, w, w) for w in range(n)]
+    fetched = {}  # window -> prefetched A entries
+    hashed = {}  # window -> (tables, tags, values)
+    parts = []
+    for step, phases in enumerate(steps):
+        pf, hs, wb = (w if 0 <= w < n else None for w in phases)
+        if cfg.version == V3:
+            own_audit.phase_steps.append({"step": step, "prefetch": pf, "hash": hs, "writeback": wb})
+        if pf is not None:
+            fetched[pf] = _prefetch(windows[pf], read_row, own_audit)
+        if hs is not None:
+            hashed[hs] = _hash_window(windows[hs], fetched.pop(hs), b, cfg, own_audit, hs)
+        if wb is not None:
+            tables, tags, vals = hashed.pop(wb)
+            _add_units(own_audit, "writeback", len(tags))
+            parts.append((tags, vals))
             if keep_tables:
-                own_audit.window_tables.append((w_id, tables))
-    return _assemble(a_csr.n_rows, b.n_cols, out_rows)
-
-
-def run_pipelined(windows, read_row, b, plan, cfg, audit, out_rows, keep_tables=False):
-    """v3: lockstep pipeline with prefetch(w+1) / hash(w) / writeback(w-1).
-
-    Each step runs the three phases concurrently on disjoint windows; the
-    scratchpad is split into two halves so hashing window w and draining
-    window w-1 never share regions. The per-step ledger records which
-    phases were busy.
-    """
-    n = len(windows)
-    fetched = {}  # window index -> prefetched rows
-    tables = {}  # window index -> region tables (half = index % 2)
-    for step in range(n + 2):
-        pf, hs, wb = step, step - 1, step - 2
-        entry = {
-            "step": step,
-            "prefetch": pf if pf < n else None,
-            "hash": hs if 0 <= hs < n else None,
-            "writeback": wb if 0 <= wb < n else None,
-        }
-        audit.phase_steps.append(entry)
-
-        threads = []
-        if entry["prefetch"] is not None:
-            def do_prefetch(w=pf):
-                fetched[w] = _prefetch(windows[w], read_row, audit)
-
-            threads.append(threading.Thread(target=do_prefetch))
-        if entry["writeback"] is not None:
-            def do_writeback(w=wb):
-                _writeback(windows[w], tables[w], out_rows, audit)
-                if keep_tables:
-                    audit.window_tables.append((w, tables[w]))
-                else:
-                    del tables[w]
-
-            threads.append(threading.Thread(target=do_writeback))
-        for t in threads:
-            t.start()
-        if entry["hash"] is not None:
-            w = hs
-            tables[w] = _build_window_tables(windows[w])
-            hash_units = sum(int(plan.fma_per_row[r]) for r in windows[w].rows)
-            audit.phase_units["hash"] = audit.phase_units.get("hash", 0) + hash_units
-            run_tokenized_window(windows[w], fetched[w], b, tables[w], cfg, audit, w)
-            del fetched[w]
-        for t in threads:
-            t.join()
+                own_audit.window_tables.append((wb, tables))
+    return _assemble(a_csr.n_rows, b.n_cols, parts)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsim import matio, oracle, smash
+from sparsim import cli, matio, oracle, smash
 from sparsim.errors import HashOverflowError
 
 
@@ -12,6 +12,18 @@ def rmat_csr(scale, ef, seed, integer=True):
     if integer:
         coo = matio.with_integer_values(coo, seed=seed + 1)
     return matio.to_csr(coo)
+
+
+def float_rmat_csr(scale, ef, seed):
+    coo = matio.generate_rmat(matio.RmatParams(scale=scale, edge_factor=ef, seed=seed))
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    return matio.to_csr(matio.CooMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, rng.normal(size=coo.nnz)))
+
+
+def contrib_counter(plan):
+    """The plan's contribution counts as {(i, j): count}."""
+    rows = np.repeat(np.arange(plan.n_rows), np.diff(plan.out_offsets))
+    return dict(zip(zip(rows.tolist(), plan.out_cols.tolist()), plan.counts.tolist()))
 
 
 def identity_csr(n):
@@ -65,11 +77,36 @@ def test_probe_overflow_reported():
         smash.hash_probe_insert(t, 3, 1.0)
 
 
-def test_probe_visits_at_most_capacity_distinct_slots():
-    cap = 13
-    home = 4
-    seen = {home} | {(home + k * k) % cap for k in range(1, cap + 1)}
-    assert len(seen) <= cap
+def test_probe_sequence_covers_every_slot_and_keeps_quadratic_prefix():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for home in range(p):
+            seq = list(smash.probe_sequence(home, p))
+            assert sorted(seq) == list(range(p))
+            half = (p + 1) // 2
+            assert seq[:half] == [(home + k * k) % p for k in range(half)]
+
+
+def test_probe_sequence_covers_composite_capacities():
+    # dense rows are sized by column count, so capacities need not be prime
+    for cap in range(1, 80):
+        for home in range(cap):
+            seq = list(smash.probe_sequence(home, cap))
+            assert set(seq) == set(range(cap))
+            assert seq[: cap // 2 + 1] == [(home + k * k) % cap for k in range(cap // 2 + 1)]
+
+
+def test_probe_fills_every_slot_before_overflow():
+    # every tag homes to slot 4: the i-th insert takes the i-th probe slot,
+    # past the (p+1)/2 slots that quadratic probing alone can reach
+    p, home = 13, 4
+    t = smash.ScratchpadHashTable(capacity=p)
+    for i in range(p):
+        kind, k = smash.hash_probe_insert(t, home + i * p, 1.0)
+        assert k == i and kind == ("INSERTED" if i == 0 else "PROBED")
+    assert sorted(t.tags) == [home + i * p for i in range(p)]
+    with pytest.raises(HashOverflowError, match="within 13 probes"):
+        smash.hash_probe_insert(t, home + p * p, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +164,18 @@ def test_all_versions_bitwise_equal_on_integer_inputs(version, workers):
     assert_csr_equal(smash.smash_spgemm(a, b, cfg), want)
 
 
+@pytest.mark.parametrize("seed", [13, 22, 45])
+def test_rows_above_half_capacity_match_oracle(seed):
+    # rmat 10:8 on these seeds has sparse rows holding more output elements
+    # than quadratic probing alone can reach in their prime-sized regions
+    a = rmat_csr(10, 8, seed=seed)
+    want = oracle.spgemm_gustavson(a, a)
+    for version in smash.VERSIONS:
+        assert_csr_equal(smash.smash_spgemm(a, a, smash.SmashConfig(version=version, n_workers=2)), want)
+
+
 def test_float_inputs_within_tolerance():
-    coo = matio.generate_rmat(matio.RmatParams(scale=6, edge_factor=4, seed=40))
-    rng = np.random.Generator(np.random.PCG64(41))
-    coo = matio.CooMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, rng.normal(size=coo.nnz))
-    a = matio.to_csr(coo)
+    a = float_rmat_csr(6, 4, seed=40)
     want = oracle.spgemm_gustavson(a, a)
     for version in smash.VERSIONS:
         got = smash.smash_spgemm(a, a, smash.SmashConfig(version=version, n_workers=4))
@@ -145,6 +189,74 @@ def test_structure_identical_across_versions():
         got = smash.smash_spgemm(a, a, smash.SmashConfig(version=version, n_workers=2))
         assert np.array_equal(got.row_offsets, base.row_offsets)
         assert np.array_equal(got.col_indices, base.col_indices)
+
+
+def test_float_results_bitwise_equal_across_versions_and_reruns():
+    a = float_rmat_csr(8, 8, seed=3)
+    runs = [
+        smash.smash_spgemm(a, a, smash.SmashConfig(version=version, n_workers=workers))
+        for _ in range(2)
+        for version in smash.VERSIONS
+        for workers in (1, 4)
+    ]
+    for got in runs[1:]:
+        assert_csr_equal(got, runs[0])
+        assert got.values.tobytes() == runs[0].values.tobytes()  # -0.0 too
+
+
+def test_smash_audit_identical_across_reruns(tmp_path):
+    digests = []
+    for run in range(2):
+        out = tmp_path / f"o{run}"
+        cli.main(["smash", "--rmat", "8:8", "--seed", "3", "--workers", "4", "--out", str(out)])
+        digests.append((out / "smash_audit.json").read_bytes())
+    assert digests[0] == digests[1]
+
+
+def stream_tables(a_csr, b, window):
+    """Region tables of one window after hash_probe_insert of its partial
+    products one by one, in A-stream order."""
+    tables = {
+        r: smash.ScratchpadHashTable(capacity=cap, direct=(cls == oracle.DENSE))
+        for r, cls, cap in zip(window.rows, window.classification, window.hash_capacity)
+    }
+    for r in window.rows:
+        a_cols, a_vals = a_csr.row(r)
+        for k, av in zip(a_cols, a_vals):
+            b_cols, b_vals = b.row(int(k))
+            for j, bv in zip(b_cols, b_vals):
+                smash.hash_probe_insert(tables[r], smash.pack_tag(r, int(j)), av * bv)
+    return tables
+
+
+def test_negative_zero_product_kept():
+    # -1 * 0 is -0.0; the kernel assigns a tag's first product, as a home
+    # insert does, rather than adding it to 0.0, which would drop the sign
+    a = matio.to_csr(matio.coo_from_entries(1, 1, [0], [0], [-1.0]))
+    b = matio.to_csr(matio.coo_from_entries(1, 2, [0, 0], [0, 1], [0.0, 2.0]))
+    for version in smash.VERSIONS:
+        got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
+        assert got.values.tobytes() == np.array([-0.0, -2.0]).tobytes()
+
+
+@pytest.mark.parametrize("map_csr", [False, True])
+def test_window_tables_equal_one_by_one_inserts(map_csr):
+    a = float_rmat_csr(7, 4, seed=90)
+    a_in = matio.build_map_csr(a, bank_width=8, replicate_rows=range(0, a.n_rows, 3)) if map_csr else a
+    audit = smash.SmashAudit(version=smash.V2)
+    cfg = smash.SmashConfig(version=smash.V2, n_workers=3, spad_capacity=1 << 10)
+    smash.smash_spgemm(a_in, a, cfg, audit=audit)
+    plan = oracle.symbolic_pass(a, a)
+    wplan = oracle.plan_windows(plan, spad_budget=1 << 10)
+    assert len(audit.window_tables) == len(wplan.windows) > 1
+    for i, ((w, tables), window) in enumerate(zip(audit.window_tables, wplan.windows)):
+        assert w == i
+        want = stream_tables(a, a, window)
+        assert list(tables) == list(want)
+        for r, table in tables.items():
+            assert table.tags == want[r].tags
+            assert table.vals.tobytes() == want[r].vals.tobytes()
+            assert np.array_equal(table.counts, want[r].counts)
 
 
 def test_map_csr_backed_equals_csr_backed():
@@ -170,7 +282,7 @@ def test_atomicity_window_counters_match_symbolic_plan():
         for r, table in tables.items():
             for tag, _, count in table.occupied():
                 seen[smash.unpack_tag(tag)] = count
-    assert seen == plan.contrib_counter
+    assert seen == contrib_counter(plan)
 
 
 def test_load_balance_64_rows_8_workers():
@@ -187,6 +299,9 @@ def test_load_balance_64_rows_8_workers():
     assert sum(counts) == audit.tokens_total
     assert max(counts) <= 2 * mean
     assert min(counts) >= mean / 2
+    # the virtual schedule: each token to the worker with the fewest
+    # partial products done so far, the lowest id on a tie
+    assert counts == [15, 15, 16, 16, 16, 17, 16, 17]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,51 @@ def test_checkerboard_interleave_balanced():
 # ---------------------------------------------------------------------------
 
 
+def route_port(pkt, router, routers, w, h):
+    """Reference routing the chip's next-port tables are checked against:
+    dimension order (X then Y) with shortest wraparound; exact ties broken
+    adaptively toward the shorter downstream queue. Returns 0 when the flit
+    should eject at this router."""
+    dst = pkt.dst
+    x, y = router.x, router.y
+    dx_raw = (dst % w) - x
+    if dx_raw != 0:
+        dx = dx_raw % w
+        east, west = dx, w - dx
+        if east < west:
+            return uarch.P_EAST
+        if west < east:
+            return uarch.P_WEST
+        eq = routers[neighbor(router.rid, uarch.P_EAST, w, h)].in_q[uarch.P_WEST]
+        wq = routers[neighbor(router.rid, uarch.P_WEST, w, h)].in_q[uarch.P_EAST]
+        return uarch.P_EAST if len(eq) <= len(wq) else uarch.P_WEST
+    dy_raw = (dst // w) - y
+    if dy_raw == 0:
+        return 0
+    dy = dy_raw % h
+    south, north = dy, h - dy  # +y is "south" (row-major downward)
+    if south < north:
+        return uarch.P_SOUTH
+    if north < south:
+        return uarch.P_NORTH
+    sq = routers[neighbor(router.rid, uarch.P_SOUTH, w, h)].in_q[uarch.P_NORTH]
+    nq = routers[neighbor(router.rid, uarch.P_NORTH, w, h)].in_q[uarch.P_SOUTH]
+    return uarch.P_SOUTH if len(sq) <= len(nq) else uarch.P_NORTH
+
+
+def neighbor(rid, port, w, h):
+    x, y = rid % w, rid // w
+    if port == uarch.P_EAST:
+        x = (x + 1) % w
+    elif port == uarch.P_WEST:
+        x = (x - 1) % w
+    elif port == uarch.P_SOUTH:
+        y = (y + 1) % h
+    else:
+        y = (y - 1) % h
+    return y * w + x
+
+
 def walk_route(src, dst, w, h):
     """Follow routing decisions hop by hop on an uncongested torus."""
     chip = uarch.build_chip(uarch.CHIP_TILE4)
@@ -81,10 +126,10 @@ def walk_route(src, dst, w, h):
     rid = src
     hops = 0
     while True:
-        port = engine._route_port(pkt, routers[rid], routers, w, h)
+        port = route_port(pkt, routers[rid], routers, w, h)
         if port == 0:
             return hops
-        rid = engine._neighbor(rid, port, w, h)
+        rid = neighbor(rid, port, w, h)
         hops += 1
         assert hops <= w + h, "routing loop"
 
@@ -133,7 +178,7 @@ def test_route_tables_match_reference_routing(name):
         want = []
         for dst in range(n):
             pkt.dst = dst
-            want.append(engine._route_port(pkt, router, routers, w, h))
+            want.append(route_port(pkt, router, routers, w, h))
         want = np.array(want)
         ties = np.isin(table, (uarch.TIE_X, uarch.TIE_Y))
         assert np.array_equal(table[~ties], want[~ties])
@@ -155,7 +200,7 @@ def test_route_tables_match_reference_routing(name):
                                 (uarch.P_NORTH, uarch.P_SOUTH, uarch.TIE_Y),
                                 (uarch.P_SOUTH, uarch.P_NORTH, uarch.TIE_Y)):
             nrid = router.out_rid[port]
-            assert nrid == engine._neighbor(router.rid, port, w, h)
+            assert nrid == neighbor(router.rid, port, w, h)
             assert router.out_q[port] is routers[nrid].in_q[back]
             step = (table == port) | (table == tie)
             assert np.array_equal(distances(nrid)[step], here[step] - 1)
