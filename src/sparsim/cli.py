@@ -289,8 +289,7 @@ def cmd_verify(args) -> int:
         _report("functional replay", div, failures)
 
         for version in smash.VERSIONS:
-            cfg = smash.SmashConfig(version=version, n_workers=args.workers)
-            got = smash.smash_spgemm(a, b, cfg)
+            got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
             div = first_divergence(got, reference, tol)
             _report(f"smash-{version}", div, failures)
 
@@ -556,8 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="diff every execution path against the oracles")
     common(p)
     p.add_argument("--trace", help="replay this instruction trace instead")
-    p.add_argument("--workers", type=int, default=4,
-                   help="virtual SMASH workers; no result depends on it")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run a config x mapper x matrix grid")

@@ -38,7 +38,6 @@ import numpy as np
 from . import isa
 from .errors import DeadlockError, SimulationError
 from .mapping import Mapper, MapperConfig
-from .matio import CsrMatrix
 from .uarch import (
     ChipConfig,
     K_EVICT,
@@ -177,11 +176,14 @@ def collect_cpi(stats: SimStats, kind: str) -> dict:
 class _Dispatcher:
     """Issues tile instructions in program order: round-robin over cores
     with buffer space, consecutive tiles of one A-column group pinned to
-    one core, window fences respected. It keeps no link to its run, which
-    passes itself to ``step``."""
+    one core, window fences respected. A core's latch takes the
+    instruction's index in the program. The dispatcher keeps no link to its
+    run, which passes itself to ``step``."""
 
-    def __init__(self, n_instrs):
-        self.n_instrs = n_instrs
+    def __init__(self, windows, groups):
+        self.windows = windows  # window of each instruction, a list
+        self.groups = groups  # A-column group of each instruction, a list
+        self.n_instrs = len(windows)
         self.pointer = 0
         self.rr = 0
         self.active_group = None
@@ -193,14 +195,16 @@ class _Dispatcher:
         return self.pointer >= self.n_instrs
 
     def step(self, run, cycle):
-        instrs = run.program.instrs
+        windows = self.windows
+        groups = self.groups
         cores = run.chip.cores
         pushed = set()
-        while self.pointer < len(instrs):
-            ins = instrs[self.pointer]
-            if ins.window != run.current_window:
+        while self.pointer < self.n_instrs:
+            n = self.pointer
+            if windows[n] != run.current_window:
                 break  # fence: previous window still draining
-            if ins.group == self.active_group:
+            group = groups[n]
+            if group == self.active_group:
                 core = cores[self.active_core]
                 if core.id in pushed or core.dispatch_latch is not None:
                     if core.dispatch_latch is not None and core.id not in pushed:
@@ -211,12 +215,12 @@ class _Dispatcher:
                 if core is None:
                     run.stats.stalls["dispatch"] += 1
                     break
-                self.active_group = ins.group
+                self.active_group = group
                 self.active_core = core.id
-            core.dispatch_latch = ins
+            core.dispatch_latch = n
             run.wake(core)
             run.stats.mmh4_issued += 1
-            self.log.append((self.pointer, core.id))
+            self.log.append((n, core.id))
             pushed.add(core.id)
             self.pointer += 1
 
@@ -293,7 +297,14 @@ class SimRun:
         if window_plan is not None:
             self._window_caps = [w.capacity for w in window_plan.windows]
 
-        self.dispatcher = _Dispatcher(len(program.instrs))
+        # Every HACC the cores will send, expanded once; a core turns its
+        # tile's slice into Python values when it executes the tile.
+        offsets, self._lane_tags, self._lane_data, self._lane_counters = isa.expand_program(program)
+        self._lane_offsets = offsets.tolist()
+        reads = program.operand_reads()
+        self._read_addrs = np.column_stack([addrs for addrs, _, _ in reads])
+        self._read_bytes = np.column_stack([counts * size for _, counts, size in reads])
+        self.dispatcher = _Dispatcher(program.window.tolist(), program.group.tolist())
         self.components = list(self.chip.cores) + list(self.chip.mems) + list(self.chip.memctrls)
         for idx, comp in enumerate(self.components):
             comp._engine_idx = idx
@@ -314,8 +325,22 @@ class SimRun:
 
     # -- context API used by components --------------------------------------
 
-    def expand(self, instr):
-        return isa.expand_mmh4(instr, self.program.image, self.program.layout)
+    def lane_count(self, n: int) -> int:
+        """HACCs instruction n dispatches."""
+        return self._lane_offsets[n + 1] - self._lane_offsets[n]
+
+    def lanes(self, n: int):
+        """Instruction n's HACCs as lists: (tags, products, counters)."""
+        lo, hi = self._lane_offsets[n], self._lane_offsets[n + 1]
+        return (
+            self._lane_tags[lo:hi].tolist(),
+            self._lane_data[lo:hi].tolist(),
+            self._lane_counters[lo:hi].tolist(),
+        )
+
+    def operand_reads(self, n: int):
+        """Instruction n's four operand reads: (byte address, bytes) each."""
+        return zip(self._read_addrs[n].tolist(), self._read_bytes[n].tolist())
 
     def memctrl_rid_for(self, addr: int) -> int:
         tile = (addr // self.chip_cfg.granule) % len(self.chip.memctrls)
@@ -592,7 +617,7 @@ class SimRun:
         if w >= self.n_windows:
             return 0
         dispatcher = self.dispatcher
-        if not dispatcher.done and self.program.instrs[dispatcher.pointer].window == w:
+        if not dispatcher.done and dispatcher.windows[dispatcher.pointer] == w:
             return 0
         s = self.stats
         if s.mmh4_retired < s.mmh4_issued or s.hacc_committed < s.hacc_created:
@@ -705,24 +730,11 @@ class SimRun:
             stats.reads_merged += mc.reads_merged
         stats.mapper_assignments = self.mapper.assignments
 
-        rows = {}
-        for mem in chip.mems:
-            for tag, value in mem.evicted_values:
-                i, j = isa.decode_tag(tag, self.program.layout)
-                rows.setdefault(i, []).append((j, value))
-        offsets = np.zeros(self.program.n_rows + 1, dtype=np.int64)
-        cols, vals = [], []
-        for i in range(self.program.n_rows):
-            for j, v in sorted(rows.get(i, ())):
-                cols.append(j)
-                vals.append(v)
-            offsets[i + 1] = len(cols)
-        self.result = CsrMatrix(
-            self.program.n_rows,
-            self.program.n_cols,
-            offsets,
-            np.asarray(cols, dtype=np.int32),
-            np.asarray(vals, dtype=np.float64),
+        evicted = [tv for mem in chip.mems for tv in mem.evicted_values]
+        self.result = isa.output_csr(
+            self.program,
+            np.array([tag for tag, _ in evicted], dtype=np.int64),
+            np.array([value for _, value in evicted], dtype=np.float64),
         )
 
         cons = {

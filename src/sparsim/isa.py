@@ -16,11 +16,18 @@ evict immediately.
 Instruction operands are byte addresses into a flat memory image; the
 output row coordinates of the A-column group ride along as lowering
 metadata (the bit layout itself carries only addresses).
+
+A ``Program`` holds its MMH4 stream as numpy columns, one entry per
+instruction. Lowering builds the columns with array operations,
+``expand_program`` expands every live lane of the stream at once, and
+replay, the cycle engine and the trace files read the columns. An
+``Mmh4Instr`` object is built only when ``Program.instrs`` is read.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +157,22 @@ class MemoryImage:
             raise MemoryFaultError(f"element width mismatch at {addr:#x}")
         return data[idx : idx + count]
 
+    def locate(self, addrs: np.ndarray, nbytes: np.ndarray, itemsize: int):
+        """``read`` over arrays of accesses without raising: each access's
+        segment (its position in ``segments``), first element index, and
+        whether ``read`` would accept it (mapped, aligned, of this width)."""
+        seg = np.full(len(addrs), -1, dtype=np.int64)
+        idx = np.zeros(len(addrs), dtype=np.int64)
+        ok = np.zeros(len(addrs), dtype=bool)
+        ends = addrs + nbytes
+        for s, (base, data) in enumerate(self.segments.values()):
+            hit = (seg < 0) & (addrs >= base) & (ends <= base + data.nbytes)
+            seg[hit] = s
+            off = addrs[hit] - base
+            idx[hit] = off // data.itemsize
+            ok[hit] = (off % data.itemsize == 0) & (data.itemsize == itemsize)
+        return seg, idx, ok
+
     def manifest(self) -> dict:
         return {
             name: {"base": base, "dtype": str(data.dtype), "length": int(data.size)}
@@ -157,11 +180,41 @@ class MemoryImage:
         }
 
 
-@dataclass
-class Program:
-    """A lowered instruction stream plus the memory image it references."""
+# One int64 column per instruction field, in Mmh4Instr (and trace) order.
+COLUMNS = (
+    "base_addr", "a_data_addr", "b_col_ind_addr", "b_data_addr", "roll_counter_addr",
+    "n_a", "n_b", "window", "group",
+)
 
-    instrs: list
+
+@dataclass(eq=False)
+class Program:
+    """A lowered MMH4 stream, held as columns, plus the memory image it
+    references.
+
+    Instruction n is entry n of every column in ``COLUMNS``: the byte
+    addresses ``base_addr``, ``a_data_addr``, ``b_col_ind_addr``,
+    ``b_data_addr`` and ``roll_counter_addr``; the live lane counts ``n_a``
+    and ``n_b`` (at most TILE each); its ``window`` and A-column ``group``.
+    Its output rows are ``a_rows[a_row_offsets[n]:a_row_offsets[n + 1]]``,
+    ``n_a`` of them (CSR over instructions). Every column is int64.
+
+    ``instrs`` is a read-only sequence of ``Mmh4Instr`` with Python-int
+    fields, built from the columns as it is read; ``from_instrs`` builds
+    the columns from such a sequence.
+    """
+
+    base_addr: np.ndarray
+    a_data_addr: np.ndarray
+    b_col_ind_addr: np.ndarray
+    b_data_addr: np.ndarray
+    roll_counter_addr: np.ndarray
+    n_a: np.ndarray
+    n_b: np.ndarray
+    window: np.ndarray
+    group: np.ndarray
+    a_row_offsets: np.ndarray  # n_instrs + 1
+    a_rows: np.ndarray  # output row per A lane, instruction by instruction
     image: MemoryImage
     layout: TagLayout
     n_rows: int
@@ -170,31 +223,152 @@ class Program:
     total_fma: int
     total_out_nnz: int
 
+    def __post_init__(self):
+        for name in COLUMNS + ("a_row_offsets", "a_rows"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        n = len(self.n_a)
+        offsets = self.a_row_offsets
+        if any(getattr(self, c).shape != (n,) for c in COLUMNS) or offsets.shape != (n + 1,):
+            raise LoweringError("program columns differ in length")
+        if offsets[0] or offsets[-1] != len(self.a_rows) or np.any(np.diff(offsets) != self.n_a):
+            raise LoweringError("a_rows does not hold n_a rows for every instruction")
+        if np.any((self.n_a < 0) | (self.n_a > TILE) | (self.n_b < 0) | (self.n_b > TILE)):
+            raise LoweringError(f"lane counts outside the {TILE}x{TILE} tile")
+
+    @classmethod
+    def from_instrs(cls, instrs, **fields) -> Program:
+        """The program of a sequence of ``Mmh4Instr``; ``fields`` gives the
+        other fields (image, layout, n_rows, n_cols, window_starts,
+        total_fma, total_out_nnz)."""
+        instrs = list(instrs)
+        offsets = np.zeros(len(instrs) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(ins.a_rows) for ins in instrs], dtype=np.int64)
+        return cls(
+            **{name: [getattr(ins, name) for ins in instrs] for name in COLUMNS},
+            a_row_offsets=offsets,
+            a_rows=[r for ins in instrs for r in ins.a_rows],
+            **fields,
+        )
+
+    @property
+    def n_instrs(self) -> int:
+        return len(self.n_a)
+
+    @property
+    def instrs(self) -> _InstrView:
+        return _InstrView(self)
+
     @property
     def n_windows(self) -> int:
         return len(self.window_starts)
 
+    def operand_reads(self):
+        """The four operand reads of every instruction, in the order a tile
+        requests them (A values, B columns, B values, roll counters): each is
+        (byte address column, element count column, element size)."""
+        counters = np.full(self.n_instrs, TILE * TILE, dtype=np.int64)
+        return (
+            (self.base_addr + self.a_data_addr, self.n_a, 8),
+            (self.base_addr + self.b_col_ind_addr, self.n_b, 4),
+            (self.base_addr + self.b_data_addr, self.n_b, 8),
+            (self.base_addr + self.roll_counter_addr, counters, 4),
+        )
+
+
+class _InstrView(Sequence):
+    """Read-only ``Mmh4Instr`` sequence over a program's columns; each
+    instruction is built when it is read."""
+
+    __slots__ = ("_program",)
+    __hash__ = None
+
+    def __init__(self, program: Program):
+        self._program = program
+
+    def __len__(self) -> int:
+        return self._program.n_instrs
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[k] for k in range(*n.indices(len(self)))]
+        n = range(len(self))[n]
+        p = self._program
+        lo, hi = p.a_row_offsets[n], p.a_row_offsets[n + 1]
+        return Mmh4Instr(
+            a_rows=tuple(p.a_rows[lo:hi].tolist()),
+            **{name: int(getattr(p, name)[n]) for name in COLUMNS},
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+
+def expand_program(program: Program):
+    """Functional semantics of every tile at once: the HACC of each live
+    lane, in stream order, as arrays ``(offsets, tags, data, counters)``.
+    Instruction n's lanes are ``offsets[n]:offsets[n + 1]``, A lane major;
+    ``data`` holds the float64 partial products, the rest are int64.
+
+    Each instruction's four operand reads are checked as
+    ``MemoryImage.read`` checks them. When any fails, the first faulting
+    instruction in program order is read again with ``read``, which raises
+    the error a tile-by-tile walk would have met first.
+    """
+    image = program.image
+    reads = program.operand_reads()
+    spans = []
+    bad = np.zeros(program.n_instrs, dtype=bool)
+    for addrs, counts, itemsize in reads:
+        seg, idx, ok = image.locate(addrs, counts * itemsize, itemsize)
+        spans.append((seg, idx))
+        bad |= ~ok
+    if bad.any():
+        n = int(np.argmax(bad))
+        for addrs, counts, itemsize in reads:
+            image.read(int(addrs[n]), int(counts[n]), itemsize)
+        raise AssertionError("locate and read disagree")
+
+    datas = [data for _, data in image.segments.values()]
+    lane = np.arange(TILE)
+    live_a = lane < program.n_a[:, None]
+    live_b = lane < program.n_b[:, None]
+    all_lanes = np.ones((program.n_instrs, TILE * TILE), dtype=bool)
+    a_vals = _gather(datas, spans[0], live_a, np.float64)
+    b_cols = _gather(datas, spans[1], live_b, np.int64)
+    b_vals = _gather(datas, spans[2], live_b, np.float64)
+    counters = _gather(datas, spans[3], all_lanes, np.int64).reshape(-1, TILE, TILE)
+    rows = np.zeros(live_a.shape, dtype=np.int64)
+    rows[live_a] = program.a_rows  # fills instruction by instruction, lane by lane
+    live = live_a[:, :, None] & live_b[:, None, :]
+    offsets = np.zeros(program.n_instrs + 1, dtype=np.int64)
+    np.cumsum(program.n_a * program.n_b, out=offsets[1:])
+    tags = ((rows << program.layout.col_bits)[:, :, None] | b_cols[:, None, :])[live]
+    return offsets, tags, (a_vals[:, :, None] * b_vals[:, None, :])[live], counters[live]
+
+
+def _gather(datas, span, live, dtype) -> np.ndarray:
+    """One operand of every instruction as an (n_instrs, width) array:
+    lane l reads element ``idx + l`` of the access's segment; 0 where not
+    live."""
+    seg, idx = span
+    out = np.zeros(live.shape, dtype=dtype)
+    elem = idx[:, None] + np.arange(live.shape[1])
+    for s in np.unique(seg).tolist():
+        sel = live & (seg == s)[:, None]
+        out[sel] = datas[s][elem[sel]]
+    return out
+
 
 def expand_mmh4(instr: Mmh4Instr, image: MemoryImage, layout: TagLayout = LAYOUT_16_16):
-    """Functional semantics of one tile: emit one HACC per live lane."""
-    a_vals = image.read(instr.base_addr + instr.a_data_addr, instr.n_a, 8)
-    b_cols = image.read(instr.base_addr + instr.b_col_ind_addr, instr.n_b, 4)
-    b_vals = image.read(instr.base_addr + instr.b_data_addr, instr.n_b, 8)
-    counters = image.read(instr.base_addr + instr.roll_counter_addr, TILE * TILE, 4)
-    out = []
-    col_bits = layout.col_bits
-    for i in range(instr.n_a):
-        row_part = instr.a_rows[i] << col_bits
-        av = float(a_vals[i])
-        for j in range(instr.n_b):
-            out.append(
-                HaccInstr(
-                    tag=row_part | int(b_cols[j]),
-                    data=av * float(b_vals[j]),
-                    counter=int(counters[i * TILE + j]),
-                )
-            )
-    return out
+    """Functional semantics of one tile: one HACC per live lane."""
+    program = Program.from_instrs(
+        [instr], image=image, layout=layout, n_rows=0, n_cols=0, window_starts=[0],
+        total_fma=0, total_out_nnz=0,
+    )
+    _, tags, data, counters = expand_program(program)
+    return [HaccInstr(*lane) for lane in zip(tags.tolist(), data.tolist(), counters.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +390,11 @@ def lower_spgemm(
     4-element A group and 4-element B group. The roll-counter table gets
     contributions-1 for every live lane. When ``windows`` is omitted the
     whole matrix forms a single window in natural row order.
+
+    A's entries are put in that order by one stable sort of the
+    column-ordered entries by window; entries against an empty B row make
+    no tile and get no a_data slot. Every (window, column) run splits into
+    groups of TILE entries, and each group repeats over its B row's tiles.
     """
     if a.n_cols != b.n_rows:
         raise LoweringError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -227,110 +406,91 @@ def lower_spgemm(
             f"{layout.row_bits}/{layout.col_bits}"
         )
 
-    if windows is None:
-        window_rows = [list(range(a.n_rows))]
-    else:
-        window_rows = [w.rows for w in windows.windows]
-    row_window = {}
-    for w, rows in enumerate(window_rows):
-        for r in rows:
-            row_window[r] = w
+    window_of_row = np.zeros(a.n_rows, dtype=np.int64)
+    n_windows = 1
+    if windows is not None:
+        n_windows = len(windows.windows)
+        window_of_row -= 1
+        for w, win in enumerate(windows.windows):
+            window_of_row[np.asarray(win.rows, dtype=np.int64)] = w
+    entry_window = window_of_row[a.row_indices]
+    if np.any(entry_window < 0):
+        row = int(a.row_indices[np.argmax(entry_window < 0)])
+        raise LoweringError(f"window plan leaves out row {row}")
 
-    # One pass over A in column order, bucketing entries per window while
-    # keeping the k-major order inside each bucket.
-    per_window: list[list] = [[] for _ in window_rows]
-    for k in range(a.n_cols):
-        ri, rv = a.col(k)
-        for i, v in zip(ri.tolist(), rv.tolist()):
-            per_window[row_window[i]].append((k, i, v))
+    # A's entries in (window, column, CSC position) order.
+    b_off = np.asarray(b.row_offsets, dtype=np.int64)
+    b_len = np.diff(b_off)
+    entry_col = np.repeat(np.arange(a.n_cols, dtype=np.int64), np.diff(a.col_offsets))
+    kept = np.flatnonzero(b_len[entry_col] > 0)
+    order = kept[np.argsort(entry_window[kept], kind="stable")]
+    cols = entry_col[order]
+    wins = entry_window[order]
+    a_row_of = a.row_indices[order].astype(np.int64)  # output row of each a_data entry
+    a_data = a.values[order].astype(np.float64)
+
+    # A groups: TILE consecutive entries of one (window, column) run.
+    m = len(order)
+    run_head = np.ones(m, dtype=bool)
+    run_head[1:] = (wins[1:] != wins[:-1]) | (cols[1:] != cols[:-1])
+    heads = np.flatnonzero(run_head)
+    in_run = np.arange(m) - np.repeat(heads, np.diff(np.append(heads, m)))
+    group_at = np.flatnonzero(in_run % TILE == 0)
+    group_n_a = np.diff(np.append(group_at, m))
+    group_col = cols[group_at]
+
+    # One instruction per (A group, B tile of the group's column).
+    tiles = (b_len[group_col] + TILE - 1) // TILE
+    group = np.repeat(np.arange(len(group_at), dtype=np.int64), tiles)
+    tile = np.arange(len(group)) - np.repeat(np.cumsum(tiles) - tiles, tiles)
+    b_start = b_off[group_col][group] + TILE * tile
+    n_b = np.minimum(TILE, b_off[group_col + 1][group] - b_start)
+    a_at = group_at[group]
+    n_a = group_n_a[group]
+    window = wins[group_at][group]
+    a_row_offsets = np.zeros(len(group) + 1, dtype=np.int64)
+    np.cumsum(n_a, out=a_row_offsets[1:])
+    a_rows = a_row_of[np.repeat(a_at - a_row_offsets[:-1], n_a) + np.arange(a_row_offsets[-1])]
 
     image = MemoryImage()
     b_col_base = image.add("b_col_ind", b.col_indices.astype(np.int32))
     b_data_base = image.add("b_data", b.values.astype(np.float64))
-
-    a_data = np.empty(a.nnz, dtype=np.float64)
-    a_row_of = np.empty(a.nnz, dtype=np.int64)  # output row of each a_data entry
-    b_off = b.row_offsets
-
-    # Per instruction: A and B element offsets, output rows, B lanes,
-    # window and group. The instructions are built once the a_data and
-    # roll_counters segments have their bases.
-    fields = []
-    window_starts = []
-    a_cursor = 0
-    group_id = 0
-    for w, bucket in enumerate(per_window):
-        window_starts.append(len(fields))
-        pos = 0
-        while pos < len(bucket):
-            k = bucket[pos][0]
-            end = pos
-            while end < len(bucket) and bucket[end][0] == k:
-                end += 1
-            b_lo, b_hi = int(b_off[k]), int(b_off[k + 1])
-            if b_hi == b_lo:
-                pos = end
-                continue
-            for a_start in range(pos, end, TILE):
-                a_grp = bucket[a_start : min(a_start + TILE, end)]
-                rows = tuple(i for _, i, _ in a_grp)
-                a_addr = a_cursor
-                for _, i, v in a_grp:
-                    a_data[a_cursor] = v
-                    a_row_of[a_cursor] = i
-                    a_cursor += 1
-                for b_start in range(b_lo, b_hi, TILE):
-                    fields.append((a_addr, b_start, rows, min(TILE, b_hi - b_start), w, group_id))
-                group_id += 1
-            pos = end
-
-    roll = _roll_counters(fields, a_row_of, b, plan)
-    a_base = image.add("a_data", a_data[:a_cursor])
+    roll = _roll_counters(a_at, b_start, n_a, n_b, a_row_of, b, plan)
+    a_base = image.add("a_data", a_data)
     roll_base = image.add("roll_counters", roll)
-    lane_bytes = TILE * TILE * 4
-    instrs = [
-        Mmh4Instr(
-            base_addr=0,
-            a_data_addr=a_base + a_addr * 8,
-            b_col_ind_addr=b_col_base + b_start * 4,
-            b_data_addr=b_data_base + b_start * 8,
-            roll_counter_addr=roll_base + n * lane_bytes,
-            a_rows=rows,
-            n_a=len(rows),
-            n_b=n_b,
-            window=w,
-            group=group,
-        )
-        for n, (a_addr, b_start, rows, n_b, w, group) in enumerate(fields)
-    ]
     return Program(
-        instrs=instrs,
+        base_addr=np.zeros(len(group), dtype=np.int64),
+        a_data_addr=a_base + a_at * 8,
+        b_col_ind_addr=b_col_base + b_start * 4,
+        b_data_addr=b_data_base + b_start * 8,
+        roll_counter_addr=roll_base + np.arange(len(group), dtype=np.int64) * (TILE * TILE * 4),
+        n_a=n_a,
+        n_b=n_b,
+        window=window,
+        group=group,
+        a_row_offsets=a_row_offsets,
+        a_rows=a_rows,
         image=image,
         layout=layout,
         n_rows=a.n_rows,
         n_cols=b.n_cols,
-        window_starts=window_starts,
+        window_starts=np.searchsorted(window, np.arange(n_windows)).tolist(),
         total_fma=plan.total_fma,
         total_out_nnz=plan.total_out_nnz,
     )
 
 
-def _roll_counters(fields, a_row_of, b, plan) -> np.ndarray:
+def _roll_counters(a_at, b_at, n_a, n_b, a_row_of, b, plan) -> np.ndarray:
     """Roll-counter table: TILE*TILE lanes per instruction, contributions-1
     on each live lane and 0 on the rest.
 
-    ``fields`` holds each instruction's (A element offset, B element
-    offset, output rows, B lanes, ...). Each live lane's output element
-    (row, column) is found among the plan's elements with one
-    ``searchsorted`` over their keys ``row * n_cols + column``, which are
-    ascending in the plan's layout.
+    Each instruction reads A elements ``a_at:a_at + n_a`` and B elements
+    ``b_at:b_at + n_b``. Each live lane's output element (row, column) is
+    found among the plan's elements with one ``searchsorted`` over their
+    keys ``row * n_cols + column``, which are ascending in the plan's
+    layout.
     """
-    n = len(fields)
     lane = np.arange(TILE)
-    a_at = np.fromiter((f[0] for f in fields), dtype=np.int64, count=n)
-    b_at = np.fromiter((f[1] for f in fields), dtype=np.int64, count=n)
-    n_a = np.fromiter((len(f[2]) for f in fields), dtype=np.int64, count=n)
-    n_b = np.fromiter((f[3] for f in fields), dtype=np.int64, count=n)
     live_a = lane < n_a[:, None]
     live_b = lane < n_b[:, None]
     rows = a_row_of[np.where(live_a, a_at[:, None] + lane, 0)]
@@ -343,7 +503,7 @@ def _roll_counters(fields, a_row_of, b, plan) -> np.ndarray:
     at = np.searchsorted(plan_keys, lane_keys)
     if len(at) and (not len(plan_keys) or np.any(np.take(plan_keys, at, mode="clip") != lane_keys)):
         raise LoweringError("symbolic plan lacks output elements of this product")
-    roll = np.zeros((n, TILE, TILE), dtype=np.int32)
+    roll = np.zeros((len(n_a), TILE, TILE), dtype=np.int32)
     roll[live] = plan.counts[at] - 1
     return roll.reshape(-1)
 
@@ -355,48 +515,80 @@ def _roll_counters(fields, a_row_of, b, plan) -> np.ndarray:
 
 def replay(program: Program) -> CsrMatrix:
     """Timing-free interpreter: run every tile, emulate hash lines with
-    counters, and assemble the evicted output. Verifies that every line is
-    evicted by the end (the counter convention is self-checking)."""
-    lines = {}
-    evicted = {}
-    layout = program.layout
-    image = program.image
-    for ins in program.instrs:
-        for h in expand_mmh4(ins, image, layout):
-            cur = lines.get(h.tag)
-            if cur is None:
-                data, counter = h.data, h.counter
-            else:
-                data, counter = cur[0] + h.data, cur[1] - 1
-            if counter == 0:
-                evicted[h.tag] = data
-                if cur is not None:
-                    del lines[h.tag]
-            else:
-                lines[h.tag] = (data, counter)
-    if lines:
-        tag = next(iter(lines))
+    counters, and assemble the evicted output.
+
+    Lines behave as in a hash engine that receives every HACC in stream
+    order. A tag's first arrival opens its line with the arrival's own
+    counter; each later arrival adds its product and decrements the
+    counter, and the line evicts when the counter reaches 0 (at once for an
+    opening counter of 0). An arrival after an eviction opens the line
+    again, and the tag's last eviction is its output value. A line still
+    open at the end raises ``MemoryFaultError``, naming the open line that
+    opened first: the counter convention is self-checking.
+
+    The lanes are grouped by tag with a stable sort, so each tag's lanes
+    stay in stream order. A tag whose opening counter is its lane count
+    minus one, as lowering emits, has a single line over all its lanes;
+    only other tags are walked line by line. A value is the line's first
+    product, to which ``np.add.at`` adds each later product in stream order:
+    ``add.at`` adds repeated indices one at a time in index order, so every
+    float sum is the left-to-right sum, bit for bit. ``np.add.reduceat`` or
+    a pairwise sum would round differently.
+    """
+    _, stream_tags, data, counters = expand_program(program)
+    order = np.argsort(stream_tags, kind="stable")
+    tags = stream_tags[order]
+    data = data[order]
+    counters = counters[order]
+    n = len(tags)
+    head = np.ones(n, dtype=bool)
+    head[1:] = tags[1:] != tags[:-1]
+    starts = np.flatnonzero(head)
+    sizes = np.diff(np.append(starts, n))
+
+    opened = starts.copy()  # where each tag's last line opened
+    never = []  # stream position of each line that never evicts
+    for g in np.flatnonzero(counters[starts] != sizes - 1).tolist():
+        at = int(starts[g])
+        end = at + int(sizes[g])
+        while True:
+            counter = int(counters[at])
+            if counter < 0 or at + counter >= end:
+                never.append(int(order[at]))
+                break
+            opened[g] = at
+            at += counter + 1
+            if at == end:
+                break
+    if never:
+        tag = int(stream_tags[min(never)])
         raise MemoryFaultError(
-            f"{len(lines)} hash lines never evicted (first tag {tag:#x}); "
+            f"{len(never)} hash lines never evicted (first tag {tag:#x}); "
             "roll counters are inconsistent with the stream"
         )
-    rows = {}
-    for tag, val in evicted.items():
-        i, j = decode_tag(tag, layout)
-        rows.setdefault(i, []).append((j, val))
+
+    sums = data[opened]  # assigned, not added to 0.0, so a -0.0 stays
+    rest = np.arange(n) > np.repeat(opened, sizes)
+    np.add.at(sums, np.repeat(np.arange(len(starts)), sizes)[rest], data[rest])
+    return output_csr(program, tags[starts], sums)
+
+
+def output_csr(program: Program, tags: np.ndarray, values: np.ndarray) -> CsrMatrix:
+    """The output matrix of a program from its distinct evicted tags and
+    their values: columns ascend in each row, and a tag whose row lies
+    outside the program's shape is dropped."""
+    order = np.argsort(tags, kind="stable")
+    tags = np.asarray(tags, dtype=np.int64)[order]
+    rows = tags >> program.layout.col_bits
+    keep = (rows >= 0) & (rows < program.n_rows)
     offsets = np.zeros(program.n_rows + 1, dtype=np.int64)
-    cols, vals = [], []
-    for i in range(program.n_rows):
-        for j, v in sorted(rows.get(i, ())):
-            cols.append(j)
-            vals.append(v)
-        offsets[i + 1] = len(cols)
+    np.cumsum(np.bincount(rows[keep], minlength=program.n_rows), out=offsets[1:])
     return CsrMatrix(
         program.n_rows,
         program.n_cols,
         offsets,
-        np.asarray(cols, dtype=np.int32),
-        np.asarray(vals, dtype=np.float64),
+        (tags[keep] & (program.layout.max_cols - 1)).astype(np.int32),
+        np.asarray(values, dtype=np.float64)[order][keep],
     )
 
 
@@ -413,13 +605,28 @@ def write_trace(program: Program, stream) -> None:
     stream.write(f"shape {program.n_rows} {program.n_cols}\n")
     stream.write(f"counts {program.total_fma} {program.total_out_nnz}\n")
     stream.write("windows " + " ".join(str(s) for s in program.window_starts) + "\n")
-    for ins in program.instrs:
-        rows = ",".join(str(r) for r in ins.a_rows)
+    rows = program.a_rows.tolist()
+    offsets = program.a_row_offsets.tolist()
+    columns = zip(*(getattr(program, name).tolist() for name in COLUMNS))
+    for n, (base, a_data, b_col, b_data, roll, n_a, n_b, window, group) in enumerate(columns):
+        row_list = ",".join(str(r) for r in rows[offsets[n] : offsets[n + 1]])
         stream.write(
-            f"{OPCODE_MMH4:#04x} {ins.base_addr:#x} {ins.a_data_addr:#x} "
-            f"{ins.b_col_ind_addr:#x} {ins.b_data_addr:#x} {ins.roll_counter_addr:#x} "
-            f"{ins.n_a} {ins.n_b} {rows} {ins.window} {ins.group}\n"
+            f"{OPCODE_MMH4:#04x} {base:#x} {a_data:#x} {b_col:#x} {b_data:#x} {roll:#x} "
+            f"{n_a} {n_b} {row_list} {window} {group}\n"
         )
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _check_lanes(rec: int, n_a: int, n_b: int) -> None:
+    if not (0 <= n_a <= TILE and 0 <= n_b <= TILE):
+        raise TraceError(f"corrupted record {rec}: {n_a}x{n_b} lanes exceed the {TILE}x{TILE} tile")
+
+
+def _check_int64(rec: int, values: list) -> None:
+    if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+        raise TraceError(f"corrupted record {rec}: a field exceeds 64 signed bits")
 
 
 def read_trace(stream, image: MemoryImage | None = None) -> Program:
@@ -439,34 +646,32 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
         window_starts = [int(t) for t in win_toks]
     except (IndexError, ValueError) as err:
         raise TraceError(f"malformed trace preamble: {err}") from None
-    instrs = []
+    records = []
+    rows = []
     for rec, line in enumerate(lines[5:]):
         if not line.strip():
             continue
         toks = line.split()
-        if len(toks) != 11 or int(toks[0], 16) != OPCODE_MMH4:
-            raise TraceError(f"corrupted record {rec}: {line!r}")
         try:
-            instrs.append(
-                Mmh4Instr(
-                    base_addr=int(toks[1], 16),
-                    a_data_addr=int(toks[2], 16),
-                    b_col_ind_addr=int(toks[3], 16),
-                    b_data_addr=int(toks[4], 16),
-                    roll_counter_addr=int(toks[5], 16),
-                    n_a=int(toks[6]),
-                    n_b=int(toks[7]),
-                    a_rows=tuple(int(r) for r in toks[8].split(",")),
-                    window=int(toks[9]),
-                    group=int(toks[10]),
-                )
-            )
+            if len(toks) != 11 or int(toks[0], 16) != OPCODE_MMH4:
+                raise ValueError
+            values = [int(t, 16) for t in toks[1:6]] + [int(t) for t in toks[6:8] + toks[9:11]]
+            a_rows = [int(r) for r in toks[8].split(",")]
         except ValueError:
             raise TraceError(f"corrupted record {rec}: {line!r}") from None
-        if instrs[-1].n_a != len(instrs[-1].a_rows):
+        if values[5] != len(a_rows):
             raise TraceError(f"corrupted record {rec}: row list length mismatch")
+        _check_lanes(rec, values[5], values[6])
+        _check_int64(rec, values + a_rows)
+        records.append(values)
+        rows.extend(a_rows)
+    table = np.array(records, dtype=np.int64).reshape(-1, len(COLUMNS))
+    offsets = np.zeros(len(table) + 1, dtype=np.int64)
+    np.cumsum(table[:, COLUMNS.index("n_a")], out=offsets[1:])
     return Program(
-        instrs=instrs,
+        **{name: table[:, c] for c, name in enumerate(COLUMNS)},
+        a_row_offsets=offsets,
+        a_rows=rows,
         image=image if image is not None else MemoryImage(),
         layout=layout,
         n_rows=int(n_rows),
@@ -477,7 +682,15 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
     )
 
 
-_BIN_RECORD = struct.Struct("<BQQQQQBB4III")
+# One binary record: the instruction bit layout (8-bit opcode, 64-bit
+# address fields) plus the lowering metadata, little-endian and unpadded.
+_BIN_RECORD = np.dtype([
+    ("opcode", "u1"),
+    ("base_addr", "<u8"), ("a_data_addr", "<u8"), ("b_col_ind_addr", "<u8"),
+    ("b_data_addr", "<u8"), ("roll_counter_addr", "<u8"),
+    ("n_a", "u1"), ("n_b", "u1"), ("a_rows", "<u4", (TILE,)),
+    ("window", "<u4"), ("group", "<u4"),
+])
 _BIN_HEADER = struct.Struct("<HBBIII")
 _BIN_COUNTS = struct.Struct("<QQI")
 
@@ -485,22 +698,38 @@ _BIN_COUNTS = struct.Struct("<QQI")
 def write_trace_binary(program: Program, stream) -> None:
     """Binary trace mirroring the instruction bit layout (8-bit opcode,
     64-bit address fields), plus the lowering metadata trailer per record."""
+    recs = np.zeros(program.n_instrs, dtype=_BIN_RECORD)
+    recs["opcode"] = OPCODE_MMH4
+    live_a = np.arange(TILE) < program.n_a[:, None]
+    fields = [(name, getattr(program, name)) for name in COLUMNS] + [("a_rows", program.a_rows)]
+    for name, column in fields:
+        bits = 8 * _BIN_RECORD[name].base.itemsize
+        if column.size and (column.min() < 0 or (bits < 64 and column.max() >= 1 << bits)):
+            raise TraceError(f"{name} does not fit the binary trace's {bits}-bit field")
+        if name == "a_rows":
+            recs["a_rows"][live_a] = column
+        else:
+            recs[name] = column
     stream.write(BINARY_MAGIC)
     stream.write(_BIN_HEADER.pack(TRACE_VERSION, program.layout.row_bits,
                                   program.layout.col_bits, program.n_rows, program.n_cols,
-                                  len(program.instrs)))
+                                  program.n_instrs))
     stream.write(_BIN_COUNTS.pack(program.total_fma, program.total_out_nnz,
                                   len(program.window_starts)))
     stream.write(struct.pack(f"<{len(program.window_starts)}I", *program.window_starts))
-    for ins in program.instrs:
-        rows = list(ins.a_rows) + [0] * (4 - len(ins.a_rows))
-        stream.write(
-            _BIN_RECORD.pack(
-                OPCODE_MMH4, ins.base_addr, ins.a_data_addr, ins.b_col_ind_addr,
-                ins.b_data_addr, ins.roll_counter_addr, ins.n_a, ins.n_b,
-                *rows, ins.window, ins.group,
-            )
-        )
+    stream.write(recs.tobytes())
+
+
+def _read_upto(stream, nbytes: int) -> bytes:
+    """Up to ``nbytes`` from the stream, fewer only at its end."""
+    parts = []
+    while nbytes > 0:
+        chunk = stream.read(min(nbytes, 1 << 24))
+        if not chunk:
+            break
+        parts.append(chunk)
+        nbytes -= len(chunk)
+    return b"".join(parts)
 
 
 def read_trace_binary(stream, image: MemoryImage | None = None) -> Program:
@@ -512,26 +741,29 @@ def read_trace_binary(stream, image: MemoryImage | None = None) -> Program:
             raise TraceError(f"unsupported trace version {version}")
         total_fma, total_out, n_win = _BIN_COUNTS.unpack(stream.read(_BIN_COUNTS.size))
         window_starts = list(struct.unpack(f"<{n_win}I", stream.read(4 * n_win)))
-        instrs = []
-        for rec in range(n_instr):
-            raw = stream.read(_BIN_RECORD.size)
-            if len(raw) != _BIN_RECORD.size:
-                raise TraceError(f"truncated at record {rec}")
-            vals = _BIN_RECORD.unpack(raw)
-            if vals[0] != OPCODE_MMH4:
-                raise TraceError(f"corrupted record {rec}: bad opcode {vals[0]:#x}")
-            instrs.append(
-                Mmh4Instr(
-                    base_addr=vals[1], a_data_addr=vals[2], b_col_ind_addr=vals[3],
-                    b_data_addr=vals[4], roll_counter_addr=vals[5],
-                    n_a=vals[6], n_b=vals[7], a_rows=tuple(vals[8 : 8 + vals[6]]),
-                    window=vals[12], group=vals[13],
-                )
-            )
     except struct.error as err:
         raise TraceError(f"truncated trace: {err}") from None
+    raw = _read_upto(stream, n_instr * _BIN_RECORD.itemsize)
+    complete = len(raw) // _BIN_RECORD.itemsize
+    recs = np.frombuffer(raw, dtype=_BIN_RECORD, count=complete)
+    bad = np.flatnonzero(recs["opcode"] != OPCODE_MMH4)
+    if len(bad):
+        rec = int(bad[0])
+        raise TraceError(f"corrupted record {rec}: bad opcode {int(recs['opcode'][rec]):#x}")
+    if complete < n_instr:
+        raise TraceError(f"truncated at record {complete}")
+    addrs = np.column_stack([recs[name] for name in COLUMNS[:5]])
+    bad = (recs["n_a"] > TILE) | (recs["n_b"] > TILE) | (addrs > _INT64_MAX).any(axis=1)
+    for rec in np.flatnonzero(bad)[:1].tolist():
+        _check_lanes(rec, int(recs["n_a"][rec]), int(recs["n_b"][rec]))
+        _check_int64(rec, addrs[rec].tolist())
+    n_a = recs["n_a"].astype(np.int64)
+    offsets = np.zeros(complete + 1, dtype=np.int64)
+    np.cumsum(n_a, out=offsets[1:])
     return Program(
-        instrs=instrs,
+        **{name: recs[name].astype(np.int64) for name in COLUMNS},
+        a_row_offsets=offsets,
+        a_rows=recs["a_rows"][np.arange(TILE) < n_a[:, None]],
         image=image if image is not None else MemoryImage(),
         layout=TagLayout(rb, cb),
         n_rows=n_rows,

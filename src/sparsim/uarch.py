@@ -419,7 +419,7 @@ class _InFlight:
 
     def __init__(self, seq, instr, pipe, cycle, trace=False):
         self.seq = seq
-        self.instr = instr
+        self.instr = instr  # the instruction's index in the program
         self.pipe = pipe
         self.stage = S_DECODE
         self.ready_at = cycle
@@ -461,7 +461,7 @@ class CoreModel:
         self.rid = rid
         self.cfg = cfg
         self.ctx = None  # set by the engine: shared run context, cleared when the run ends
-        self.dispatch_latch = None
+        self.dispatch_latch = None  # index of the instruction dispatched to this core
         self.inflight = {}
         self.pipes = [deque() for _ in range(cfg.tile.pipelines_per_core)]
         self.free_regs = [cfg.tile.regs_per_pipeline] * cfg.tile.pipelines_per_core
@@ -556,7 +556,7 @@ class CoreModel:
                 elif rec.stage == S_WAIT:
                     if rec.outstanding == 0 and pos == 0:
                         rec.stage = S_EXEC
-                        lanes = rec.instr.lanes
+                        lanes = ctx.lane_count(rec.instr)
                         dur = cfg.mul_latency + -(-lanes // cfg.tile.multipliers) - 1
                         rec.ready_at = cycle + dur
                         self._mark(rec, "exec_start", cycle)
@@ -570,13 +570,13 @@ class CoreModel:
                         if wake is None or rec.ready_at < wake:
                             wake = rec.ready_at
                     else:
-                        haccs = ctx.expand(rec.instr)
-                        self.lanes_executed += len(haccs)
-                        for h in haccs:
-                            self.outbox.append(
-                                Packet(None, K_HACC, (h.tag, h.data, h.counter, self.id, seq))
-                            )
-                        rec.haccs_pending = len(haccs)
+                        tags, data, counters = ctx.lanes(rec.instr)
+                        outbox = self.outbox
+                        core_id = self.id
+                        for tag, value, counter in zip(tags, data, counters):
+                            outbox.append(Packet(None, K_HACC, (tag, value, counter, core_id, seq)))
+                        self.lanes_executed += len(tags)
+                        rec.haccs_pending = len(tags)
                         rec.stage = S_DRAIN
                         self._mark(rec, "exec_done", cycle)
                         acted += 1
@@ -603,15 +603,8 @@ class CoreModel:
         return wake
 
     def _issue_requests(self, rec, cycle):
-        ins = rec.instr
-        reqs = (
-            (0, ins.base_addr + ins.a_data_addr, ins.n_a * 8),
-            (1, ins.base_addr + ins.b_col_ind_addr, ins.n_b * 4),
-            (2, ins.base_addr + ins.b_data_addr, ins.n_b * 8),
-            (3, ins.base_addr + ins.roll_counter_addr, 16 * 4),
-        )
-        rec.outstanding = len(reqs)
-        for field, addr, nbytes in reqs:
+        rec.outstanding = 4  # A values, B columns, B values, roll counters
+        for field, (addr, nbytes) in enumerate(self.ctx.operand_reads(rec.instr)):
             dst = self.ctx.memctrl_rid_for(addr)
             self.req_queue.append(Packet(dst, K_REQ, (self.id, rec.seq, field, addr, nbytes)))
         if rec.stage_trace is not None:

@@ -242,7 +242,8 @@ def chip_file(tile=TILE4_FIELDS, **fields):
 
 
 BAD_INPUT_CASES = [
-    # (id, extra run arguments, --config file text or None, exit code, text the message names)
+    # (id, extra run arguments (a leading subcommand replaces run), --config file text or
+    #  None, exit code, text the message names)
     ("valid-config-file", [], chip_file(), cli.EXIT_OK, None),
     ("config-bad-json", [], "{not json", cli.EXIT_USAGE, "not valid JSON"),
     ("config-unknown-key", [], chip_file(hop_latency=5), cli.EXIT_USAGE, "hop_latency"),
@@ -263,6 +264,7 @@ BAD_INPUT_CASES = [
     ("rmat-nan-quadrant", ["--rmat", "4:2:nan:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "sum to 1"),
     ("removed-host-workers", ["--host-workers", "2"], None, cli.EXIT_USAGE, "--host-workers"),
     ("removed-reseed", ["--reseed", "7"], None, cli.EXIT_USAGE, "--reseed"),
+    ("removed-verify-workers", ["verify", "--workers", "2"], None, cli.EXIT_USAGE, "--workers"),
     # Degenerate chips: each used to die on a division by zero or a deadlock, or never end.
     *[(f"config-zero-{key}", [], chip_file(tile={**TILE4_FIELDS, key: 0}), cli.EXIT_USAGE, key)
       for key in ("hash_engines", "tag_comparators_per_engine", "multipliers",
@@ -289,7 +291,10 @@ BAD_INPUT_CASES = [
     "extra,config_text,code,names", [pytest.param(*c[1:], id=c[0]) for c in BAD_INPUT_CASES]
 )
 def test_bad_input_exit_codes(tmp_path, capsys, extra, config_text, code, names):
-    argv = ["run", "--rmat", "4:2", "--out", str(tmp_path / "o")]
+    command = "run"
+    if extra and not extra[0].startswith("-"):
+        command, extra = extra[0], extra[1:]
+    argv = [command, "--rmat", "4:2", "--out", str(tmp_path / "o")]
     argv += [arg.format(tmp=tmp_path) for arg in extra]
     if config_text is not None:
         path = tmp_path / "chip.json"

@@ -41,8 +41,8 @@ def lower_for(a, b, budget=4096):
 
 def test_empty_program_drains_immediately():
     plan = oracle.symbolic_pass(identity_csr(2), identity_csr(2))
-    prog = isa.Program(
-        instrs=[], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
+    prog = isa.Program.from_instrs(
+        [], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
         n_rows=2, n_cols=2, window_starts=[0], total_fma=0, total_out_nnz=0,
     )
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, seed=0)
@@ -255,6 +255,7 @@ def test_fence_keeps_all_work_in_current_window(mode):
         w = run.current_window
         instrs = [c.dispatch_latch for c in run.chip.cores if c.dispatch_latch is not None]
         instrs += [rec.instr for c in run.chip.cores for rec in c.inflight.values()]
+        instrs = [prog.instrs[n] for n in instrs]  # latches hold program indices
         tags = [p.payload[0] for c in run.chip.cores for p in c.outbox if p.kind == uarch.K_HACC]
         tags += [p.payload[0] for r in run.chip.routers for q in r.in_q for p in q
                  if p.kind == uarch.K_HACC]

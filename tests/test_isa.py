@@ -203,6 +203,183 @@ def test_lower_with_windows_orders_by_window():
     assert np.array_equal(out.values, want.values)
 
 
+# ---------------------------------------------------------------------------
+# Replay against a per-HACC reference interpreter
+# ---------------------------------------------------------------------------
+
+
+def reference_expand(ins, image, layout):
+    """One tile's HACCs as (tag, product, counter), one lane at a time."""
+    a_vals = image.read(ins.base_addr + ins.a_data_addr, ins.n_a, 8)
+    b_cols = image.read(ins.base_addr + ins.b_col_ind_addr, ins.n_b, 4)
+    b_vals = image.read(ins.base_addr + ins.b_data_addr, ins.n_b, 8)
+    counters = image.read(ins.base_addr + ins.roll_counter_addr, isa.TILE * isa.TILE, 4)
+    out = []
+    for i in range(ins.n_a):
+        row_part = ins.a_rows[i] << layout.col_bits
+        av = float(a_vals[i])
+        for j in range(ins.n_b):
+            out.append((row_part | int(b_cols[j]), av * float(b_vals[j]),
+                        int(counters[i * isa.TILE + j])))
+    return out
+
+
+def reference_replay(program):
+    """Replay one HACC at a time through a dict of hash lines."""
+    lines = {}
+    evicted = {}
+    layout = program.layout
+    for ins in program.instrs:
+        for tag, data, counter in reference_expand(ins, program.image, layout):
+            cur = lines.get(tag)
+            if cur is not None:
+                data, counter = cur[0] + data, cur[1] - 1
+            if counter == 0:
+                evicted[tag] = data
+                if cur is not None:
+                    del lines[tag]
+            else:
+                lines[tag] = (data, counter)
+    if lines:
+        tag = next(iter(lines))
+        raise MemoryFaultError(
+            f"{len(lines)} hash lines never evicted (first tag {tag:#x}); "
+            "roll counters are inconsistent with the stream"
+        )
+    rows = {}
+    for tag, val in evicted.items():
+        i, j = isa.decode_tag(tag, layout)
+        rows.setdefault(i, []).append((j, val))
+    offsets = np.zeros(program.n_rows + 1, dtype=np.int64)
+    cols, vals = [], []
+    for i in range(program.n_rows):
+        for j, v in sorted(rows.get(i, ())):
+            cols.append(j)
+            vals.append(v)
+        offsets[i + 1] = len(cols)
+    return matio.CsrMatrix(program.n_rows, program.n_cols, offsets,
+                           np.asarray(cols, dtype=np.int32), np.asarray(vals, dtype=np.float64))
+
+
+def assert_replay_matches_reference(prog):
+    """replay and the reference give the same bits, or the same fault text.
+    Returns the reference's fault text, or None."""
+    try:
+        want = reference_replay(prog)
+    except MemoryFaultError as err:
+        with pytest.raises(MemoryFaultError) as got:
+            isa.replay(prog)
+        assert str(got.value) == str(err)
+        return str(err)
+    got = isa.replay(prog)
+    assert np.array_equal(got.row_offsets, want.row_offsets)
+    assert got.col_indices.tobytes() == want.col_indices.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    return None
+
+
+def float_csr(scale, ef, seed):
+    """rmat structure with normally distributed values, so sums round."""
+    coo = matio.generate_rmat(matio.RmatParams(scale=scale, edge_factor=ef, seed=seed))
+    rng = np.random.Generator(np.random.PCG64(seed + 7))
+    values = rng.standard_normal(len(coo.values)) * 10.0 ** rng.integers(-3, 4, len(coo.values))
+    return matio.to_csr(matio.CooMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, values))
+
+
+def roll_counters(prog):
+    return prog.image.segments["roll_counters"][1]
+
+
+@pytest.mark.parametrize("budget", [None, 2048])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_replay_float_bits_match_reference(seed, budget):
+    a = float_csr(8, 8, seed)
+    plan = oracle.symbolic_pass(a, a)
+    wp = None if budget is None else oracle.plan_windows(plan, spad_budget=budget)
+    prog = isa.lower_spgemm(matio.to_csc(matio.csr_to_coo(a)), a, plan, windows=wp)
+    assert budget is None or prog.n_windows > 1
+    assert plan.counts.max() >= 3  # some sums depend on their order
+    assert assert_replay_matches_reference(prog) is None
+
+
+def test_replay_counters_raised_never_evict():
+    a = float_csr(6, 4, 3)
+    plan, prog = lower(a, a)
+    roll_counters(prog)[:] += 1
+    text = assert_replay_matches_reference(prog)
+    assert text.startswith(f"{plan.total_out_nnz} hash lines never evicted")
+    # Raised on some instructions only: the lines those open stay open.
+    _, prog = lower(a, a)
+    roll_counters(prog).reshape(-1, isa.TILE * isa.TILE)[::7] += 1
+    assert "never evicted" in assert_replay_matches_reference(prog)
+
+
+def test_replay_counters_lowered_evict_early_and_reopen():
+    a = float_csr(6, 4, 4)
+    _, prog = lower(a, a)
+    # Counter 0 on every lane: each HACC opens a line and evicts it at
+    # once, and the element's last product wins.
+    roll_counters(prog)[:] = 0
+    assert assert_replay_matches_reference(prog) is None
+    out = isa.replay(prog)
+    want = oracle.spgemm_gustavson(a, a)
+    assert np.array_equal(out.col_indices, want.col_indices)
+    assert not np.array_equal(out.values, want.values)
+    # Each element's lanes split at random into lines that close: a line's
+    # opening counter is its length - 1, and the counters of later lanes,
+    # which only decrement, are set to noise.
+    slots = {}  # tag -> its roll-counter slots in stream order
+    for n, ins in enumerate(prog.instrs):
+        lanes = reference_expand(ins, prog.image, prog.layout)
+        at = [n * 16 + i * isa.TILE + j for i in range(ins.n_a) for j in range(ins.n_b)]
+        for (tag, _, _), slot in zip(lanes, at):
+            slots.setdefault(tag, []).append(slot)
+    rng = np.random.Generator(np.random.PCG64(5))
+    for trial in range(4):
+        _, prog = lower(a, a)
+        counters = roll_counters(prog)
+        for tag_slots in slots.values():
+            at = 0
+            while at < len(tag_slots):
+                size = int(rng.integers(1, len(tag_slots) - at + 1))
+                counters[tag_slots[at + 1 : at + size]] = rng.integers(-1, 5, size - 1)
+                counters[tag_slots[at]] = size - 1
+                at += size
+        assert assert_replay_matches_reference(prog) is None
+    # Noise on a few lanes leaves lines open; the fault texts agree.
+    for trial in range(4):
+        _, prog = lower(a, a)
+        counters = roll_counters(prog)
+        hit = rng.random(len(counters)) < 0.005
+        counters[hit] = rng.integers(-1, 4, int(hit.sum()))
+        assert "never evicted" in assert_replay_matches_reference(prog)
+
+
+def test_replay_memory_faults_match_reference():
+    a = rmat_csr(5, 3, seed=8)
+    cases = {
+        "unmapped": lambda p: p.a_data_addr.__setitem__(3, 0xDEADBEE0),
+        "misaligned": lambda p: p.b_col_ind_addr.__setitem__(3, p.b_col_ind_addr[3] + 2),
+        "width": lambda p: p.b_col_ind_addr.__setitem__(3, p.image.base("b_data")),
+        "counters-unmapped": lambda p: p.roll_counter_addr.__setitem__(3, 0x10),
+        # Two faults: the first in program order, then in read order, wins.
+        "first-instruction": lambda p: (p.b_data_addr.__setitem__(9, 0x10),
+                                        p.roll_counter_addr.__setitem__(5, p.image.base("a_data"))),
+        "first-read": lambda p: (p.roll_counter_addr.__setitem__(5, 0x10),
+                                 p.b_data_addr.__setitem__(5, p.b_data_addr[5] + 4)),
+    }
+    texts = {}
+    for name, corrupt in cases.items():
+        _, prog = lower(a, a)
+        corrupt(prog)
+        texts[name] = assert_replay_matches_reference(prog)
+    assert texts["unmapped"].startswith("unmapped address 0xdeadbee0")
+    assert texts["misaligned"].startswith("misaligned access")
+    assert texts["width"].startswith("element width mismatch")
+    assert texts["first-instruction"].startswith("element width mismatch")
+    assert texts["first-read"].startswith("misaligned access")
+
+
 PINNED_LOWERINGS = [
     # (id, (scale, edge_factor, seed of A, seed of B), spad_budget or None for
     #  one window, sha256 of the a_data and roll_counters segments and every
@@ -268,8 +445,8 @@ def test_trace_text_round_trip():
 
 
 def test_trace_empty_stream_header_only():
-    prog = isa.Program(
-        instrs=[], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
+    prog = isa.Program.from_instrs(
+        [], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
         n_rows=0, n_cols=0, window_starts=[0], total_fma=0, total_out_nnz=0,
     )
     buf = io.StringIO()
@@ -289,6 +466,26 @@ def test_trace_corrupted_record_names_index():
     with pytest.raises(TraceError) as err:
         isa.read_trace(io.StringIO("\n".join(lines)))
     assert "record 2" in str(err.value)
+
+
+def test_trace_rejects_lanes_beyond_the_tile():
+    a = rmat_csr(4, 2, seed=5)
+    _, prog = lower(a, a)
+    buf = io.StringIO()
+    isa.write_trace(prog, buf)
+    lines = buf.getvalue().splitlines()
+    rec = lines[5 + 1].split()
+    rec[7] = "5"  # n_b
+    lines[5 + 1] = " ".join(rec)
+    with pytest.raises(TraceError, match="record 1: .*5 lanes exceed"):
+        isa.read_trace(io.StringIO("\n".join(lines)))
+    raw = io.BytesIO()
+    isa.write_trace_binary(prog, raw)
+    data = bytearray(raw.getvalue())
+    record_1 = len(data) - (prog.n_instrs - 1) * 67
+    data[record_1 + 41] = 7  # n_a
+    with pytest.raises(TraceError, match="record 1: 7x"):
+        isa.read_trace_binary(io.BytesIO(bytes(data)))
 
 
 def test_trace_version_mismatch():
