@@ -38,6 +38,7 @@ import numpy as np
 from . import isa
 from .errors import DeadlockError, SimulationError
 from .mapping import Mapper, MapperConfig
+from .matio import csr_from_tags
 from .uarch import (
     ChipConfig,
     K_EVICT,
@@ -295,7 +296,7 @@ class SimRun:
         self.current_window = 0
         self._window_caps = None
         if window_plan is not None:
-            self._window_caps = [w.capacity for w in window_plan.windows]
+            self._window_caps = window_plan.window_capacity().tolist()
 
         # Every HACC the cores will send, expanded once; a core turns its
         # tile's slice into Python values when it executes the tile.
@@ -731,10 +732,12 @@ class SimRun:
         stats.mapper_assignments = self.mapper.assignments
 
         evicted = [tv for mem in chip.mems for tv in mem.evicted_values]
-        self.result = isa.output_csr(
-            self.program,
+        self.result = csr_from_tags(
+            self.program.n_rows,
+            self.program.n_cols,
             np.array([tag for tag, _ in evicted], dtype=np.int64),
             np.array([value for _, value in evicted], dtype=np.float64),
+            self.program.layout.col_bits,
         )
 
         cons = {

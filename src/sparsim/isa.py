@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LoweringError, MemoryFaultError, TraceError
-from .matio import CscMatrix, CsrMatrix
+from .matio import CscMatrix, CsrMatrix, csr_from_tags
 from .oracle import SymbolicPlan, WindowPlan
 
 OPCODE_MMH4 = 0x14
@@ -409,10 +409,9 @@ def lower_spgemm(
     window_of_row = np.zeros(a.n_rows, dtype=np.int64)
     n_windows = 1
     if windows is not None:
-        n_windows = len(windows.windows)
+        n_windows = windows.n_windows
         window_of_row -= 1
-        for w, win in enumerate(windows.windows):
-            window_of_row[np.asarray(win.rows, dtype=np.int64)] = w
+        window_of_row[windows.rows] = np.repeat(np.arange(n_windows), np.diff(windows.offsets))
     entry_window = window_of_row[a.row_indices]
     if np.any(entry_window < 0):
         row = int(a.row_indices[np.argmax(entry_window < 0)])
@@ -570,26 +569,7 @@ def replay(program: Program) -> CsrMatrix:
     sums = data[opened]  # assigned, not added to 0.0, so a -0.0 stays
     rest = np.arange(n) > np.repeat(opened, sizes)
     np.add.at(sums, np.repeat(np.arange(len(starts)), sizes)[rest], data[rest])
-    return output_csr(program, tags[starts], sums)
-
-
-def output_csr(program: Program, tags: np.ndarray, values: np.ndarray) -> CsrMatrix:
-    """The output matrix of a program from its distinct evicted tags and
-    their values: columns ascend in each row, and a tag whose row lies
-    outside the program's shape is dropped."""
-    order = np.argsort(tags, kind="stable")
-    tags = np.asarray(tags, dtype=np.int64)[order]
-    rows = tags >> program.layout.col_bits
-    keep = (rows >= 0) & (rows < program.n_rows)
-    offsets = np.zeros(program.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=program.n_rows), out=offsets[1:])
-    return CsrMatrix(
-        program.n_rows,
-        program.n_cols,
-        offsets,
-        (tags[keep] & (program.layout.max_cols - 1)).astype(np.int32),
-        np.asarray(values, dtype=np.float64)[order][keep],
-    )
+    return csr_from_tags(program.n_rows, program.n_cols, tags[starts], sums, program.layout.col_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ operations are pure functions of their inputs.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -391,6 +392,25 @@ def csc_to_dense(m: CscMatrix) -> np.ndarray:
     return out
 
 
+def csr_from_tags(n_rows: int, n_cols: int, tags, values, col_bits: int) -> CsrMatrix:
+    """CSR matrix of distinct packed tags ``row << col_bits | column`` and
+    their values: columns ascend in each row, and a tag whose row lies
+    outside ``n_rows`` is dropped."""
+    order = np.argsort(tags, kind="stable")
+    tags = np.asarray(tags, dtype=np.int64)[order]
+    rows = tags >> col_bits
+    keep = (rows >= 0) & (rows < n_rows)
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=offsets[1:])
+    return CsrMatrix(
+        n_rows,
+        n_cols,
+        offsets,
+        (tags[keep] & ((1 << col_bits) - 1)).astype(np.int32),
+        np.asarray(values, dtype=np.float64)[order][keep],
+    )
+
+
 def dense_to_csr(a: np.ndarray) -> CsrMatrix:
     """CSR view of a dense array keeping only exact nonzeros."""
     a = np.asarray(a, dtype=np.float64)
@@ -530,10 +550,21 @@ def generate_rmat(p: RmatParams) -> CooMatrix:
     picking a quadrant per level with fixed probabilities (a, b, c, d).
     Structural duplicates are merged (kept once with value 1.0), so the
     result has at most the drawn count of entries. Deterministic for a
-    fixed seed.
+    fixed seed. A draw whose two int64 index arrays alone exceed the
+    host's physical memory is rejected with ConfigError before anything
+    is allocated.
     """
     n = 1 << p.scale
     n_edges = p.edge_factor * n
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # not a POSIX host: no limit known
+        physical = None
+    if physical is not None and 16 * n_edges > physical:
+        raise ConfigError(
+            f"rmat edge_factor {p.edge_factor} at scale {p.scale} draws {n_edges} edges, whose "
+            f"row and column arrays need {16 * n_edges} bytes; physical memory is {physical} bytes"
+        )
     rng = np.random.Generator(np.random.PCG64(p.seed))
     rows = np.zeros(n_edges, dtype=np.int64)
     cols = np.zeros(n_edges, dtype=np.int64)

@@ -73,49 +73,35 @@ class BloatReport:
         )
 
 
-DENSE = "DENSE"
-SPARSE = "SPARSE"
-
-
-@dataclass(frozen=True)
-class Window:
-    """A group of output rows whose accumulation state fits one scratchpad."""
-
-    rows: list
-    classification: list  # DENSE | SPARSE per row
-    hash_capacity: list  # prime capacity (or 1:1 size for dense rows)
-
-    @property
-    def capacity(self) -> int:
-        return sum(self.hash_capacity)
-
-
 @dataclass(frozen=True)
 class WindowPlan:
-    windows: list
+    """Output rows packed into scratchpad windows, held CSR-shaped.
+
+    ``rows`` lists every output row once, in placement order, and window w
+    holds ``rows[offsets[w]:offsets[w + 1]]``. ``capacity`` and ``dense``
+    run parallel to ``rows``: a row's hash lines, and whether it maps 1:1
+    by column (dense) instead of hashing into a prime-sized region
+    (sparse). No window's capacities sum to more than ``spad_budget``.
+    """
+
+    rows: np.ndarray  # int64
+    offsets: np.ndarray  # int64, n_windows + 1
+    capacity: np.ndarray  # int64, per placed row
+    dense: np.ndarray  # bool, per placed row
     cf: float
     ef: float
     threshold: float
     spad_budget: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "windows": [
-                    {
-                        "rows": w.rows,
-                        "classification": w.classification,
-                        "hash_capacity": w.hash_capacity,
-                    }
-                    for w in self.windows
-                ],
-                "cf": self.cf,
-                "ef": self.ef,
-                "threshold": self.threshold,
-                "spad_budget": self.spad_budget,
-            },
-            sort_keys=True,
-        )
+    @property
+    def n_windows(self) -> int:
+        return len(self.offsets) - 1
+
+    def window_capacity(self) -> np.ndarray:
+        """Hash lines each window's rows take together, int64."""
+        prefix = np.zeros(len(self.capacity) + 1, dtype=np.int64)
+        np.cumsum(self.capacity, out=prefix[1:])
+        return np.diff(prefix[self.offsets])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +303,24 @@ def prev_prime_at_most(x) -> int:
     return n
 
 
+def probe_sequence(home: int, cap: int):
+    """Slots a probe from ``home`` examines in a region of ``cap`` slots.
+
+    First ``home + k*k`` for k = 0..cap // 2: on a prime capacity these
+    are (cap + 1) / 2 distinct slots, and a larger k only revisits one of
+    them. Then a scan from ``home`` over the slots not yet seen, so every
+    slot comes up before the sequence ends.
+    """
+    half = cap // 2
+    for k in range(half + 1):
+        yield (home + k * k) % cap
+    seen = {(home + k * k) % cap for k in range(half + 1)}
+    for s in range(1, cap):
+        slot = (home + s) % cap
+        if slot not in seen:
+            yield slot
+
+
 def default_threshold(spad_budget: int) -> float:
     return spad_budget / 64.0
 
@@ -330,72 +334,57 @@ def plan_windows(
 ) -> WindowPlan:
     """Classify rows and pack them into scratchpad-sized windows.
 
-    A row is DENSE when fma / cf > threshold, otherwise SPARSE. Sparse rows
+    A row is dense when fma / cf > threshold, otherwise sparse. Sparse rows
     get the smallest prime capacity >= fma * ef (capped at the budget, but
     never below the row's fma); dense rows map 1:1 by column and take
-    n_cols lines. Rows are packed greedily first-fit, alternating dense and
-    sparse rows to approximate an evenly spread mix.
+    n_cols lines. Placement alternates dense and sparse rows, each class in
+    row order, to approximate an evenly spread mix, and rows are packed
+    greedily: a row that would overfill the open window opens the next.
+    The first row, in row order, that no window can hold raises
+    CapacityError.
     """
     if cf <= 0 or ef < 1:
         raise ConfigError("need cf > 0 and ef >= 1")
     if threshold is None:
         threshold = default_threshold(spad_budget)
 
-    dense_rows = []
-    sparse_rows = []
-    caps = {}
-    classes = {}
-    for r in range(plan.n_rows):
-        fma = int(plan.fma_per_row[r])
-        if fma / cf > threshold:
-            cls = DENSE
-            cap = plan.n_cols
-            if cap > spad_budget:
-                raise CapacityError(f"dense row {r} needs {cap} hashlines, budget is {spad_budget}")
-        else:
-            cls = SPARSE
-            cap = next_prime_at_least(fma * ef)
-            if cap > spad_budget:
-                cap = prev_prime_at_most(spad_budget)
-            if fma > cap:
-                raise CapacityError(f"row {r} needs {fma} hashlines, budget is {spad_budget}")
-        caps[r] = cap
-        classes[r] = cls
-        (dense_rows if cls == DENSE else sparse_rows).append(r)
+    fma = np.asarray(plan.fma_per_row, dtype=np.int64)
+    dense = fma / cf > threshold
+    cap = np.full(plan.n_rows, plan.n_cols, dtype=np.int64)
+    need, at = np.unique(fma[~dense] * ef, return_inverse=True)
+    primes = np.array([next_prime_at_least(x) for x in need.tolist()], dtype=np.int64)
+    over = primes > spad_budget
+    if over.any() and spad_budget >= 2:
+        primes[over] = prev_prime_at_most(spad_budget)
+    cap[~dense] = primes[at]
+    bad = np.flatnonzero((cap > spad_budget) | (~dense & (fma > cap)))
+    if len(bad):
+        r = int(bad[0])
+        if dense[r]:
+            raise CapacityError(f"dense row {r} needs {plan.n_cols} hashlines, budget is {spad_budget}")
+        if cap[r] > spad_budget:
+            prev_prime_at_most(spad_budget)  # raises: no prime fits the budget
+        raise CapacityError(f"row {r} needs {fma[r]} hashlines, budget is {spad_budget}")
 
-    # Alternate dense/sparse in placement order, then first-fit pack.
-    mixed = []
-    di = si = 0
-    while di < len(dense_rows) or si < len(sparse_rows):
-        if di < len(dense_rows):
-            mixed.append(dense_rows[di])
-            di += 1
-        if si < len(sparse_rows):
-            mixed.append(sparse_rows[si])
-            si += 1
-
-    windows = []
-    cur_rows = []
-    cur_used = 0
-    for r in mixed:
-        if cur_rows and cur_used + caps[r] > spad_budget:
-            windows.append(cur_rows)
-            cur_rows = []
-            cur_used = 0
-        cur_rows.append(r)
-        cur_used += caps[r]
-    if cur_rows:
-        windows.append(cur_rows)
+    # Dense rank i goes to 2i, sparse rank i to 2i + 1: the classes alternate.
+    rank = np.where(dense, np.cumsum(dense), np.cumsum(~dense)) - 1
+    rows = np.argsort(2 * rank + ~dense, kind="stable")
+    placed = cap[rows]
+    offsets = [0]
+    used = 0
+    for i, c in enumerate(placed.tolist()):
+        if i > offsets[-1] and used + c > spad_budget:
+            offsets.append(i)
+            used = 0
+        used += c
+    if len(rows):
+        offsets.append(len(rows))
 
     return WindowPlan(
-        windows=[
-            Window(
-                rows=list(ws),
-                classification=[classes[r] for r in ws],
-                hash_capacity=[caps[r] for r in ws],
-            )
-            for ws in windows
-        ],
+        rows=rows,
+        offsets=np.array(offsets, dtype=np.int64),
+        capacity=placed,
+        dense=dense[rows],
         cf=cf,
         ef=ef,
         threshold=threshold,

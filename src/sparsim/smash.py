@@ -1,11 +1,13 @@
 """Host-side sparse-matmul kernel with scratchpad hashing (SMASH).
 
-The kernel works window by window (see oracle.plan_windows): each output
-row in a window owns a region of the scratchpad, sized by the symbolic
-pass. Partial products are merged into the region with prime-modulo
-hashing: a tag probes ``home + k*k`` for k up to half the capacity, then
-scans on from its home over the slots the quadratic steps missed, so every
-slot is examined before a region reports overflow.
+The kernel works window by window over an ``oracle.WindowPlan``: window
+w's rows, their region capacities and their dense flags are one slice of
+the plan's arrays, and each row owns a region of the scratchpad sized by
+the symbolic pass. Partial products are merged into the region with
+prime-modulo hashing along ``oracle.probe_sequence``: a tag probes
+``home + k*k`` for k up to half the capacity, then scans on from its home
+over the slots the quadratic steps missed, so every slot is examined
+before a region reports overflow. Dense rows map 1:1 by column instead.
 
 Four versions model the paper's ways of sharing a window among workers:
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError, HashOverflowError
-from .matio import CsrMatrix, MapCsrMatrix
+from .matio import CsrMatrix, MapCsrMatrix, csr_from_tags
 
 EMPTY = -1
 
@@ -95,27 +97,9 @@ class ScratchpadHashTable:
                 yield t, self.vals[s], int(self.counts[s])
 
 
-def probe_sequence(home: int, cap: int):
-    """Slots a probe from ``home`` examines in a region of ``cap`` slots.
-
-    First ``home + k*k`` for k = 0..cap // 2: on a prime capacity these
-    are (cap + 1) / 2 distinct slots, and a larger k only revisits one of
-    them. Then a scan from ``home`` over the slots not yet seen, so every
-    slot comes up before the sequence ends.
-    """
-    half = cap // 2
-    for k in range(half + 1):
-        yield (home + k * k) % cap
-    seen = {(home + k * k) % cap for k in range(half + 1)}
-    for s in range(1, cap):
-        slot = (home + s) % cap
-        if slot not in seen:
-            yield slot
-
-
 def _probe(tags: list, tag: int, home: int, cap: int, direct: bool) -> tuple[int, int]:
     """(k, slot) of the first probe that finds ``tag`` or an empty slot."""
-    for k, slot in enumerate(probe_sequence(home, cap)):
+    for k, slot in enumerate(oracle.probe_sequence(home, cap)):
         cur = tags[slot]
         if cur == EMPTY or cur == tag:
             return k, slot
@@ -152,9 +136,6 @@ class SmashConfig:
     version: str = V2
     n_workers: int = 1
     spad_capacity: int = 1 << 14  # hashlines
-    cf: float = oracle.DEFAULT_CF
-    ef: float = oracle.DEFAULT_EF
-    threshold: float | None = None
 
     def __post_init__(self):
         if self.version not in VERSIONS:
@@ -219,10 +200,10 @@ def _planning_csr(a) -> CsrMatrix:
     return a
 
 
-def _prefetch(window, read_row, audit):
-    """A entries of the window's rows, in window order: (per-row entry
+def _prefetch(rows, read_row, audit):
+    """A entries of a window's rows, in window order: (per-row entry
     counts, column indices, values)."""
-    parts = [read_row(r) for r in window.rows]  # a window has at least one row
+    parts = [read_row(r) for r in rows.tolist()]  # a window has at least one row
     n_entries = np.array([len(cols) for cols, _ in parts], dtype=np.int64)
     a_cols = np.concatenate([cols for cols, _ in parts])
     a_vals = np.concatenate([vals for _, vals in parts])
@@ -264,7 +245,7 @@ def _record_schedule(cfg, n_entries, entry_pp, audit):
     audit.tokens_total += 2 * n_rows
 
 
-def _hash_window(window, fetched, b, cfg, audit, window_id):
+def _hash_window(wplan, span, fetched, b, cfg, audit, window_id):
     """Merge one window's partial products into its region tables.
 
     Returns the tables and the window's distinct tags, ascending, with
@@ -274,9 +255,11 @@ def _hash_window(window, fetched, b, cfg, audit, window_id):
     b_off = np.asarray(b.row_offsets, dtype=np.int64)
     entry_pp = np.diff(b_off)[a_cols]
     _record_schedule(cfg, n_entries, entry_pp, audit)
+    rows = wplan.rows[span]
+    rows_l = rows.tolist()
     tables = {
-        r: ScratchpadHashTable(capacity=cap, direct=(cls == oracle.DENSE))
-        for r, cls, cap in zip(window.rows, window.classification, window.hash_capacity)
+        r: ScratchpadHashTable(capacity=cap, direct=direct)
+        for r, cap, direct in zip(rows_l, wplan.capacity[span].tolist(), wplan.dense[span].tolist())
     }
 
     # The stream: each A entry against its B row, in order.
@@ -286,7 +269,7 @@ def _hash_window(window, fetched, b, cfg, audit, window_id):
     pos = np.arange(n_pp, dtype=np.int64)
     pos += np.repeat(b_off[a_cols] - entry_at, entry_pp)
     prods = np.repeat(a_vals, entry_pp) * b.values[pos]
-    tags = np.repeat(np.repeat(np.asarray(window.rows, dtype=np.int64), n_entries) << 32, entry_pp)
+    tags = np.repeat(np.repeat(rows, n_entries) << 32, entry_pp)
     tags |= b.col_indices[pos]
     del pos
 
@@ -302,16 +285,15 @@ def _hash_window(window, fetched, b, cfg, audit, window_id):
     # row's distinct tags are the run of ``uniq`` holding its row bits.
     order = np.argsort(first)
     touched = uniq[order]
-    rows = np.asarray(window.rows, dtype=np.int64)
     uniq_rows = uniq >> 32
     n_distinct = np.searchsorted(uniq_rows, rows, "right") - np.searchsorted(uniq_rows, rows, "left")
-    caps = np.repeat(np.asarray(window.hash_capacity, dtype=np.int64), n_distinct)
-    direct = np.repeat(np.asarray(window.classification) == oracle.DENSE, n_distinct)
+    caps = np.repeat(wplan.capacity[span], n_distinct)
+    direct = np.repeat(wplan.dense[span], n_distinct)
     homes = np.where(direct, touched & _COL_MASK, touched) % caps
     touched_l = touched.tolist()
     homes_l = homes.tolist()
     at = 0
-    for r, n in zip(window.rows, n_distinct.tolist()):
+    for r, n in zip(rows_l, n_distinct.tolist()):
         if not n:
             continue
         table = tables[r]
@@ -332,21 +314,13 @@ def _hash_window(window, fetched, b, cfg, audit, window_id):
     return tables, uniq, sums
 
 
-def _assemble(n_rows, n_cols, parts) -> CsrMatrix:
-    """The output CSR from every window's (ascending tags, values)."""
-    tags = np.concatenate([np.zeros(0, dtype=np.int64)] + [t for t, _ in parts])
-    vals = np.concatenate([np.zeros(0)] + [v for _, v in parts])
-    order = np.argsort(tags)  # windows hold disjoint rows, so tags are distinct
-    tags = tags[order]
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tags >> 32, minlength=n_rows), out=offsets[1:])
-    return CsrMatrix(n_rows, n_cols, offsets, (tags & _COL_MASK).astype(np.int32), vals[order])
-
-
 def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = None) -> CsrMatrix:
     """Multiply A (CSR or MAP-CSR) by B with the configured kernel version.
 
-    The windows go through three phases: prefetch (read the rows' A
+    The rows are planned by ``oracle.plan_windows`` with its default
+    thresholds and a budget of ``cfg.spad_capacity`` lines, halved for v3,
+    whose pipeline holds two windows in the scratchpad at once. The
+    windows go through three phases: prefetch (read the rows' A
     entries), hash (merge the window into its region tables) and write
     back (emit the window's output elements). v3 overlaps them as a
     pipeline, with prefetch(w+1), hash(w) and writeback(w-1) in one step
@@ -362,9 +336,10 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
         raise ConfigError(f"inner dimensions differ: {a_csr.n_cols} vs {b.n_rows}")
     plan = oracle.symbolic_pass(a_csr, b)
     budget = cfg.spad_capacity // 2 if cfg.version == V3 else cfg.spad_capacity
-    wplan = oracle.plan_windows(plan, cf=cfg.cf, ef=cfg.ef, threshold=cfg.threshold, spad_budget=budget)
-    windows = wplan.windows
-    n = len(windows)
+    wplan = oracle.plan_windows(plan, spad_budget=budget)
+    n = wplan.n_windows
+    bounds = wplan.offsets.tolist()
+    spans = [slice(bounds[w], bounds[w + 1]) for w in range(n)]
     own_audit.n_windows = n
     read_row = _row_reader(a)
 
@@ -380,13 +355,15 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
         if cfg.version == V3:
             own_audit.phase_steps.append({"step": step, "prefetch": pf, "hash": hs, "writeback": wb})
         if pf is not None:
-            fetched[pf] = _prefetch(windows[pf], read_row, own_audit)
+            fetched[pf] = _prefetch(wplan.rows[spans[pf]], read_row, own_audit)
         if hs is not None:
-            hashed[hs] = _hash_window(windows[hs], fetched.pop(hs), b, cfg, own_audit, hs)
+            hashed[hs] = _hash_window(wplan, spans[hs], fetched.pop(hs), b, cfg, own_audit, hs)
         if wb is not None:
             tables, tags, vals = hashed.pop(wb)
             _add_units(own_audit, "writeback", len(tags))
             parts.append((tags, vals))
             if keep_tables:
                 own_audit.window_tables.append((wb, tables))
-    return _assemble(a_csr.n_rows, b.n_cols, parts)
+    tags = np.concatenate([np.zeros(0, dtype=np.int64)] + [t for t, _ in parts])
+    vals = np.concatenate([np.zeros(0)] + [v for _, v in parts])
+    return csr_from_tags(a_csr.n_rows, b.n_cols, tags, vals, 32)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ConfigError, SimulationError
-from .oracle import prev_prime_at_most
+from .oracle import prev_prime_at_most, probe_sequence
 
 HASHLINE_BYTES = 12  # 32-bit tag + 64-bit accumulator
 
@@ -634,8 +635,9 @@ _TOMBSTONE = -2
 
 
 class _HashRegion:
-    """One hash engine's slice of the HashPad: prime capacity, quadratic
-    probing, remaining-contribution counters.
+    """One hash engine's slice of the HashPad: prime capacity, probed as
+    SMASH probes (``oracle.probe_sequence``: quadratic steps over half the
+    region, then the slots they missed), remaining-contribution counters.
 
     Rolling eviction frees lines mid-stream, so freed slots become
     tombstones that probes walk through (otherwise a colliding tag's later
@@ -653,24 +655,26 @@ class _HashRegion:
         self.tombstones = 0
 
     def probe(self, tag):
-        """Returns (slot, probes_examined, is_insert)."""
+        """Returns (slot, probes_examined, is_insert); slot is None when
+        every slot holds another live tag."""
         cap = self.capacity
+        tags = self.tags
         home = tag % cap
-        slot = home
-        reuse = -1
-        for k in range(cap + 1):
-            if k:
-                slot = (home + k * k) % cap
-            cur = self.tags[slot]
+        cur = tags[home]
+        if cur == _EMPTY or cur == tag:  # most probes end at home, the sequence's first slot
+            return home, 1, cur == _EMPTY
+        reuse = home if cur == _TOMBSTONE else -1
+        for n, slot in enumerate(islice(probe_sequence(home, cap), 1, None), 2):
+            cur = tags[slot]
             if cur == _EMPTY:
-                return (reuse if reuse >= 0 else slot), k + 1, True
+                return (reuse if reuse >= 0 else slot), n, True
             if cur == tag:
-                return slot, k + 1, False
+                return slot, n, False
             if cur == _TOMBSTONE and reuse < 0:
                 reuse = slot
         if reuse >= 0:
-            return reuse, cap + 1, True
-        return None, cap + 1, False
+            return reuse, n, True
+        return None, n, False
 
     def reset(self):
         if self.occupancy:

@@ -260,6 +260,8 @@ BAD_INPUT_CASES = [
     ("rmat-bad-float", ["--rmat", "4:2:p:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "must be float"),
     ("rmat-scale-above-int32", ["--rmat", "32:1"], None, cli.EXIT_USAGE, "scale must be <= 31"),
     ("rmat-negative-edge-factor", ["--rmat", "4:-1"], None, cli.EXIT_USAGE, "edge_factor"),
+    ("rmat-beyond-physical-memory", ["--rmat", "31:100000"], None, cli.EXIT_USAGE,
+     "edge_factor 100000 at scale 31"),
     ("rmat-negative-quadrant", ["--rmat", "4:2:1.1:-0.1:0:0"], None, cli.EXIT_USAGE, "a, b, c, d"),
     ("rmat-nan-quadrant", ["--rmat", "4:2:nan:0.2:0.2:0.1"], None, cli.EXIT_USAGE, "sum to 1"),
     ("removed-host-workers", ["--host-workers", "2"], None, cli.EXIT_USAGE, "--host-workers"),

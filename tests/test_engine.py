@@ -91,7 +91,7 @@ def test_multiple_windows_fenced_and_correct():
     assert np.array_equal(run.result.values, want.values)
     # occupancy never exceeded any window capacity (engine asserts internally);
     # peak must be bounded by the largest window capacity
-    assert run.stats.hashpad_occupancy_max <= max(w.capacity for w in wplan.windows)
+    assert run.stats.hashpad_occupancy_max <= wplan.window_capacity().max()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,8 @@ def test_fence_keeps_all_work_in_current_window(mode):
     a = rmat_csr(6, 6, seed=21)
     plan, wplan, prog = lower_for(a, a, budget=512)
     assert prog.n_windows >= 3
-    window_of_row = {r: w for w, win in enumerate(wplan.windows) for r in win.rows}
+    window_of_placed = np.repeat(np.arange(wplan.n_windows), np.diff(wplan.offsets))
+    window_of_row = dict(zip(wplan.rows.tolist(), window_of_placed.tolist()))
     col_bits = prog.layout.col_bits
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=3,
                         eviction_mode=mode)

@@ -194,7 +194,7 @@ def test_lower_with_windows_orders_by_window():
     wp = oracle.plan_windows(plan, spad_budget=256)
     a_csc = matio.to_csc(matio.csr_to_coo(a))
     prog = isa.lower_spgemm(a_csc, a, plan, windows=wp)
-    assert prog.n_windows == len(wp.windows)
+    assert prog.n_windows == wp.n_windows
     assert prog.window_starts[0] == 0
     windows_seen = [ins.window for ins in prog.instrs]
     assert windows_seen == sorted(windows_seen)
@@ -421,7 +421,7 @@ def test_pinned_lowering_digests(rmat, budget, want):
     plan = oracle.symbolic_pass(a, b)
     wp = None if budget is None else oracle.plan_windows(plan, spad_budget=budget)
     prog = isa.lower_spgemm(matio.to_csc(matio.csr_to_coo(a)), b, plan, windows=wp)
-    assert prog.n_windows == (1 if wp is None else len(wp.windows))
+    assert prog.n_windows == (1 if wp is None else wp.n_windows)
     assert lowering_digest(prog) == want
 
 

@@ -272,12 +272,118 @@ def test_bloat_nonnegative_and_empty_error():
 # ---------------------------------------------------------------------------
 
 
+def reference_plan_windows(plan, cf=oracle.DEFAULT_CF, ef=oracle.DEFAULT_EF, threshold=None,
+                           spad_budget=1 << 14):
+    """The planner as a per-row loop: (windows as lists of rows, class of
+    each row, capacity of each row)."""
+    if cf <= 0 or ef < 1:
+        raise ConfigError("need cf > 0 and ef >= 1")
+    if threshold is None:
+        threshold = oracle.default_threshold(spad_budget)
+
+    dense_rows = []
+    sparse_rows = []
+    caps = {}
+    classes = {}
+    for r in range(plan.n_rows):
+        fma = int(plan.fma_per_row[r])
+        if fma / cf > threshold:
+            cls = "DENSE"
+            cap = plan.n_cols
+            if cap > spad_budget:
+                raise CapacityError(f"dense row {r} needs {cap} hashlines, budget is {spad_budget}")
+        else:
+            cls = "SPARSE"
+            cap = oracle.next_prime_at_least(fma * ef)
+            if cap > spad_budget:
+                cap = oracle.prev_prime_at_most(spad_budget)
+            if fma > cap:
+                raise CapacityError(f"row {r} needs {fma} hashlines, budget is {spad_budget}")
+        caps[r] = cap
+        classes[r] = cls
+        (dense_rows if cls == "DENSE" else sparse_rows).append(r)
+
+    # Alternate dense/sparse in placement order, then first-fit pack.
+    mixed = []
+    di = si = 0
+    while di < len(dense_rows) or si < len(sparse_rows):
+        if di < len(dense_rows):
+            mixed.append(dense_rows[di])
+            di += 1
+        if si < len(sparse_rows):
+            mixed.append(sparse_rows[si])
+            si += 1
+
+    windows = []
+    cur_rows = []
+    cur_used = 0
+    for r in mixed:
+        if cur_rows and cur_used + caps[r] > spad_budget:
+            windows.append(cur_rows)
+            cur_rows = []
+            cur_used = 0
+        cur_rows.append(r)
+        cur_used += caps[r]
+    if cur_rows:
+        windows.append(cur_rows)
+    return windows, classes, caps
+
+
+PLANNER_VARIANTS = {
+    "default": {},
+    "all-sparse": {"threshold": 1e18},
+    "all-dense": {"threshold": -1.0},
+    "cf2-ef1": {"cf": 2.0, "ef": 1.0},
+    "cf8-ef2.5": {"cf": 8, "ef": 2.5},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PLANNER_VARIANTS))
+@pytest.mark.parametrize("rmat", [(5, 2), (6, 4), (7, 2), (8, 8), (9, 4), (10, 8)])
+def test_plan_windows_matches_reference_loop(rmat, variant):
+    a = rmat_csr(*rmat, seed=1)
+    plan = oracle.symbolic_pass(a, a)
+    kwargs = PLANNER_VARIANTS[variant]
+    for budget in [1] + [1 << e for e in range(1, 17)]:
+        try:
+            want = reference_plan_windows(plan, spad_budget=budget, **kwargs)
+        except (CapacityError, ConfigError) as err:
+            with pytest.raises(type(err)) as got:
+                oracle.plan_windows(plan, spad_budget=budget, **kwargs)
+            assert str(got.value) == str(err)
+            continue
+        wp = oracle.plan_windows(plan, spad_budget=budget, **kwargs)
+        windows, classes, caps = want
+        rows = [r for w in windows for r in w]
+        offsets = np.cumsum([0] + [len(w) for w in windows]).tolist()
+        capacity = [caps[r] for r in rows]
+        dense = [classes[r] == "DENSE" for r in rows]
+        assert wp.rows.dtype == wp.offsets.dtype == wp.capacity.dtype == np.int64
+        assert wp.dense.dtype == bool
+        assert wp.rows.tolist() == rows
+        assert wp.offsets.tolist() == offsets
+        assert wp.capacity.tolist() == capacity
+        assert wp.dense.tolist() == dense
+        assert wp.n_windows == len(offsets) - 1
+        assert wp.window_capacity().tolist() == [sum(caps[r] for r in w) for w in windows]
+        assert (wp.cf, wp.ef, wp.spad_budget) == (kwargs.get("cf", oracle.DEFAULT_CF),
+                                                  kwargs.get("ef", oracle.DEFAULT_EF), budget)
+        assert wp.threshold == kwargs.get("threshold", oracle.default_threshold(budget))
+
+
+def test_plan_windows_empty_product():
+    empty = matio.to_csr(matio.coo_from_entries(0, 0, [], [], []))
+    wp = oracle.plan_windows(oracle.symbolic_pass(empty, empty))
+    assert wp.n_windows == 0 and wp.offsets.tolist() == [0] and len(wp.rows) == 0
+    assert wp.window_capacity().tolist() == []
+
+
 def test_all_rows_sparse_when_under_threshold():
     a = rmat_csr(5, 2, seed=1)
     plan = oracle.symbolic_pass(a, a)
     wp = oracle.plan_windows(plan, cf=4, ef=1.5, threshold=1e9, spad_budget=4096)
-    for w in wp.windows:
-        assert all(c == oracle.SPARSE for c in w.classification)
+    assert len(wp.rows) == plan.n_rows
+    assert not wp.dense.any()
 
 
 def test_sparse_capacity_next_prime():
@@ -293,15 +399,13 @@ def test_window_partition_and_capacity_properties():
         plan = oracle.symbolic_pass(a, a)
         budget = 512
         wp = oracle.plan_windows(plan, spad_budget=budget)
-        seen = []
-        for w in wp.windows:
-            assert w.capacity <= budget
-            seen.extend(w.rows)
-            for r, cls, cap in zip(w.rows, w.classification, w.hash_capacity):
-                if cls == oracle.SPARSE:
-                    assert oracle.is_prime(cap)
-                    assert cap >= plan.fma_per_row[r]
-        assert sorted(seen) == list(range(plan.n_rows))
+        assert (wp.window_capacity() <= budget).all()
+        assert (np.diff(wp.offsets) > 0).all()
+        for r, dense, cap in zip(wp.rows.tolist(), wp.dense.tolist(), wp.capacity.tolist()):
+            if not dense:
+                assert oracle.is_prime(cap)
+                assert cap >= plan.fma_per_row[r]
+        assert sorted(wp.rows.tolist()) == list(range(plan.n_rows))
 
 
 def test_window_row_too_large_raises():
@@ -310,16 +414,6 @@ def test_window_row_too_large_raises():
     with pytest.raises(CapacityError) as err:
         oracle.plan_windows(plan, spad_budget=2)
     assert "row" in str(err.value)
-
-
-def test_window_plan_json_stable_fields():
-    a = rmat_csr(4, 2, seed=0)
-    wp = oracle.plan_windows(oracle.symbolic_pass(a, a), spad_budget=1024)
-    import json
-
-    data = json.loads(wp.to_json())
-    assert set(data) == {"windows", "cf", "ef", "threshold", "spad_budget"}
-    assert set(data["windows"][0]) == {"rows", "classification", "hash_capacity"}
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_probe_sequence_covers_every_slot_and_keeps_quadratic_prefix():
     primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
     for p in primes:
         for home in range(p):
-            seq = list(smash.probe_sequence(home, p))
+            seq = list(oracle.probe_sequence(home, p))
             assert sorted(seq) == list(range(p))
             half = (p + 1) // 2
             assert seq[:half] == [(home + k * k) % p for k in range(half)]
@@ -91,7 +91,7 @@ def test_probe_sequence_covers_composite_capacities():
     # dense rows are sized by column count, so capacities need not be prime
     for cap in range(1, 80):
         for home in range(cap):
-            seq = list(smash.probe_sequence(home, cap))
+            seq = list(oracle.probe_sequence(home, cap))
             assert set(seq) == set(range(cap))
             assert seq[: cap // 2 + 1] == [(home + k * k) % cap for k in range(cap // 2 + 1)]
 
@@ -213,14 +213,16 @@ def test_smash_audit_identical_across_reruns(tmp_path):
     assert digests[0] == digests[1]
 
 
-def stream_tables(a_csr, b, window):
-    """Region tables of one window after hash_probe_insert of its partial
+def stream_tables(a_csr, b, wplan, w):
+    """Region tables of window w after hash_probe_insert of its partial
     products one by one, in A-stream order."""
+    span = slice(wplan.offsets[w], wplan.offsets[w + 1])
+    rows = wplan.rows[span].tolist()
     tables = {
-        r: smash.ScratchpadHashTable(capacity=cap, direct=(cls == oracle.DENSE))
-        for r, cls, cap in zip(window.rows, window.classification, window.hash_capacity)
+        r: smash.ScratchpadHashTable(capacity=cap, direct=direct)
+        for r, cap, direct in zip(rows, wplan.capacity[span].tolist(), wplan.dense[span].tolist())
     }
-    for r in window.rows:
+    for r in rows:
         a_cols, a_vals = a_csr.row(r)
         for k, av in zip(a_cols, a_vals):
             b_cols, b_vals = b.row(int(k))
@@ -248,10 +250,10 @@ def test_window_tables_equal_one_by_one_inserts(map_csr):
     smash.smash_spgemm(a_in, a, cfg, audit=audit)
     plan = oracle.symbolic_pass(a, a)
     wplan = oracle.plan_windows(plan, spad_budget=1 << 10)
-    assert len(audit.window_tables) == len(wplan.windows) > 1
-    for i, ((w, tables), window) in enumerate(zip(audit.window_tables, wplan.windows)):
+    assert len(audit.window_tables) == wplan.n_windows > 1
+    for i, (w, tables) in enumerate(audit.window_tables):
         assert w == i
-        want = stream_tables(a, a, window)
+        want = stream_tables(a, a, wplan, w)
         assert list(tables) == list(want)
         for r, table in tables.items():
             assert table.tags == want[r].tags

@@ -411,6 +411,22 @@ def test_mem_tombstone_probing_reuses_freed_slots():
     assert (t2, 4.0) in mem.evicted_values
 
 
+def test_hash_region_probe_reaches_non_quadratic_slots():
+    # From home 0 in 7 slots the quadratic steps reach 0, 1, 4 and 2 only.
+    region = uarch._HashRegion(7)
+    live = [100 + s for s in range(7)]  # other tags, all live
+    region.tags = live.copy()
+    region.tags[5] = uarch._EMPTY
+    assert region.probe(7) == (5, 6, True)  # after 0, 1, 4, 2, then 3 and 5 on the scan
+    # A tombstone and no empty slot: every slot is examined, then the
+    # tombstone is reused.
+    region.tags = live.copy()
+    region.tags[6] = uarch._TOMBSTONE
+    assert region.probe(7) == (6, 7, True)
+    region.tags = live.copy()
+    assert region.probe(7) == (None, 7, False)
+
+
 # ---------------------------------------------------------------------------
 # Core stage timing (single-instruction latency oracle)
 # ---------------------------------------------------------------------------
