@@ -12,6 +12,10 @@ effects only happen in the commit phase, final statistics and the output
 matrix are bit-for-bit functions of (program, chip config, mapper config,
 seed).
 
+The run passes itself to the dispatcher's and every component's ``step``
+(and to a mem's ``flush_all``); no component keeps a link back to it, so
+dropping the last reference to a run frees it at once, mid-run included.
+
 Window fences need no per-window tallies: the dispatcher never issues an
 instruction of a later window, so every issued MMH4 and every HACC in
 flight belongs to the current window, and the window has drained once
@@ -245,7 +249,7 @@ class SimRun:
         chip_cfg: ChipConfig,
         mapper_cfg: MapperConfig,
         plan,
-        window_plan=None,
+        window_plan,
         seed: int = 0,
         eviction_mode: str = ROLLING,
         trace_stages: bool = False,
@@ -273,15 +277,8 @@ class SimRun:
         self.mapper = Mapper(mapper_cfg)
         self.stats.mapper_strategy = mapper_cfg.strategy
 
-        self.n_cores = self.chip.n_cores
-        self.stage_traces = []
-        for core in self.chip.cores:
-            core.ctx = self
-            core.trace_stages = trace_stages
-        for mem in self.chip.mems:
-            mem.ctx = self
-        for mc in self.chip.memctrls:
-            mc.ctx = self
+        self.trace_stages = trace_stages
+        self.stage_traces = []  # one per retired instruction when trace_stages is set
 
         # Output region: evictions write 12-byte elements row-contiguously
         # after the input image; addresses drive channel interleave only.
@@ -294,9 +291,7 @@ class SimRun:
 
         self.n_windows = max(program.n_windows, 1)
         self.current_window = 0
-        self._window_caps = None
-        if window_plan is not None:
-            self._window_caps = window_plan.window_capacity().tolist()
+        self._window_caps = window_plan.window_capacity().tolist()
 
         # Every HACC the cores will send, expanded once; a core turns its
         # tile's slice into Python values when it executes the tile.
@@ -324,7 +319,7 @@ class SimRun:
         self.net_flits = 0
         self.result = None
 
-    # -- context API used by components --------------------------------------
+    # -- run state the components read and report to --------------------------
 
     def lane_count(self, n: int) -> int:
         """HACCs instruction n dispatches."""
@@ -385,36 +380,23 @@ class SimRun:
         )
         watchdog_limit = 10 * (diameter + max_stage)
         idle_cycles = 0
-        try:
-            while True:
-                progressed = self._step_cycle()
-                if self._finished():
-                    break
-                if progressed:
-                    idle_cycles = 0
-                else:
-                    idle_cycles += 1
-                    if idle_cycles > watchdog_limit:
-                        raise DeadlockError(self._deadlock_dump(watchdog_limit))
-                self.cycle += 1
-        finally:
-            self._release_components()
+        while True:
+            progressed = self._step_cycle()
+            if self._finished():
+                break
+            if progressed:
+                idle_cycles = 0
+            else:
+                idle_cycles += 1
+                if idle_cycles > watchdog_limit:
+                    raise DeadlockError(self._deadlock_dump(watchdog_limit))
+            self.cycle += 1
         self.stats.cycles = self.cycle
         self._finalize()
         self.stats.wall_seconds = time.perf_counter() - t0
         if self.stats.wall_seconds > 0:
             self.stats.kcps = (self.cycle / 1000.0) / self.stats.wall_seconds
         return self.stats
-
-    def _release_components(self):
-        """Unlink the components from the run once it has ended or raised.
-
-        Their ``ctx`` is the only link back to the run, so without this a
-        run and everything it holds would outlive its last reference until
-        the cyclic collector next ran, and a process running several
-        simulations would peak at a size set by when that happens."""
-        for comp in self.components:
-            comp.ctx = None
 
     def _step_cycle(self) -> bool:
         cycle = self.cycle
@@ -445,7 +427,7 @@ class SimRun:
         nxt = cycle + 1
         for idx in order:
             comp = comps[idx]
-            wake = comp.step(cycle)
+            wake = comp.step(self, cycle)
             if wake:
                 if wake == nxt:
                     still_busy.add(idx)
@@ -625,7 +607,7 @@ class SimRun:
             return 0
         for mem in self.chip.mems:
             if self.eviction_mode == BARRIER and mem.occupancy:
-                mem.flush_all()
+                mem.flush_all(self)
                 self.wake(mem)
             mem.reset_pads()
         self.current_window = w + 1
@@ -644,7 +626,7 @@ class SimRun:
         stats = self.stats
         if occ > stats.hashpad_occupancy_max:
             stats.hashpad_occupancy_max = occ
-        if self._window_caps is not None and self.current_window < len(self._window_caps):
+        if self.current_window < len(self._window_caps):
             cap = self._window_caps[self.current_window]
             if occ > cap:
                 raise SimulationError(
@@ -702,8 +684,7 @@ class SimRun:
         stats.mem_loads = [mem.haccs_committed for mem in chip.mems]
         grid = np.zeros((chip.n_cores, chip.n_mems), dtype=np.int64)
         for mem in chip.mems:
-            if mem.grid_row is not None:
-                grid[:, mem.id] = mem.grid_row
+            grid[:, mem.id] = mem.grid_row
         stats.grid = grid
         mmh4_hist = {}
         for core in chip.cores:

@@ -410,6 +410,10 @@ def lower_spgemm(
     n_windows = 1
     if windows is not None:
         n_windows = windows.n_windows
+        outside = (windows.rows < 0) | (windows.rows >= a.n_rows)
+        if np.any(outside):
+            row = int(windows.rows[np.argmax(outside)])
+            raise LoweringError(f"window plan places row {row}, outside A's {a.n_rows} rows")
         window_of_row -= 1
         window_of_row[windows.rows] = np.repeat(np.arange(n_windows), np.diff(windows.offsets))
     entry_window = window_of_row[a.row_indices]

@@ -7,16 +7,20 @@ memory controller attached at the tile's origin router. Units exchange
 packets over the torus: operand read requests and responses, hash-
 accumulate instructions, and eviction write-backs.
 
-All components are pure state machines advanced by the engine. During a
-step a component mutates only its own state and appends outgoing packets
-to its outbox; the engine moves packets between components in a canonical
-commit order, which keeps results deterministic. Each step returns when
-the component next has work: the next cycle, a later cycle it waits for
-(a stage latency, a hash compare, the memory channel), or a false value
-when only the engine can give it work, in which case the engine wakes it
-on an inbox arrival, a dispatch or a window flush. Fabric queues are
-bounded with credit backpressure; endpoint inboxes for responses and
-memory requests are modeled as sinks so the network always drains.
+All components are pure state machines advanced by the engine, which
+passes its run to every ``step(run, cycle)`` (and to ``flush_all(run)``);
+no component keeps a link to the run. During a step a component mutates
+only its own state and appends outgoing packets to its outbox; it reads
+the program and its layout from the run and reports retirements, commits
+and write-back arrivals to the run's counters. The engine moves packets
+between components in a canonical commit order, which keeps results
+deterministic. Each step returns when the component next has work: the
+next cycle, a later cycle it waits for (a stage latency, a hash compare,
+the memory channel), or a false value when only the engine can give it
+work, in which case the engine wakes it on an inbox arrival, a dispatch
+or a window flush. Fabric queues are bounded with credit backpressure;
+endpoint inboxes for responses and memory requests are modeled as sinks
+so the network always drains.
 """
 
 from __future__ import annotations
@@ -394,10 +398,6 @@ class MemChannelModel:
         self.transactions += 1
         return completion
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.completions)
-
 
 # ---------------------------------------------------------------------------
 # Core (multiplier unit)
@@ -440,7 +440,9 @@ class CoreModel:
     Registers gate the number of in-flight tiles per pipeline; a full
     instruction buffer refuses dispatch (backpressure, never overflow).
 
-    ``step(cycle)`` returns ``cycle + 1`` after a step that changed anything
+    ``step(run, cycle)`` reads the instruction's lanes and operand reads
+    from ``run`` and reports retirements to it; the core keeps no link to
+    the run. It returns ``cycle + 1`` after a step that changed anything
     or left packets to send; after a step that changed nothing, the
     earliest cycle a decode, register-allocation or execute latency ends,
     or None when only an operand response or a dispatch (both wake the
@@ -450,10 +452,10 @@ class CoreModel:
     """
 
     __slots__ = (
-        "id", "rid", "cfg", "ctx", "dispatch_latch", "inflight", "pipes",
+        "id", "rid", "cfg", "dispatch_latch", "inflight", "pipes",
         "free_regs", "rr_pipe", "req_queue", "outbox", "inbox",
         "stalls_reg", "stalls_operand", "stalls_port", "lanes_executed",
-        "cpi", "seq_gen", "activity", "trace_stages", "_engine_idx",
+        "cpi", "seq_gen", "activity", "_engine_idx",
         "last_step", "reg_stalling", "operand_stalling",
     )
 
@@ -461,7 +463,6 @@ class CoreModel:
         self.id = core_id
         self.rid = rid
         self.cfg = cfg
-        self.ctx = None  # set by the engine: shared run context, cleared when the run ends
         self.dispatch_latch = None  # index of the instruction dispatched to this core
         self.inflight = {}
         self.pipes = [deque() for _ in range(cfg.tile.pipelines_per_core)]
@@ -477,7 +478,6 @@ class CoreModel:
         self.cpi = {}
         self.seq_gen = 0
         self.activity = 0
-        self.trace_stages = False
         self._engine_idx = -1
         self.last_step = -1  # cycle of the last step
         self.reg_stalling = 0  # reg stalls the last step counted
@@ -487,8 +487,7 @@ class CoreModel:
         if rec.stage_trace is not None:
             rec.stage_trace[stage_name] = cycle
 
-    def step(self, cycle):
-        ctx = self.ctx
+    def step(self, run, cycle):
         cfg = self.cfg
         acted = 0
         reg_stalls = 0
@@ -519,7 +518,7 @@ class CoreModel:
             self.seq_gen += 1
             pipe = self.rr_pipe
             self.rr_pipe = (self.rr_pipe + 1) % len(self.pipes)
-            rec = _InFlight(seq, instr, pipe, cycle, trace=self.trace_stages)
+            rec = _InFlight(seq, instr, pipe, cycle, trace=run.trace_stages)
             rec.ready_at = cycle + cfg.decode_latency
             self.inflight[seq] = rec
             self.pipes[pipe].append(seq)
@@ -550,14 +549,14 @@ class CoreModel:
                         self.free_regs[pipe_idx] -= cfg.regs_per_mmh4
                         rec.stage = S_WAIT
                         self._mark(rec, "regalloc", cycle)
-                        self._issue_requests(rec, cycle)
+                        self._issue_requests(run, rec, cycle)
                         acted += 1
                     else:
                         reg_stalls += 1
                 elif rec.stage == S_WAIT:
                     if rec.outstanding == 0 and pos == 0:
                         rec.stage = S_EXEC
-                        lanes = ctx.lane_count(rec.instr)
+                        lanes = run.lane_count(rec.instr)
                         dur = cfg.mul_latency + -(-lanes // cfg.tile.multipliers) - 1
                         rec.ready_at = cycle + dur
                         self._mark(rec, "exec_start", cycle)
@@ -571,7 +570,7 @@ class CoreModel:
                         if wake is None or rec.ready_at < wake:
                             wake = rec.ready_at
                     else:
-                        tags, data, counters = ctx.lanes(rec.instr)
+                        tags, data, counters = run.lanes(rec.instr)
                         outbox = self.outbox
                         core_id = self.id
                         for tag, value, counter in zip(tags, data, counters):
@@ -583,7 +582,7 @@ class CoreModel:
                         acted += 1
                 elif rec.stage == S_DRAIN:
                     if rec.haccs_pending == 0 and pos == 0:
-                        self._retire(rec, pipe_idx, cycle)
+                        self._retire(run, rec, pipe_idx, cycle)
                         acted += 1
                         break  # fifo mutated
 
@@ -603,15 +602,15 @@ class CoreModel:
             return cycle + 1
         return wake
 
-    def _issue_requests(self, rec, cycle):
+    def _issue_requests(self, run, rec, cycle):
         rec.outstanding = 4  # A values, B columns, B values, roll counters
-        for field, (addr, nbytes) in enumerate(self.ctx.operand_reads(rec.instr)):
-            dst = self.ctx.memctrl_rid_for(addr)
+        for field, (addr, nbytes) in enumerate(run.operand_reads(rec.instr)):
+            dst = run.memctrl_rid_for(addr)
             self.req_queue.append(Packet(dst, K_REQ, (self.id, rec.seq, field, addr, nbytes)))
         if rec.stage_trace is not None:
             rec.stage_trace["requests_queued"] = cycle
 
-    def _retire(self, rec, pipe_idx, cycle):
+    def _retire(self, run, rec, pipe_idx, cycle):
         fifo = self.pipes[pipe_idx]
         assert fifo[0] == rec.seq, "in-order retirement violated"
         fifo.popleft()
@@ -621,8 +620,8 @@ class CoreModel:
         self.cpi[cycles] = self.cpi.get(cycles, 0) + 1
         self._mark(rec, "retire", cycle)
         if rec.stage_trace is not None:
-            self.ctx.stage_traces.append(rec.stage_trace)
-        self.ctx.on_mmh4_retired()
+            run.stage_traces.append(rec.stage_trace)
+        run.on_mmh4_retired()
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +694,17 @@ class MemModel:
     memory controller (rolling mode) or the line is held until the window
     flush (barrier mode).
 
-    ``step(cycle)`` returns ``cycle + 1`` while the outbox holds packets,
-    else the cycle the first busy engine finishes (at least ``cycle + 1``),
-    or None when every engine is idle: then the inbox holds nothing any
-    engine could take, and an arrival or a window flush wakes the unit.
+    ``step(run, cycle)`` and ``flush_all(run)`` take the eviction mode
+    and write-back addresses from ``run`` and report commits to it; the
+    unit keeps no link to the run. ``step`` returns ``cycle + 1`` while the
+    outbox holds packets, else the cycle the first busy engine finishes
+    (at least ``cycle + 1``), or None when every engine is idle: then the
+    inbox holds nothing any engine could take, and an arrival or a window
+    flush wakes the unit.
     """
 
     __slots__ = (
-        "id", "rid", "cfg", "ctx", "inbox", "outbox", "engines_pending",
+        "id", "rid", "cfg", "inbox", "outbox", "engines_pending",
         "regions", "n_engines", "occupancy", "haccs_committed",
         "evictions", "cpi", "grid_row", "evicted_values", "activity", "probes_total",
         "stalls_port", "_engine_idx",
@@ -712,7 +714,6 @@ class MemModel:
         self.id = mem_id
         self.rid = rid
         self.cfg = cfg
-        self.ctx = None
         self.inbox = deque()
         self.outbox = deque()
         self.n_engines = cfg.tile.hash_engines
@@ -724,24 +725,23 @@ class MemModel:
         self.haccs_committed = 0
         self.evictions = 0
         self.cpi = {}
-        self.grid_row = None  # per-core tallies, sized lazily
+        self.grid_row = [0] * cfg.n_cores  # HACCs committed per source core
         self.evicted_values = []
         self.activity = 0
         self.probes_total = 0
         self.stalls_port = 0
         self._engine_idx = -1
 
-    def step(self, cycle):
-        ctx = self.ctx
+    def step(self, run, cycle):
         cfg = self.cfg
         acted = 0
-        rolling = ctx.rolling_evictions
+        rolling = run.rolling_evictions
         for e in range(self.n_engines):
             pending = self.engines_pending[e]
             if pending is not None:
                 if cycle < pending[0]:
                     continue
-                self._complete(pending, cycle)
+                self._complete(run, pending, cycle)
                 self.engines_pending[e] = None
                 acted += 1
             # pick the next packet belonging to this engine
@@ -795,43 +795,40 @@ class MemModel:
             return cycle + 1
         return wake
 
-    def _complete(self, pending, cycle):
+    def _complete(self, run, pending, cycle):
         done, e, slot, evict, tag, src_core, birth = pending
-        ctx = self.ctx
         self.haccs_committed += 1
         cycles = cycle - birth
         self.cpi[cycles] = self.cpi.get(cycles, 0) + 1
-        if self.grid_row is None:
-            self.grid_row = [0] * ctx.n_cores
         self.grid_row[src_core] += 1
         if evict:
             region = self.regions[e]
             value = region.vals[slot]
-            self._evict_line(region, slot, tag, value)
-        ctx.on_hacc_committed()
+            self._evict_line(run, region, slot, tag, value)
+        run.on_hacc_committed()
 
-    def _evict_line(self, region, slot, tag, value):
+    def _evict_line(self, run, region, slot, tag, value):
         region.tags[slot] = _TOMBSTONE
         region.tombstones += 1
         region.occupancy -= 1
         self.occupancy -= 1
         self.evictions += 1
         self.evicted_values.append((tag, value))
-        i, j, addr, nbytes = self.ctx.eviction_target(tag)
+        i, j, addr, nbytes = run.eviction_target(tag)
         # dst is the owning controller; on the dedicated-path config the
         # engine delivers it directly instead of injecting into the torus.
         self.outbox.append(
-            Packet(self.ctx.memctrl_rid_for(addr), K_EVICT, (i, j, value, addr, nbytes))
+            Packet(run.memctrl_rid_for(addr), K_EVICT, (i, j, value, addr, nbytes))
         )
 
-    def flush_all(self):
+    def flush_all(self, run):
         """Barrier eviction: drain every occupied line (window boundary)."""
         for region in self.regions:
             if not region.occupancy:
                 continue
             for slot, tag in enumerate(region.tags):
                 if tag >= 0:
-                    self._evict_line(region, slot, tag, region.vals[slot])
+                    self._evict_line(run, region, slot, tag, region.vals[slot])
 
     def reset_pads(self):
         """Clear tombstones between windows (pad must hold no live lines)."""
@@ -854,15 +851,17 @@ class MemCtrlModel:
     order: the channel starts transactions in order at non-decreasing
     cycles and adds a fixed latency, so ``inflight`` is a FIFO.
 
-    ``step(cycle)`` returns ``cycle + 1`` while the outbox holds responses
-    or the channel can take the next pending transaction, else the earlier
-    of the first in-flight completion and, with transactions pending, the
-    cycle the full channel frees a slot; None when the controller holds
-    nothing, until an arriving request or write-back wakes it.
+    ``step(run, cycle)`` takes response routes from ``run`` and reports
+    write-back arrivals to it; the controller keeps no link to the run. It
+    returns ``cycle + 1`` while the outbox holds responses or the channel
+    can take the next pending transaction, else the earlier of the first
+    in-flight completion and, with transactions pending, the cycle the full
+    channel frees a slot; None when the controller holds nothing, until an
+    arriving request or write-back wakes it.
     """
 
     __slots__ = (
-        "id", "rid", "cfg", "ctx", "channel", "inbox", "outbox",
+        "id", "rid", "cfg", "channel", "inbox", "outbox",
         "read_pending", "write_pending", "inflight", "bytes_read", "bytes_written",
         "reads_merged", "transactions_read", "transactions_write", "activity",
         "touch_remaining", "stalls_port", "_engine_idx",
@@ -872,7 +871,6 @@ class MemCtrlModel:
         self.id = mc_id
         self.rid = rid
         self.cfg = cfg
-        self.ctx = None
         self.channel = channel
         self.inbox = deque()
         self.outbox = deque()
@@ -889,7 +887,7 @@ class MemCtrlModel:
         self.stalls_port = 0
         self._engine_idx = -1
 
-    def step(self, cycle):
+    def step(self, run, cycle):
         cfg = self.cfg
         acted = 0
         granule = cfg.granule
@@ -906,7 +904,7 @@ class MemCtrlModel:
             else:  # eviction write-back
                 _i, _j, _value, addr, nbytes = pkt.payload
                 self.write_pending.append(addr // granule)
-                self.ctx.on_eviction_arrived()
+                run.on_eviction_arrived()
             acted += 1
 
         # completions
@@ -914,7 +912,7 @@ class MemCtrlModel:
             _, responses = self.inflight.popleft()
             for core_id, seq, field in responses:
                 self.outbox.append(
-                    Packet(self.ctx.core_rid(core_id), K_RESP, (core_id, seq, field))
+                    Packet(run.core_rid(core_id), K_RESP, (core_id, seq, field))
                 )
             acted += 1
 

@@ -311,3 +311,22 @@ def test_bad_input_exit_codes(tmp_path, capsys, extra, config_text, code, names)
     assert "Traceback" not in err
     if names is not None:
         assert names in err
+
+
+def test_rmat_beyond_generator_peak_exits_before_drawing(tmp_path, capsys, monkeypatch):
+    # rmat 10:4 draws 4096 edges. Physical memory of 32 bytes per edge holds
+    # their two int64 index arrays but not the generator's peak, so the draw
+    # is refused before its random stream is even seeded.
+    real_sysconf = matio.os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32}
+    monkeypatch.setattr(matio.os, "sysconf", lambda name: pages.get(name) or real_sysconf(name))
+
+    def no_draw(*args):
+        raise AssertionError("the generator started drawing")
+
+    monkeypatch.setattr(matio.np.random, "PCG64", no_draw)
+    rc = cli.main(["run", "--rmat", "10:4", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE, err
+    assert "edge_factor 4 at scale 10 draws 4096 edges" in err
+    assert "physical memory is 131072 bytes" in err

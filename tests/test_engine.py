@@ -45,7 +45,7 @@ def test_empty_program_drains_immediately():
         [], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
         n_rows=2, n_cols=2, window_starts=[0], total_fma=0, total_out_nnz=0,
     )
-    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, seed=0)
+    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, oracle.plan_windows(plan), seed=0)
     stats = run.run_to_completion()
     assert stats.mmh4_retired == 0
     assert stats.cycles <= 2
@@ -297,7 +297,7 @@ def test_deadlock_detector_fires_with_diagnostic(monkeypatch):
     plan, wplan, prog = lower_for(a, a)
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
     # mems stop consuming: the system must report a diagnostic, not hang
-    monkeypatch.setattr(uarch.MemModel, "step", lambda self, cycle: False)
+    monkeypatch.setattr(uarch.MemModel, "step", lambda self, run, cycle: False)
     with pytest.raises(DeadlockError) as err:
         run.run_to_completion()
     assert "no progress" in str(err.value)
@@ -308,7 +308,7 @@ def test_wake_cycle_not_in_future_is_rejected(monkeypatch):
     a = rmat_csr(4, 2, seed=19)
     plan, wplan, prog = lower_for(a, a)
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
-    monkeypatch.setattr(uarch.MemModel, "step", lambda self, cycle: cycle)
+    monkeypatch.setattr(uarch.MemModel, "step", lambda self, run, cycle: cycle)
     with pytest.raises(SimulationError, match="to be stepped at cycle"):
         run.run_to_completion()
 
@@ -321,11 +321,11 @@ def test_superseded_timer_never_fires(monkeypatch):
     asked = {}
     step = uarch.MemModel.step
 
-    def late_step(self, cycle):
+    def late_step(self, run, cycle):
         arrived = bool(self.inbox)
         want = asked.get(self.id)
         assert cycle == want or (arrived and (want is None or cycle < want))
-        wake = step(self, cycle)
+        wake = step(self, run, cycle)
         asked[self.id] = wake = wake and wake + 5
         return wake
 
@@ -335,20 +335,27 @@ def test_superseded_timer_never_fires(monkeypatch):
     assert stats.conservation["ok"]
 
 
-@pytest.mark.parametrize("fails", [False, True], ids=["finished", "raised"])
-def test_ended_run_freed_without_cycle_collector(monkeypatch, fails):
-    # Once a run has finished or raised, dropping the last reference to it
-    # must free it at once. The collector is off here, so a reference cycle
-    # through a component would keep it alive.
+@pytest.mark.parametrize("end", ["finished", "raised", "dropped"])
+def test_ended_run_freed_without_cycle_collector(monkeypatch, end):
+    # Once a run has finished or raised, or after a few cycles of it,
+    # dropping the last reference to it must free it at once. The collector
+    # is off here, so a reference cycle through a component would keep it
+    # alive.
     a = rmat_csr(5, 4, seed=2)
     plan, wplan, prog = lower_for(a, a)
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
-    if fails:
-        monkeypatch.setattr(uarch.MemModel, "step", lambda self, cycle: cycle)
+    if end == "raised":
+        monkeypatch.setattr(uarch.MemModel, "step", lambda self, run, cycle: cycle)
     gc.disable()
     try:
-        with pytest.raises(SimulationError) if fails else nullcontext():
-            run.run_to_completion()
+        if end == "dropped":
+            for _ in range(50):
+                run._step_cycle()
+                run.cycle += 1
+            assert run.stats.mmh4_issued and not run._finished()
+        else:
+            with pytest.raises(SimulationError) if end == "raised" else nullcontext():
+                run.run_to_completion()
         ref = weakref.ref(run)
         del run
         assert ref() is None

@@ -186,6 +186,12 @@ def test_lower_rejects_plan_of_other_operands():
     for plan in (oracle.symbolic_pass(eye, eye), oracle.symbolic_pass(empty, empty)):
         with pytest.raises(LoweringError):
             isa.lower_spgemm(a_csc, ones, plan)
+    # The window plan of a larger product places rows A does not have.
+    small, big = rmat_csr(5, 2, seed=1), rmat_csr(6, 2, seed=1)
+    windows = oracle.plan_windows(oracle.symbolic_pass(big, big))
+    with pytest.raises(LoweringError, match="row 32, outside A's 32 rows"):
+        isa.lower_spgemm(matio.to_csc(matio.csr_to_coo(small)), small,
+                         oracle.symbolic_pass(small, small), windows=windows)
 
 
 def test_lower_with_windows_orders_by_window():

@@ -277,36 +277,34 @@ class _StubCtx:
 
 def make_mc():
     cfg = uarch.CHIP_TILE4
-    mc = uarch.MemCtrlModel(0, 0, cfg, uarch.MemChannelModel(16, 64, 16))
-    mc.ctx = _StubCtx()
-    return mc
+    return uarch.MemCtrlModel(0, 0, cfg, uarch.MemChannelModel(16, 64, 16)), _StubCtx()
 
 
 def test_coalesce_single_granule():
-    mc = make_mc()
+    mc, ctx = make_mc()
     for i, addr in enumerate((0, 8, 16, 24)):
         mc.inbox.append(uarch.Packet(0, uarch.K_REQ, (0, i, 0, addr, 8)))
-    mc.step(0)
+    mc.step(ctx, 0)
     assert mc.transactions_read == 1
     assert mc.reads_merged == 3
 
 
 def test_coalesce_two_granules():
-    mc = make_mc()
+    mc, ctx = make_mc()
     for i, addr in enumerate((0, 64, 8)):  # G1, G2, G1 within the window
         mc.inbox.append(uarch.Packet(0, uarch.K_REQ, (0, i, 0, addr, 8)))
-    mc.step(0)
-    mc.step(1)
+    mc.step(ctx, 0)
+    mc.step(ctx, 1)
     assert mc.transactions_read == 2
 
 
 def test_multi_granule_request_single_response():
-    mc = make_mc()
+    mc, ctx = make_mc()
     # one request spanning two granules: respond only once, after both
     mc.inbox.append(uarch.Packet(0, uarch.K_REQ, (0, 0, 0, 60, 16)))
     cycle = 0
     while (mc.read_pending or mc.inbox or mc.inflight) and cycle < 500:
-        mc.step(cycle)
+        mc.step(ctx, cycle)
         cycle += 1
     assert mc.transactions_read == 2
     assert len(mc.outbox) == 1
@@ -319,7 +317,6 @@ def test_multi_granule_request_single_response():
 
 class _MemCtx:
     rolling_evictions = True
-    n_cores = 4
 
     def eviction_target(self, tag):
         return tag >> 16, tag & 0xFFFF, 0x100000, 12
@@ -332,10 +329,9 @@ class _MemCtx:
 
 
 def make_mem(rolling=True):
-    mem = uarch.MemModel(0, 1, uarch.CHIP_TILE4)
-    mem.ctx = _MemCtx()
-    mem.ctx.rolling_evictions = rolling
-    return mem
+    ctx = _MemCtx()
+    ctx.rolling_evictions = rolling
+    return uarch.MemModel(0, 1, uarch.CHIP_TILE4), ctx
 
 
 def hacc_packet(tag, data, counter):
@@ -344,28 +340,28 @@ def hacc_packet(tag, data, counter):
     return pkt
 
 
-def run_mem(mem, cycles):
+def run_mem(mem, ctx, cycles):
     for c in range(cycles):
-        mem.step(c)
+        mem.step(ctx, c)
 
 
 def test_mem_insert_update_evict_sequence():
-    mem = make_mem()
+    mem, ctx = make_mem()
     tag = isa.encode_tag(3, 7)
     mem.inbox.append(hacc_packet(tag, 5.0, 2))
-    run_mem(mem, 4)
+    run_mem(mem, ctx, 4)
     region = mem.regions[tag % mem.n_engines]
     slot, _, is_insert = region.probe(tag)
     assert not is_insert
     assert region.vals[slot] == 5.0 and region.counters[slot] == 2
 
     mem.inbox.append(hacc_packet(tag, 3.0, 2))
-    run_mem(mem, 8)
+    run_mem(mem, ctx, 8)
     assert region.vals[slot] == 8.0 and region.counters[slot] == 1
     assert mem.evictions == 0
 
     mem.inbox.append(hacc_packet(tag, 3.0, 2))
-    run_mem(mem, 12)
+    run_mem(mem, ctx, 12)
     assert mem.evictions == 1
     assert mem.occupancy == 0
     assert mem.evicted_values == [(tag, 11.0)]
@@ -373,27 +369,27 @@ def test_mem_insert_update_evict_sequence():
 
 
 def test_mem_single_contribution_evicts_immediately():
-    mem = make_mem()
+    mem, ctx = make_mem()
     mem.inbox.append(hacc_packet(isa.encode_tag(1, 1), 4.0, 0))
-    run_mem(mem, 4)
+    run_mem(mem, ctx, 4)
     assert mem.evictions == 1
     assert mem.evicted_values[0][1] == 4.0
 
 
 def test_mem_barrier_mode_holds_lines_until_flush():
-    mem = make_mem(rolling=False)
+    mem, ctx = make_mem(rolling=False)
     tag = isa.encode_tag(2, 2)
     mem.inbox.append(hacc_packet(tag, 1.0, 1))
     mem.inbox.append(hacc_packet(tag, 1.0, 1))
-    run_mem(mem, 8)
+    run_mem(mem, ctx, 8)
     assert mem.evictions == 0 and mem.occupancy == 1
-    mem.flush_all()
+    mem.flush_all(ctx)
     assert mem.evictions == 1 and mem.occupancy == 0
     assert mem.evicted_values == [(tag, 2.0)]
 
 
 def test_mem_tombstone_probing_reuses_freed_slots():
-    mem = make_mem()
+    mem, ctx = make_mem()
     region = mem.regions[0]
     cap = region.capacity
     e = mem.n_engines
@@ -401,12 +397,12 @@ def test_mem_tombstone_probing_reuses_freed_slots():
     t1 = cap * e
     t2 = 2 * cap * e
     mem.inbox.append(hacc_packet(t1, 1.0, 0))  # insert + immediate evict
-    run_mem(mem, 4)
+    run_mem(mem, ctx, 4)
     assert mem.evictions == 1
     mem.inbox.append(hacc_packet(t2, 2.0, 1))  # probes through the tombstone
-    run_mem(mem, 8)
+    run_mem(mem, ctx, 8)
     mem.inbox.append(hacc_packet(t2, 2.0, 1))
-    run_mem(mem, 12)
+    run_mem(mem, ctx, 12)
     assert mem.evictions == 2
     assert (t2, 4.0) in mem.evicted_values
 
