@@ -205,7 +205,9 @@ def emit_run_outputs(out: Path, stats: engine.SimStats, result=None) -> None:
     if result is not None:
         with (out / "result.mtx").open("w") as fh:
             matio.write_matrix_market(matio.csr_to_coo(result), fh)
-    sidecar_log(out / "run.log", [f"kcps={stats.kcps:.3f} wall={stats.wall_seconds:.3f}s"])
+    sidecar_log(out / "run.log", [
+        f"kcps={stats.kcps:.3f} hacc_per_s={stats.hacc_per_s:.1f} wall={stats.wall_seconds:.3f}s"
+    ])
 
 
 def cmd_run(args) -> int:

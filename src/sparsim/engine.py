@@ -3,7 +3,9 @@
 Each cycle has three phases. The dispatcher issues tile instructions to
 cores (phase 0); every component that is due advances one cycle touching
 only its own state and outbox (phase 1); the engine then commits all
-cross-component transfers in a canonical component order (phase 2).
+cross-component transfers in one pass (phase 2): the live routers in rid
+order, each re-armed for the next cycle right after its own visit if it
+still holds a flit, then the component outboxes in component order.
 A component is due when its last step asked for this cycle, when a timer
 it set for this cycle runs out, or when the engine woke it by delivering a
 packet, a dispatched instruction or a window flush. Components waiting
@@ -80,9 +82,9 @@ _SCAN = tuple(tuple((start + off) % 5 for off in range(5)) for start in range(5)
 class SimStats:
     """Counters and traces of one run; serializes to a stable JSON schema.
 
-    Wall-clock derived numbers (simulated kilocycles per host second) stay
-    out of the JSON so repeated runs are byte-identical; they live on the
-    object for sidecar logging.
+    Wall-clock derived numbers (simulated kilocycles and committed HACCs
+    per host second) stay out of the JSON so repeated runs are
+    byte-identical; they live on the object for sidecar logging.
     """
 
     def __init__(self):
@@ -117,6 +119,7 @@ class SimStats:
         self.windows = 0
         self.conservation = {}
         self.kcps = 0.0  # sidecar only
+        self.hacc_per_s = 0.0  # sidecar only: committed HACCs per engine second
         self.wall_seconds = 0.0  # sidecar only
 
     def mean_cpi(self, kind: str) -> float:
@@ -312,8 +315,6 @@ class SimRun:
         self._timers = {}  # cycle -> components to step then
         self._timer_of = [0] * len(self.components)  # each component's timer cycle, 0 = none
         self._live_routers = set()
-        self._router_depth = chip_cfg.router_queue_depth
-        self._mem_depth = chip_cfg.mem_inbox_depth
         self.reads_outstanding = 0
         self.evictions_arrived = 0
         self.net_flits = 0
@@ -396,6 +397,7 @@ class SimRun:
         self.stats.wall_seconds = time.perf_counter() - t0
         if self.stats.wall_seconds > 0:
             self.stats.kcps = (self.cycle / 1000.0) / self.stats.wall_seconds
+            self.stats.hacc_per_s = self.stats.hacc_committed / self.stats.wall_seconds
         return self.stats
 
     def _step_cycle(self) -> bool:
@@ -419,7 +421,6 @@ class SimRun:
                 timer_of[idx] = 0
             due |= expired
         order = sorted(due)
-        # Hashpad occupancy changes only in mem steps and window flushes.
         at = bisect_left(order, self._mem_base)
         mem_stepped = at < len(order) and order[at] < self._mem_end
         still_busy = set()
@@ -446,164 +447,183 @@ class SimRun:
         self.active = still_busy | self._woken
         self._woken.clear()
 
-        fenced = self._advance_window_fence()
-        events += fenced
-        self._sample(cycle, mem_stepped or fenced)
+        # Hashpad occupancy and the current window change only in mem steps
+        # and window flushes, so only those re-sum the mems and re-check.
+        stats = self.stats
+        fenced = 0
+        if stats.mmh4_retired == stats.mmh4_issued and stats.hacc_committed == stats.hacc_created:
+            fenced = self._advance_window_fence()
+            events += fenced
+        if mem_stepped or fenced:
+            occ = 0
+            for mem in self.chip.mems:
+                occ += mem.occupancy
+            self._occupancy = occ
+            if occ > stats.hashpad_occupancy_max:
+                stats.hashpad_occupancy_max = occ
+            w, caps = self.current_window, self._window_caps
+            if w < len(caps) and occ > caps[w]:
+                raise SimulationError(
+                    f"hashpad occupancy {occ} exceeds window {w} capacity {caps[w]} at cycle {cycle}"
+                )
+        if cycle % SAMPLE_INTERVAL == 0:
+            stats.occupancy_trace.append((cycle, self._occupancy))
+            stats.inflight_trace.append((cycle, self.reads_outstanding))
         return events > 0
 
     def _commit(self, cycle, order) -> int:
-        moved = 0
-        routers = self.chip.routers
+        """Move each flit that can move one hop, then drain the outboxes.
 
-        # 2a: network movement, one hop per flit per cycle, canonical order.
-        # _live_routers becomes the wake set during this commit; candidates
-        # that still hold flits are re-added at the end.
-        candidates = self._live_routers
-        self._live_routers = set()
-        for rid in sorted(candidates):
-            moved += self._route_router(routers[rid], cycle)
-
-        # 2b: component outboxes -> own router injection queues
-        for idx in order:
-            comp = self.components[idx]
-            if comp.outbox:
-                moved += self._drain_outbox(comp, routers, cycle)
-
-        for rid in candidates:
-            if any(routers[rid].in_q):
-                self._live_routers.add(rid)
-        return moved
-
-    def _route_router(self, router, cycle) -> int:
-        """Advance the head flit of each input queue of one router.
-
-        Direction inputs move one flit per cycle, the injection queue up to
-        four (the component's ports); ejection delivers up to four flits.
-        Bubble rule: continuing along a ring needs one free slot downstream,
-        entering a ring (first hop or X->Y turn) needs two.
+        Live routers are visited once each, in rid order, and each scans its
+        input queues in the ``_SCAN`` rotation. A direction input moves one
+        flit per cycle, the injection queue up to four (the component's
+        ports); a router ejects at most four flits over all its inputs and
+        sends one per output port. Bubble rule: continuing along a ring needs
+        one free slot downstream, entering a ring (first hop or X->Y turn)
+        needs two. A router still holding a flit is re-armed right after its
+        own visit: only that visit removes its flits, and every arrival arms
+        the router it reaches. Outboxes then drain in component order.
+        Returns the number of flits moved.
         """
-        depth = self._router_depth
-        mem_depth = self._mem_depth
-        in_q = router.in_q
-        out_q = router.out_q
-        next_port = router.next_port
-        hops = 0
-        ejected = 0
-        responses = 0
-        out_used = 0
-        for qi in _SCAN[(cycle + router.rid) % 5]:
-            q = in_q[qi]
-            if not q:
-                continue
-            budget = 4 if qi == 0 else 1
-            while q and budget:
-                pkt = q[0]
-                if pkt.moved_at == cycle:
-                    break  # arrived this commit; hops at one per cycle
-                port = next_port[pkt.dst]
-                if port > P_SOUTH:  # half-way tie: the shorter downstream queue
-                    if port == TIE_X:
-                        port = P_EAST if len(out_q[P_EAST]) <= len(out_q[P_WEST]) else P_WEST
-                    else:
-                        port = P_SOUTH if len(out_q[P_SOUTH]) <= len(out_q[P_NORTH]) else P_NORTH
-                if port == 0:  # eject here
-                    if ejected >= 4:
-                        break
-                    kind = pkt.kind
-                    pkt.moved_at = cycle  # acceptance stamp at the unit
-                    if kind == K_HACC:
-                        comp = router.component
-                        if len(comp.inbox) >= mem_depth:
+        routers = self.chip.routers
+        cfg = self.chip_cfg
+        depth = cfg.router_queue_depth
+        mem_depth = cfg.mem_inbox_depth
+        timers = self._timers
+        timer_of = self._timer_of
+        woken_add = self._woken.add
+        live = set()
+        arm = live.add
+        hops = ejected = responses = 0
+
+        for rid in sorted(self._live_routers):
+            router = routers[rid]
+            in_q = router.in_q
+            out_q = router.out_q
+            next_port = router.next_port
+            out_used = 0
+            eject_cap = ejected + 4
+            for qi in _SCAN[(cycle + rid) % 5]:
+                q = in_q[qi]
+                if not q:
+                    continue
+                budget = 4 if qi == 0 else 1
+                while q and budget:
+                    pkt = q[0]
+                    if pkt.moved_at == cycle:
+                        break  # arrived this commit
+                    port = next_port[pkt.dst]
+                    if port > P_SOUTH:  # half-way tie
+                        if port == TIE_X:
+                            port = P_EAST if len(out_q[P_EAST]) <= len(out_q[P_WEST]) else P_WEST
+                        else:
+                            port = P_SOUTH if len(out_q[P_SOUTH]) <= len(out_q[P_NORTH]) else P_NORTH
+                    if port == 0:  # eject here
+                        if ejected == eject_cap:
                             break
-                    elif kind == K_RESP:
-                        comp = router.component
-                        responses += 1
-                    else:  # K_REQ / K_EVICT
-                        comp = router.memctrl
-                    comp.inbox.append(pkt)
+                        kind = pkt.kind
+                        if kind == K_HACC:
+                            comp = router.component
+                            if len(comp.inbox) >= mem_depth:
+                                break
+                        elif kind == K_RESP:
+                            comp = router.component
+                            responses += 1
+                        else:  # K_REQ / K_EVICT
+                            comp = router.memctrl
+                        q.popleft()
+                        pkt.moved_at = cycle  # acceptance stamp at the unit
+                        comp.inbox.append(pkt)
+                        idx = comp._engine_idx
+                        woken_add(idx)
+                        at = timer_of[idx]
+                        if at:  # superseded timer, as in wake()
+                            timers[at].discard(idx)
+                            timer_of[idx] = 0
+                        ejected += 1
+                        budget -= 1
+                        continue
+                    bit = 1 << port
+                    if out_used & bit:
+                        break  # one flit per output port per cycle
+                    dim = _RING[port]
+                    nq = out_q[port]
+                    if len(nq) > depth - (1 if pkt.ring == dim else 2):
+                        break  # credit backpressure (with the ring bubble)
                     q.popleft()
-                    self.wake(comp)
-                    ejected += 1
+                    pkt.ring = dim
+                    pkt.moved_at = cycle
+                    nq.append(pkt)
+                    arm(router.out_rid[port])
+                    out_used |= bit
+                    hops += 1
+                    budget -= 1
+                if q:
+                    arm(rid)  # re-armed after its own visit
+
+        stats = self.stats
+        inj_cap = cfg.injection_depth
+        direct_evictions = cfg.eviction_path == "direct"
+        map_tag = self.mapper.map_for_accumulation
+        mem_rids = self.chip.mem_rids
+        comps = self.components
+        reads = self.reads_outstanding - responses
+        injected = direct = 0
+        for idx in order:
+            comp = comps[idx]
+            outbox = comp.outbox
+            if not outbox:
+                continue
+            injq = routers[comp.rid].in_q[0]
+            inflight = comp.inflight if idx < self._mem_base else None
+            budget = cfg.tile.ports
+            while outbox and budget:
+                pkt = outbox[0]
+                kind = pkt.kind
+                if kind == K_EVICT and direct_evictions:
+                    outbox.popleft()
+                    mc = routers[pkt.dst].memctrl
+                    mc.inbox.append(pkt)
+                    self.wake(mc)
+                    direct += 1
                     budget -= 1
                     continue
-                bit = 1 << port
-                if out_used & bit:
-                    break  # one flit per output port per cycle
-                dim = _RING[port]
-                need = 1 if pkt.ring == dim else 2
-                nq = out_q[port]
-                if len(nq) > depth - need:
-                    break  # credit backpressure (with the ring bubble)
-                q.popleft()
-                pkt.ring = dim
-                pkt.moved_at = cycle
-                nq.append(pkt)
-                self._live_routers.add(router.out_rid[port])  # wake set during commit
-                out_used |= bit
-                hops += 1
-                budget -= 1
-        self.stats.hops_total += hops
-        self.net_flits -= ejected
-        self.reads_outstanding -= responses
-        return hops + ejected
-
-    def _drain_outbox(self, comp, routers, cycle) -> int:
-        cfg = self.chip_cfg
-        outbox = comp.outbox
-        budget = cfg.tile.ports
-        injq = routers[comp.rid].in_q[0]
-        inj_cap = cfg.injection_depth
-        mapper = self.mapper
-        mem_rids = self.chip.mem_rids
-        stats = self.stats
-        direct_evictions = cfg.eviction_path == "direct"
-        moved = 0
-        is_core = comp._engine_idx < self._mem_base
-        while outbox and budget:
-            pkt = outbox[0]
-            kind = pkt.kind
-            if kind == K_EVICT and direct_evictions:
+                if len(injq) >= inj_cap:
+                    break
                 outbox.popleft()
-                mc = routers[pkt.dst].memctrl
-                mc.inbox.append(pkt)
-                self.wake(mc)
+                if kind == K_HACC:
+                    pkt.dst = mem_rids[map_tag(pkt.payload[0])]
+                    stats.hacc_created += 1
+                    if inflight is not None:
+                        rec = inflight.get(pkt.payload[4])
+                        if rec is not None:
+                            rec.haccs_pending -= 1
+                elif kind == K_REQ:
+                    reads += 1
+                    if reads > stats.peak_inflight_reads:
+                        stats.peak_inflight_reads = reads
+                injq.append(pkt)
+                pkt.moved_at = cycle  # first hop happens next cycle
+                arm(comp.rid)
+                injected += 1
                 budget -= 1
-                moved += 1
-                continue
-            if len(injq) >= inj_cap:
-                break
-            outbox.popleft()
-            if kind == K_HACC:
-                pkt.dst = mem_rids[mapper.map_for_accumulation(pkt.payload[0])]
-                stats.hacc_created += 1
-                if is_core:
-                    rec = comp.inflight.get(pkt.payload[4])
-                    if rec is not None:
-                        rec.haccs_pending -= 1
-            elif kind == K_REQ:
-                self.reads_outstanding += 1
-                if self.reads_outstanding > stats.peak_inflight_reads:
-                    stats.peak_inflight_reads = self.reads_outstanding
-            injq.append(pkt)
-            pkt.moved_at = cycle  # first hop happens next cycle
-            stats.flits += 1
-            self.net_flits += 1
-            self._live_routers.add(comp.rid)
-            budget -= 1
-            moved += 1
-        if outbox and budget == 0:
-            comp.stalls_port += 1
-        return moved
+            if outbox and budget == 0:
+                comp.stalls_port += 1
+
+        self._live_routers = live
+        stats.hops_total += hops
+        stats.flits += injected
+        self.net_flits += injected - ejected
+        self.reads_outstanding = reads
+        return hops + ejected + injected + direct
 
     def _advance_window_fence(self) -> int:
+        """Open the next window if the current one has drained (the caller compares counters)."""
         w = self.current_window
         if w >= self.n_windows:
             return 0
         dispatcher = self.dispatcher
         if not dispatcher.done and dispatcher.windows[dispatcher.pointer] == w:
-            return 0
-        s = self.stats
-        if s.mmh4_retired < s.mmh4_issued or s.hacc_committed < s.hacc_created:
             return 0
         for mem in self.chip.mems:
             if self.eviction_mode == BARRIER and mem.occupancy:
@@ -612,30 +632,6 @@ class SimRun:
             mem.reset_pads()
         self.current_window = w + 1
         return 1
-
-    def _sample(self, cycle, recount):
-        """Track occupancy and take the periodic samples; the mems are only
-        summed again when ``recount`` says their occupancy may have moved."""
-        if recount:
-            occ = 0
-            for mem in self.chip.mems:
-                occ += mem.occupancy
-            self._occupancy = occ
-        else:
-            occ = self._occupancy
-        stats = self.stats
-        if occ > stats.hashpad_occupancy_max:
-            stats.hashpad_occupancy_max = occ
-        if self.current_window < len(self._window_caps):
-            cap = self._window_caps[self.current_window]
-            if occ > cap:
-                raise SimulationError(
-                    f"hashpad occupancy {occ} exceeds window {self.current_window} "
-                    f"capacity {cap} at cycle {cycle}"
-                )
-        if cycle % SAMPLE_INTERVAL == 0:
-            stats.occupancy_trace.append((cycle, occ))
-            stats.inflight_trace.append((cycle, self.reads_outstanding))
 
     def _finished(self) -> bool:
         prog = self.program
@@ -756,8 +752,11 @@ def run_spgemm_simulation(
 ):
     """Lower C = A * B, simulate it, and return (stats, output CSR, run).
 
-    The window plan is sized to half the chip's hashpad by default, keeping
-    per-region load factors comfortably below the probing limit.
+    By default the window plan budgets half the chip's hashpad lines,
+    ``n_mems * hashlines_per_mem // 2``, for the whole chip. That bounds the
+    chip-wide load, not each (mem, hash engine) region's: under barrier
+    eviction a mapper that uses only part of the regions can fill one and
+    overflow (rmat 9:4 on tile16 does under modular, drhm-low and drhm-high).
     """
     from . import oracle
     from .matio import csr_to_coo, to_csc

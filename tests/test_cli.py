@@ -126,6 +126,14 @@ def test_run_stats_schema(tmp_path):
                 "hashpad", "network", "memory", "mapper", "conservation"):
         assert key in data
     assert data["conservation"]["ok"] is True
+    # Wall-clock speed goes only to the run.log sidecar.
+    assert not {"kcps", "hacc_per_s", "wall_seconds"} & set(data)
+    fields = dict(f.split("=") for f in (out / "run.log").read_text().split()[1:])
+    kcps, hacc_per_s = float(fields["kcps"]), float(fields["hacc_per_s"])
+    assert kcps > 0 and hacc_per_s > 0
+    # Both rates share the engine's wall time.
+    want = data["instructions"]["hacc_committed"] / (data["cycles"] / 1000)
+    assert hacc_per_s / kcps == pytest.approx(want, rel=0.01)
 
 
 # ---------------------------------------------------------------------------

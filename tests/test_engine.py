@@ -39,14 +39,18 @@ def lower_for(a, b, budget=4096):
 # ---------------------------------------------------------------------------
 
 
-def test_empty_program_drains_immediately():
+def empty_run():
+    """A tile4 run of a program with no instructions."""
     plan = oracle.symbolic_pass(identity_csr(2), identity_csr(2))
     prog = isa.Program.from_instrs(
         [], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
         n_rows=2, n_cols=2, window_starts=[0], total_fma=0, total_out_nnz=0,
     )
-    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, oracle.plan_windows(plan), seed=0)
-    stats = run.run_to_completion()
+    return engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, oracle.plan_windows(plan), seed=0)
+
+
+def test_empty_program_drains_immediately():
+    stats = empty_run().run_to_completion()
     assert stats.mmh4_retired == 0
     assert stats.cycles <= 2
 
@@ -288,6 +292,50 @@ def test_eviction_path_direct_flag():
 
 
 # ---------------------------------------------------------------------------
+# Network commit
+# ---------------------------------------------------------------------------
+
+
+def test_router_ejects_at_most_four_flits_per_cycle():
+    # Router 8 of the tile4 torus hosts a memory controller, whose inbox never
+    # refuses a flit. Six eviction flits wait in three of its input queues:
+    # four in the injection queue (which moves up to four a cycle) and one
+    # each in two direction queues (one a cycle). Router 0, visited first,
+    # holds one more bound for router 8. The ejection cap counts across all
+    # of a router's queues, and a flit that hops into a queue during a
+    # commit does not move again in that commit.
+    run = empty_run()
+    routers = run.chip.routers
+    router = routers[8]
+    mc = router.memctrl
+    assert mc is not None
+
+    def evict():
+        return uarch.Packet(8, uarch.K_EVICT, (0, 0, 1.0, 0, 12))
+
+    for port, n in ((uarch.P_INJ, 4), (uarch.P_EAST, 1), (uarch.P_WEST, 1)):
+        router.in_q[port].extend(evict() for _ in range(n))
+    hopper = evict()
+    routers[0].in_q[uarch.P_INJ].append(hopper)
+    run._live_routers.update((0, 8))
+    run.net_flits += 7
+
+    run._step_cycle()
+    assert len(mc.inbox) == 4
+    assert hopper not in mc.inbox and hopper.moved_at == 0
+    assert not routers[0].in_q[uarch.P_INJ]
+    assert sum(len(q) for q in router.in_q) == 3
+    assert any(hopper in q for q in router.in_q)
+
+    run.cycle += 1
+    run._step_cycle()
+    assert run.evictions_arrived == 4  # the controller took the first four
+    assert len(mc.inbox) == 3 and hopper in mc.inbox
+    assert not any(router.in_q)
+    assert run.net_flits == 0
+
+
+# ---------------------------------------------------------------------------
 # Liveness
 # ---------------------------------------------------------------------------
 
@@ -383,9 +431,11 @@ def digest(data: bytes) -> str:
 
 # Each run covers a different model path: rolling and barrier eviction,
 # multi-window fences with and without barrier flushes, the larger tile16
-# torus, the direct eviction path and full-parallel tag compare. The first
-# run has non-zero reg, operand, port and dispatch stalls. Any change to these digests is a change
-# of the modelled machine, not of the engine's speed.
+# torus, the direct eviction path, full-parallel tag compare, and the
+# 256-core tile16-gnn chip, whose two-flit router queues make the ring
+# bubble block flits often. The first run has non-zero reg, operand, port
+# and dispatch stalls. Any change to these digests is a change of the
+# modelled machine, not of the engine's speed.
 PINNED_RUNS = [
     # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget,
     #  sha256 of stats.json, result CSR, occupancy_trace, inflight_trace)
@@ -422,6 +472,12 @@ PINNED_RUNS = [
      "d653554f920817ca76c1fc112519eb43d1bbb461132a43281d8010441e0fb635",
      "8162011f18bcdb1a9c787b3b68c8fb3ec95c3ed87c7e47219b86c0a665106734",
      "bc302d7d410d7af23b194b92f82a7754d328e387b65488f990ce402e7123fb97"),
+    ("tile16-gnn-rolling-drhm-low", (6, 4, 5), uarch.named_chip("tile16-gnn"), mapping.DRHM_LOW,
+     engine.ROLLING, None,
+     "e26242646b9d255c6b35fceb1d14217ac69de902c6b203956006194cf6497f75",
+     "073ff8eba52da3f1ca874af872b198708667f3a8f381d3df6063fedbfc59865e",
+     "c67afa2a4e0d69365b6ae208b9ddfb7e5a176baf4c0dd3b8384d5a22105d3ffe",
+     "c46b94318727aadf639beb93abdf355e7620e27535549027e357b40fed7dd69c"),
 ]
 
 
