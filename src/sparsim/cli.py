@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: run (simulate one multiply), verify (cross-check every
-execution path against the oracles), sweep (config x mapper x matrix
-grid), bloat (partial-product analysis over datasets), smash (host
-kernel), gcn (one graph-convolution layer through the simulator).
+execution path against the oracles, writing the lowered program's text
+trace as program.trace; with --trace, replay such a trace instead), sweep
+(config x mapper x matrix grid), bloat (partial-product analysis over
+datasets), smash (host kernel), gcn (one graph-convolution layer through
+the simulator).
 
 Every command is idempotent for fixed inputs and seeds: stats, tables,
 and matrices are byte-identical across reruns; wall-clock figures go to a
@@ -29,6 +31,7 @@ from . import engine, isa, mapping, matio, oracle, smash, uarch
 from .errors import (
     ConfigError,
     MatrixFormatError,
+    MemoryFaultError,
     SimulationError,
     SparsimError,
     TraceError,
@@ -277,19 +280,30 @@ def cmd_verify(args) -> int:
     program = isa.lower_spgemm(a_csc, b, plan)
 
     if args.trace:
+        label = f"trace replay ({args.trace})"
         try:
             with open(args.trace) as fh:
                 program = isa.read_trace(fh, image=program.image)
         except OSError as err:
             raise TraceError(f"cannot read trace: {err}") from err
-        replayed = isa.replay(program)
-        div = first_divergence(replayed, reference, tol)
-        _report(f"trace replay ({args.trace})", div, failures)
+        if (program.n_rows, program.n_cols) != (a.n_rows, b.n_cols):
+            raise TraceError(
+                f"{args.trace}: trace shape {program.n_rows}x{program.n_cols} is not "
+                f"the product's {a.n_rows}x{b.n_cols}"
+            )
     else:
+        label = "functional replay"
+        with (out_dir(args) / "program.trace").open("w") as fh:
+            isa.write_trace(program, fh)
+    try:
         replayed = isa.replay(program)
-        div = first_divergence(replayed, reference, tol)
-        _report("functional replay", div, failures)
+    except MemoryFaultError as err:
+        failures.append((label, err))
+        print(f"FAIL {label}: {err}")
+    else:
+        _report(label, first_divergence(replayed, reference, tol), failures)
 
+    if not args.trace:
         for version in smash.VERSIONS:
             got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
             div = first_divergence(got, reference, tol)

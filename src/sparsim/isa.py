@@ -20,13 +20,16 @@ metadata (the bit layout itself carries only addresses).
 A ``Program`` holds its MMH4 stream as numpy columns, one entry per
 instruction. Lowering builds the columns with array operations,
 ``expand_program`` expands every live lane of the stream at once, and
-replay, the cycle engine and the trace files read the columns. An
+replay, the cycle engine and the text trace read the columns. An
 ``Mmh4Instr`` object is built only when ``Program.instrs`` is read.
+
+The text trace of ``write_trace`` and ``read_trace`` is the one trace
+format: a program's columns and header, without its memory image, so a
+trace replays against the image of the lowering that wrote it.
 """
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -43,7 +46,6 @@ TILE = 4  # A-group and B-group width; one MMH4 covers at most TILE*TILE lanes
 
 TRACE_MAGIC = "sparsim-mmh4-trace"
 TRACE_VERSION = 1
-BINARY_MAGIC = b"SPRS"
 
 
 @dataclass(frozen=True)
@@ -603,19 +605,12 @@ def write_trace(program: Program, stream) -> None:
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _check_lanes(rec: int, n_a: int, n_b: int) -> None:
-    if not (0 <= n_a <= TILE and 0 <= n_b <= TILE):
-        raise TraceError(f"corrupted record {rec}: {n_a}x{n_b} lanes exceed the {TILE}x{TILE} tile")
-
-
-def _check_int64(rec: int, values: list) -> None:
-    if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
-        raise TraceError(f"corrupted record {rec}: a field exceeds 64 signed bits")
-
-
 def read_trace(stream, image: MemoryImage | None = None) -> Program:
     """Parse a text trace back into a Program (image attached if given)."""
-    lines = stream.read().splitlines()
+    try:
+        lines = stream.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise TraceError(f"not a text trace: {err}") from None
     if not lines or not lines[0].startswith(f"# {TRACE_MAGIC}"):
         raise TraceError("missing trace header")
     version = lines[0].rsplit("v", 1)[-1]
@@ -628,7 +623,7 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
         _, total_fma, total_out = lines[3].split()
         win_toks = lines[4].split()[1:]
         window_starts = [int(t) for t in win_toks]
-    except (IndexError, ValueError) as err:
+    except (IndexError, ValueError, LoweringError) as err:
         raise TraceError(f"malformed trace preamble: {err}") from None
     records = []
     rows = []
@@ -645,8 +640,11 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
             raise TraceError(f"corrupted record {rec}: {line!r}") from None
         if values[5] != len(a_rows):
             raise TraceError(f"corrupted record {rec}: row list length mismatch")
-        _check_lanes(rec, values[5], values[6])
-        _check_int64(rec, values + a_rows)
+        n_a, n_b = values[5:7]
+        if not (0 <= n_a <= TILE and 0 <= n_b <= TILE):
+            raise TraceError(f"corrupted record {rec}: {n_a}x{n_b} lanes exceed the {TILE}x{TILE} tile")
+        if min(values + a_rows) < _INT64_MIN or max(values + a_rows) > _INT64_MAX:
+            raise TraceError(f"corrupted record {rec}: a field exceeds 64 signed bits")
         records.append(values)
         rows.extend(a_rows)
     table = np.array(records, dtype=np.int64).reshape(-1, len(COLUMNS))
@@ -665,94 +663,3 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
         total_out_nnz=int(total_out),
     )
 
-
-# One binary record: the instruction bit layout (8-bit opcode, 64-bit
-# address fields) plus the lowering metadata, little-endian and unpadded.
-_BIN_RECORD = np.dtype([
-    ("opcode", "u1"),
-    ("base_addr", "<u8"), ("a_data_addr", "<u8"), ("b_col_ind_addr", "<u8"),
-    ("b_data_addr", "<u8"), ("roll_counter_addr", "<u8"),
-    ("n_a", "u1"), ("n_b", "u1"), ("a_rows", "<u4", (TILE,)),
-    ("window", "<u4"), ("group", "<u4"),
-])
-_BIN_HEADER = struct.Struct("<HBBIII")
-_BIN_COUNTS = struct.Struct("<QQI")
-
-
-def write_trace_binary(program: Program, stream) -> None:
-    """Binary trace mirroring the instruction bit layout (8-bit opcode,
-    64-bit address fields), plus the lowering metadata trailer per record."""
-    recs = np.zeros(program.n_instrs, dtype=_BIN_RECORD)
-    recs["opcode"] = OPCODE_MMH4
-    live_a = np.arange(TILE) < program.n_a[:, None]
-    fields = [(name, getattr(program, name)) for name in COLUMNS] + [("a_rows", program.a_rows)]
-    for name, column in fields:
-        bits = 8 * _BIN_RECORD[name].base.itemsize
-        if column.size and (column.min() < 0 or (bits < 64 and column.max() >= 1 << bits)):
-            raise TraceError(f"{name} does not fit the binary trace's {bits}-bit field")
-        if name == "a_rows":
-            recs["a_rows"][live_a] = column
-        else:
-            recs[name] = column
-    stream.write(BINARY_MAGIC)
-    stream.write(_BIN_HEADER.pack(TRACE_VERSION, program.layout.row_bits,
-                                  program.layout.col_bits, program.n_rows, program.n_cols,
-                                  program.n_instrs))
-    stream.write(_BIN_COUNTS.pack(program.total_fma, program.total_out_nnz,
-                                  len(program.window_starts)))
-    stream.write(struct.pack(f"<{len(program.window_starts)}I", *program.window_starts))
-    stream.write(recs.tobytes())
-
-
-def _read_upto(stream, nbytes: int) -> bytes:
-    """Up to ``nbytes`` from the stream, fewer only at its end."""
-    parts = []
-    while nbytes > 0:
-        chunk = stream.read(min(nbytes, 1 << 24))
-        if not chunk:
-            break
-        parts.append(chunk)
-        nbytes -= len(chunk)
-    return b"".join(parts)
-
-
-def read_trace_binary(stream, image: MemoryImage | None = None) -> Program:
-    if stream.read(4) != BINARY_MAGIC:
-        raise TraceError("missing binary trace magic")
-    try:
-        version, rb, cb, n_rows, n_cols, n_instr = _BIN_HEADER.unpack(stream.read(_BIN_HEADER.size))
-        if version != TRACE_VERSION:
-            raise TraceError(f"unsupported trace version {version}")
-        total_fma, total_out, n_win = _BIN_COUNTS.unpack(stream.read(_BIN_COUNTS.size))
-        window_starts = list(struct.unpack(f"<{n_win}I", stream.read(4 * n_win)))
-    except struct.error as err:
-        raise TraceError(f"truncated trace: {err}") from None
-    raw = _read_upto(stream, n_instr * _BIN_RECORD.itemsize)
-    complete = len(raw) // _BIN_RECORD.itemsize
-    recs = np.frombuffer(raw, dtype=_BIN_RECORD, count=complete)
-    bad = np.flatnonzero(recs["opcode"] != OPCODE_MMH4)
-    if len(bad):
-        rec = int(bad[0])
-        raise TraceError(f"corrupted record {rec}: bad opcode {int(recs['opcode'][rec]):#x}")
-    if complete < n_instr:
-        raise TraceError(f"truncated at record {complete}")
-    addrs = np.column_stack([recs[name] for name in COLUMNS[:5]])
-    bad = (recs["n_a"] > TILE) | (recs["n_b"] > TILE) | (addrs > _INT64_MAX).any(axis=1)
-    for rec in np.flatnonzero(bad)[:1].tolist():
-        _check_lanes(rec, int(recs["n_a"][rec]), int(recs["n_b"][rec]))
-        _check_int64(rec, addrs[rec].tolist())
-    n_a = recs["n_a"].astype(np.int64)
-    offsets = np.zeros(complete + 1, dtype=np.int64)
-    np.cumsum(n_a, out=offsets[1:])
-    return Program(
-        **{name: recs[name].astype(np.int64) for name in COLUMNS},
-        a_row_offsets=offsets,
-        a_rows=recs["a_rows"][np.arange(TILE) < n_a[:, None]],
-        image=image if image is not None else MemoryImage(),
-        layout=TagLayout(rb, cb),
-        n_rows=n_rows,
-        n_cols=n_cols,
-        window_starts=window_starts,
-        total_fma=total_fma,
-        total_out_nnz=total_out,
-    )

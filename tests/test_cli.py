@@ -2,14 +2,13 @@
 
 import dataclasses
 import hashlib
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsim import cli, isa, matio, oracle, uarch
+from sparsim import cli, matio, uarch
 
 
 def write_mtx(path: Path, coo):
@@ -58,32 +57,72 @@ def test_verify_rmat_integer_mode(tmp_path, capsys):
     assert "all paths match" in capsys.readouterr().out
 
 
-def test_verify_corrupted_trace_reports_divergence(tmp_path, capsys):
-    coo = matio.with_integer_values(
-        matio.generate_rmat(matio.RmatParams(scale=4, edge_factor=3, seed=2)), seed=3
-    )
-    a = matio.to_csr(coo)
-    plan = oracle.symbolic_pass(a, a)
-    prog = isa.lower_spgemm(matio.to_csc(matio.csr_to_coo(a)), a, plan)
-    buf = io.StringIO()
-    isa.write_trace(prog, buf)
-    lines = buf.getvalue().splitlines()
-    # corrupt one record's A-data address to point at a different element
-    rec = lines[7].split()
-    rec[2] = hex(int(rec[2], 16) + 8)
-    lines[7] = " ".join(rec)
-    trace_path = tmp_path / "bad.trace"
-    trace_path.write_text("\n".join(lines) + "\n")
-    mtx = tmp_path / "a.mtx"
-    write_mtx(mtx, coo)
+VERIFY_ARGS = ["verify", "--rmat", "4:3", "--seed", "2", "--integer-mode"]
 
-    rc = cli.main([
-        "verify", "--matrix", str(mtx), "--trace", str(trace_path),
-        "--integer-mode", "--out", str(tmp_path / "o"),
-    ])
+
+def written_trace(tmp_path, capsys) -> tuple[Path, list]:
+    """The trace `verify --out` writes for VERIFY_ARGS, and its lines."""
+    assert cli.main(VERIFY_ARGS + ["--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    capsys.readouterr()
+    trace = tmp_path / "o" / "program.trace"
+    return trace, trace.read_text().splitlines()
+
+
+def with_field(lines, line, field, value) -> list:
+    """``lines`` with one whitespace-separated field of one line replaced."""
+    toks = lines[line].split()
+    toks[field] = value
+    return lines[:line] + [" ".join(toks)] + lines[line + 1:]
+
+
+def test_verify_corrupted_trace_reports_divergence(tmp_path, capsys):
+    trace, lines = written_trace(tmp_path, capsys)
+    argv = VERIFY_ARGS + ["--trace", str(trace), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"PASS trace replay ({trace})" in capsys.readouterr().out
+
+    # point one record's A-data address at the next element
+    a_data = hex(int(lines[7].split()[2], 16) + 8)
+    trace.write_text("\n".join(with_field(lines, 7, 2, a_data)) + "\n")
+    rc = cli.main(argv)
     out = capsys.readouterr().out
     assert rc == cli.EXIT_VERIFY
     assert "first divergent element (" in out
+
+
+BAD_TRACE_CASES = [
+    # an old binary trace's magic, then bytes that are not UTF-8
+    ("not-utf8", lambda lines: b"SPRS" + bytes(range(256)), cli.EXIT_IO,
+     "not a text trace"),
+    ("shape-smaller", lambda lines: lines[:2] + ["shape 8 8"] + lines[3:], cli.EXIT_IO,
+     "trace shape 8x8 is not the product's 16x16"),
+    ("shape-wider", lambda lines: lines[:2] + ["shape 16 99999999999"] + lines[3:],
+     cli.EXIT_IO, "trace shape 16x99999999999 is not the product's 16x16"),
+    ("layout-without-row-bits", lambda lines: lines[:1] + ["layout 0 32"] + lines[2:],
+     cli.EXIT_IO, "invalid tag layout 0/32"),
+    # cut at a record boundary: lines the lost records would close stay open
+    ("cut-at-record", lambda lines: lines[:-3], cli.EXIT_VERIFY,
+     "FAIL trace replay ({trace}): 4 hash lines never evicted"),
+    ("unmapped-a-data", lambda lines: with_field(lines, 7, 2, "0x10"), cli.EXIT_VERIFY,
+     "FAIL trace replay ({trace}): unmapped address 0x10"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt,code,message", [pytest.param(*c[1:], id=c[0]) for c in BAD_TRACE_CASES]
+)
+def test_verify_bad_trace_exit_codes(tmp_path, capsys, corrupt, code, message):
+    trace, lines = written_trace(tmp_path, capsys)
+    bad = corrupt(lines)
+    if isinstance(bad, bytes):
+        trace.write_bytes(bad)
+    else:
+        trace.write_text("\n".join(bad) + "\n")
+    rc = cli.main(VERIFY_ARGS + ["--trace", str(trace), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == code, out + err
+    assert message.format(trace=trace) in out + err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
