@@ -645,6 +645,9 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
             raise TraceError(f"corrupted record {rec}: {n_a}x{n_b} lanes exceed the {TILE}x{TILE} tile")
         if min(values + a_rows) < _INT64_MIN or max(values + a_rows) > _INT64_MAX:
             raise TraceError(f"corrupted record {rec}: a field exceeds 64 signed bits")
+        # Operand reads add base to each address in int64 (Program.operand_reads).
+        if any(not _INT64_MIN <= values[0] + addr <= _INT64_MAX for addr in values[1:5]):
+            raise TraceError(f"corrupted record {rec}: base plus an operand address exceeds 64 signed bits")
         records.append(values)
         rows.extend(a_rows)
     table = np.array(records, dtype=np.int64).reshape(-1, len(COLUMNS))

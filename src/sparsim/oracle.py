@@ -1,11 +1,18 @@
 """Ground-truth sparse-matmul kernels and the symbolic planning pass.
 
 Everything else in the package is validated against this module: a dense
-brute-force multiply with fixed accumulation order, a row-wise (Gustavson)
-sparse kernel, the symbolic first pass that counts multiply contributions
-per output element, partial-product bloat accounting, scratchpad window
+brute-force multiply with fixed accumulation order, a sparse (Gustavson)
+kernel, the symbolic first pass that counts multiply contributions per
+output element, partial-product bloat accounting, scratchpad window
 planning, and a single graph-convolution layer used as a workload
 generator.
+
+The Gustavson kernel and the symbolic pass share one expansion: A's rows
+are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial products, so
+each pass's scratch memory is bounded per block, not by the product's
+size. The Gustavson kernel sums each output element as ``0.0`` plus its
+partial products in A-stream order, the order replay and SMASH also sum
+in, so it judges both bit for bit.
 
 Structural zeros produced by numeric cancellation are retained throughout:
 a structural nonzero is any output element receiving at least one partial
@@ -25,9 +32,10 @@ from .matio import CsrMatrix
 DEFAULT_CF = 4.0
 DEFAULT_EF = 1.5
 
-# Partial products expanded at once by symbolic_pass: rows are taken in
-# blocks whose products fit this bound (a single row above it forms its own
-# block), which caps the pass's scratch memory at a few tens of MiB.
+# Partial products expanded at once by symbolic_pass and spgemm_gustavson:
+# rows are taken in blocks whose products fit this bound (a single row above
+# it forms its own block), which caps a pass's scratch memory at a few tens
+# of MiB.
 SYMBOLIC_BLOCK_PP = 1 << 20
 
 
@@ -129,41 +137,44 @@ def spgemm_dense_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spgemm_gustavson(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
-    """Row-wise product C[i,:] = sum_k A[i,k] * B[k,:] on CSR operands.
+    """Product C = A * B on CSR operands, summed exactly in A-stream order.
 
-    Output rows are sorted by column. Elements that cancel to zero stay in
-    the structure.
+    Each output element is ``0.0 + p1 + p2 + ...`` over its partial
+    products ``A[i,k] * B[k,j]`` in A-stream order (A's entries in storage
+    order, each against B's row k in storage order), so a lone ``-0.0``
+    product gives ``+0.0``. Replay and SMASH sum in the same order, which
+    makes this an exact judge for both. Rows are taken in the row blocks of
+    ``_expand_blocks``: a block's products are keyed by (row, column),
+    ``np.unique`` numbers the keys in (row, column) order, and
+    ``np.add.at`` sums each key's products onto zero in stream order. Output
+    rows are sorted by column. Elements that cancel to zero stay in the
+    structure.
     """
-    if a.n_cols != b.n_rows:
-        raise ConfigError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    a_off = a.row_offsets
-    a_cols = a.col_indices
-    a_vals = a.values
-    b_off = b.row_offsets
-    b_cols = b.col_indices
-    b_vals = b.values
+    n_rows, n_cols = a.n_rows, b.n_cols
+    pp_per_entry, _, blocks = _expand_blocks(a, b)
+    out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
+    col_parts = []
+    val_parts = []
+    for r0, r1, t0, t1, pos, keys in blocks:
+        prods = np.repeat(a.values[t0:t1], pp_per_entry[t0:t1])
+        prods *= b.values[pos]
+        del pos
+        uniq, inv = np.unique(keys, return_inverse=True)
+        del keys
+        sums = np.zeros(len(uniq), dtype=np.float64)
+        np.add.at(sums, inv, prods)
+        cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
+        col_parts.append(cols)
+        val_parts.append(sums)
 
-    out_offsets = np.zeros(a.n_rows + 1, dtype=np.int64)
-    out_cols = []
-    out_vals = []
-    for i in range(a.n_rows):
-        acc = {}
-        for t in range(int(a_off[i]), int(a_off[i + 1])):
-            k = a_cols[t]
-            av = a_vals[t]
-            for u in range(int(b_off[k]), int(b_off[k + 1])):
-                j = int(b_cols[u])
-                acc[j] = acc.get(j, 0.0) + av * b_vals[u]
-        cols = sorted(acc)
-        out_cols.extend(cols)
-        out_vals.extend(acc[j] for j in cols)
-        out_offsets[i + 1] = len(out_cols)
+    out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(out_nnz_per_row, out=out_offsets[1:])
     return CsrMatrix(
-        a.n_rows,
-        b.n_cols,
+        n_rows,
+        n_cols,
         out_offsets,
-        np.asarray(out_cols, dtype=np.int32),
-        np.asarray(out_vals, dtype=np.float64),
+        np.concatenate([np.zeros(0, dtype=np.int32), *col_parts]),
+        np.concatenate([np.zeros(0, dtype=np.float64), *val_parts]),
     )
 
 
@@ -185,15 +196,19 @@ def spmm_csr_dense(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
-    """Count FMA work and per-output-element contributions for C = A * B.
+def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
+    """Expand C = A * B into its partial products, one block of A rows at a time.
 
-    Rows of A are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial
-    products (one row with more forms a block of its own). A block expands
-    each A entry (i, k) into B's row k, forms the keys ``i * n_cols + j``
-    (i counted from the block's first row), sorts them and counts each run
-    of equal keys: the run starts are the block's output elements in
-    (row, column) order, the run lengths their contribution counts.
+    Rows are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial
+    products (one row with more forms a block of its own). Returns
+    ``(pp_per_entry, fma_per_row, blocks)``: ``pp_per_entry[t]`` is the
+    partial-product count of A entry t, and ``blocks`` yields
+    ``(r0, r1, t0, t1, pos, keys)`` for each block of rows ``r0..r1`` (A
+    entries ``t0..t1``) that has partial products. Its products are listed
+    in A-stream order: ``pos[p]`` is the index in B's arrays of product p's
+    B entry, and ``keys[p] = (i - r0) * n_cols + j`` names the output
+    element (i, j) it lands on. Once yielded, ``pos`` and ``keys`` are
+    referenced by the caller only, so it can free ``pos`` early.
     """
     if a.n_cols != b.n_rows:
         raise ConfigError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -208,34 +223,60 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
     row_prefix = entry_prefix[a_off]  # partial products before each row
     fma_per_row = np.diff(row_prefix)
 
+    def expand(r0, r1, t0, t1):
+        pos = np.arange(entry_prefix[t1] - entry_prefix[t0], dtype=np.int64)
+        pos += np.repeat(
+            b_off[a_cols[t0:t1]] - (entry_prefix[t0:t1] - entry_prefix[t0]), pp_per_entry[t0:t1]
+        )
+        keys = np.repeat(np.arange(r1 - r0, dtype=np.int64), fma_per_row[r0:r1])
+        keys *= n_cols
+        keys += b_cols[pos]
+        return pos, keys
+
+    def blocks():
+        r0 = 0
+        while r0 < n_rows:
+            limit = row_prefix[r0] + SYMBOLIC_BLOCK_PP
+            r1 = max(int(np.searchsorted(row_prefix, limit, side="right")) - 1, r0 + 1)
+            t0, t1 = int(a_off[r0]), int(a_off[r1])
+            if entry_prefix[t1] > entry_prefix[t0]:
+                # No local names the arrays, so the generator keeps none alive.
+                yield (r0, r1, t0, t1, *expand(r0, r1, t0, t1))
+            r0 = r1
+
+    return pp_per_entry, fma_per_row, blocks()
+
+
+def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
+    """A block's sorted distinct keys as (int32 columns, elements per row)."""
+    local_rows = uniq // n_cols
+    return (uniq - local_rows * n_cols).astype(np.int32), np.bincount(local_rows, minlength=n_block_rows)
+
+
+def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
+    """Count FMA work and per-output-element contributions for C = A * B.
+
+    Rows of A are taken in the row blocks of ``_expand_blocks``. A block's
+    keys ``i * n_cols + j`` (i counted from the block's first row) are
+    sorted and each run of equal keys counted: the run starts are the
+    block's output elements in (row, column) order, the run lengths their
+    contribution counts.
+    """
+    n_rows, n_cols = a.n_rows, b.n_cols
+    _, fma_per_row, blocks = _expand_blocks(a, b)
     out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
     col_parts = []
     count_parts = []
-    r0 = 0
-    while r0 < n_rows:
-        limit = row_prefix[r0] + SYMBOLIC_BLOCK_PP
-        r1 = max(int(np.searchsorted(row_prefix, limit, side="right")) - 1, r0 + 1)
-        t0, t1 = int(a_off[r0]), int(a_off[r1])
-        n_pp = int(entry_prefix[t1] - entry_prefix[t0])
-        if n_pp:
-            # Position in b_cols of every partial product of A entries t0..t1.
-            pos = np.arange(n_pp, dtype=np.int64)
-            pos += np.repeat(
-                b_off[a_cols[t0:t1]] - (entry_prefix[t0:t1] - entry_prefix[t0]), pp_per_entry[t0:t1]
-            )
-            keys = np.repeat(np.arange(r1 - r0, dtype=np.int64), fma_per_row[r0:r1])
-            keys *= n_cols
-            keys += b_cols[pos]
-            del pos
-            keys.sort()
-            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            uniq = keys[starts]
-            del keys
-            local_rows = uniq // n_cols
-            col_parts.append((uniq - local_rows * n_cols).astype(np.int32))
-            count_parts.append(np.diff(starts, append=n_pp).astype(np.int32))
-            out_nnz_per_row[r0:r1] = np.bincount(local_rows, minlength=r1 - r0)
-        r0 = r1
+    for r0, r1, _, _, pos, keys in blocks:
+        del pos  # before the sort, so a block never holds both
+        keys.sort()
+        n_pp = len(keys)
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        uniq = keys[starts]
+        del keys
+        cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
+        col_parts.append(cols)
+        count_parts.append(np.diff(starts, append=n_pp).astype(np.int32))
 
     out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(out_nnz_per_row, out=out_offsets[1:])
@@ -248,7 +289,7 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
         out_offsets=out_offsets,
         out_cols=np.concatenate([empty, *col_parts]),
         counts=np.concatenate([empty, *count_parts]),
-        total_fma=int(row_prefix[-1]),
+        total_fma=int(fma_per_row.sum()),
         total_out_nnz=int(out_offsets[-1]),
     )
 

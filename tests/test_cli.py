@@ -105,6 +105,9 @@ BAD_TRACE_CASES = [
      "FAIL trace replay ({trace}): 4 hash lines never evicted"),
     ("unmapped-a-data", lambda lines: with_field(lines, 7, 2, "0x10"), cli.EXIT_VERIFY,
      "FAIL trace replay ({trace}): unmapped address 0x10"),
+    # each field fits in int64, but base + address would wrap
+    ("base-plus-address-overflows", lambda lines: with_field(lines, 5, 1, "0x7fffffffffffffff"),
+     cli.EXIT_IO, "corrupted record 0: base plus an operand address exceeds 64 signed bits"),
 ]
 
 

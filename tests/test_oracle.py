@@ -162,6 +162,102 @@ SYMBOLIC_CASES = {
 }
 
 
+def reference_gustavson(a, b):
+    """Row-at-a-time reference for spgemm_gustavson: a dict accumulator
+    per row, each element ``0.0 + p1 + p2 + ...`` in A-stream order."""
+    a_off, a_cols, a_vals = a.row_offsets, a.col_indices, a.values
+    b_off, b_cols, b_vals = b.row_offsets, b.col_indices, b.values
+    out_offsets = np.zeros(a.n_rows + 1, dtype=np.int64)
+    out_cols = []
+    out_vals = []
+    for i in range(a.n_rows):
+        acc = {}
+        for t in range(int(a_off[i]), int(a_off[i + 1])):
+            k = a_cols[t]
+            av = a_vals[t]
+            for u in range(int(b_off[k]), int(b_off[k + 1])):
+                j = int(b_cols[u])
+                acc[j] = acc.get(j, 0.0) + av * b_vals[u]
+        cols = sorted(acc)
+        out_cols.extend(cols)
+        out_vals.extend(acc[j] for j in cols)
+        out_offsets[i + 1] = len(out_cols)
+    return matio.CsrMatrix(
+        a.n_rows,
+        b.n_cols,
+        out_offsets,
+        np.asarray(out_cols, dtype=np.int32),
+        np.asarray(out_vals, dtype=np.float64),
+    )
+
+
+def with_normal_values(m, seed):
+    """``m`` with its values replaced by standard-normal draws."""
+    vals = np.random.Generator(np.random.PCG64(seed)).standard_normal(m.nnz)
+    return matio.CsrMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, vals)
+
+
+def assert_same_bits(got, want):
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+    assert got.row_offsets.dtype == np.int64
+    assert got.col_indices.dtype == np.int32
+    assert got.values.dtype == np.float64
+    assert np.array_equal(got.row_offsets, want.row_offsets)
+    assert np.array_equal(got.col_indices, want.col_indices)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 100])
+@pytest.mark.parametrize("case", sorted(SYMBOLIC_CASES))
+def test_gustavson_matches_dict_reference_bit_for_bit(case, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(oracle, "SYMBOLIC_BLOCK_PP", block)
+    a, b = SYMBOLIC_CASES[case]()
+    a, b = with_normal_values(a, 11), with_normal_values(b, 12)
+    assert_same_bits(oracle.spgemm_gustavson(a, b), reference_gustavson(a, b))
+
+
+def csr_rows(n_cols, rows):
+    """A CSR matrix from per-row lists of (column, value), kept in the given
+    order, duplicate columns included."""
+    offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    cols = np.array([j for r in rows for j, _ in r], dtype=np.int32)
+    vals = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    return matio.CsrMatrix(len(rows), n_cols, offsets, cols, vals)
+
+
+GUSTAVSON_HAND_CASES = {
+    # -0.0 * 1.0 alone on an element: 0.0 + -0.0 is +0.0
+    "lone-negative-zero": (
+        csr_rows(1, [[(0, -0.0)]]),
+        csr_rows(2, [[(0, 1.0), (1, 2.0)]]),
+        [0.0, 0.0],
+    ),
+    # x + (-x) cancels but the element stays in the structure
+    "cancellation": (
+        csr_rows(2, [[(0, 0.1), (1, -0.1)]]),
+        csr_rows(1, [[(0, 3.0)], [(0, 3.0)]]),
+        [0.0],
+    ),
+    # B's row 0 names column 1 three times; the products land on (0, 1) in
+    # stream order, where 2 is lost to rounding ((2 + 2e16) - 2e16 != 2)
+    "duplicate-columns-in-b": (
+        csr_rows(1, [[(0, 2.0)]]),
+        csr_rows(3, [[(1, 1.0), (2, 5.0), (1, 1e16), (1, -1e16)]]),
+        [(2.0 + 2e16) - 2e16, 10.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUSTAVSON_HAND_CASES))
+def test_gustavson_hand_cases_bit_for_bit(case):
+    a, b, want = GUSTAVSON_HAND_CASES[case]
+    got = oracle.spgemm_gustavson(a, b)
+    assert_same_bits(got, reference_gustavson(a, b))
+    assert np.array_equal(got.values, want)
+    assert not np.signbit(got.values).any()
+
+
 @pytest.mark.parametrize("block", [None, 1, 7, 100])
 @pytest.mark.parametrize("case", sorted(SYMBOLIC_CASES))
 def test_symbolic_matches_per_row_reference(case, block, monkeypatch):
