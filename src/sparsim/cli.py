@@ -545,17 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def inputs(p):
+    def inputs(p, matrix_b=True):
         p.add_argument("--matrix", help="input matrix (.mtx or edge list)")
-        p.add_argument("--matrix-b", dest="matrix_b", help="optional second operand")
+        if matrix_b:  # gcn builds its own second operand
+            p.add_argument("--matrix-b", dest="matrix_b", help="optional second operand")
         p.add_argument("--rmat", help="synthetic input, scale:ef[:a:b:c:d]")
         p.add_argument("--integer-mode", action="store_true",
                        help="replace values with small integers (exact arithmetic)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="sparsim-out", help="output directory")
 
-    def common(p):
-        inputs(p)
+    def common(p, matrix_b=True):
+        inputs(p, matrix_b)
         p.add_argument("--config", default="tile4",
                        help="tile4|tile16|tile64|tile16-gnn|file:PATH")
         p.add_argument("--mapper", default=mapping.DRHM_LOW, choices=MAPPER_CHOICES)
@@ -599,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smash)
 
     p = sub.add_parser("gcn", help="one graph-convolution layer")
-    common(p)
+    common(p, matrix_b=False)
     p.add_argument("--features", type=int, default=16)
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--functional", action="store_true",

@@ -5,14 +5,18 @@ cores (phase 0); every component that is due advances one cycle touching
 only its own state and outbox (phase 1); the engine then commits all
 cross-component transfers in one pass (phase 2): the live routers in rid
 order, each re-armed for the next cycle right after its own visit if it
-still holds a flit, then the component outboxes in component order.
-A component is due when its last step asked for this cycle, when a timer
-it set for this cycle runs out, or when the engine woke it by delivering a
-packet, a dispatched instruction or a window flush. Components waiting
-only on a latency are not stepped until it ends. Because inter-component
-effects only happen in the commit phase, final statistics and the output
-matrix are bit-for-bit functions of (program, chip config, mapper config,
-seed).
+still holds a flit, then every outbox that holds packets, in component
+order, whether or not its owner stepped this cycle.
+One table maps a cycle to the components due then. A component is due
+when a step of it asked for this cycle (the next one, or the end of a
+latency it waits for), or when the engine gave it work: a delivered
+packet, a dispatched instruction, or, for a core, the departure of an
+instruction's last HACC. A component waiting only on a latency or on its
+outbox is not stepped. No request is withdrawn: each ends a latency that
+no earlier step can finish, so a component stepped sooner asks for that
+cycle again anyway. Because inter-component effects only happen in the
+commit phase, final statistics and the output matrix are bit-for-bit
+functions of (program, chip config, mapper config, seed).
 
 The run passes itself to the dispatcher's and every component's ``step``
 (and to a mem's ``flush_all``); no component keeps a link back to it, so
@@ -45,6 +49,7 @@ from . import isa
 from .errors import DeadlockError, SimulationError
 from .mapping import Mapper, MapperConfig
 from .matio import csr_from_tags
+from .oracle import probe_sequence
 from .uarch import (
     ChipConfig,
     K_EVICT,
@@ -202,7 +207,9 @@ class _Dispatcher:
     def done(self) -> bool:
         return self.pointer >= self.n_instrs
 
-    def step(self, run, cycle):
+    def step(self, run, cycle, due) -> int:
+        """Fill free core latches, adding each filled core to ``due``, the
+        components stepped this cycle; returns the instructions issued."""
         windows = self.windows
         groups = self.groups
         cores = run.chip.cores
@@ -226,11 +233,12 @@ class _Dispatcher:
                 self.active_group = group
                 self.active_core = core.id
             core.dispatch_latch = n
-            run.wake(core)
+            due.add(core._engine_idx)
             run.stats.mmh4_issued += 1
             self.log.append((n, core.id))
             pushed.add(core.id)
             self.pointer += 1
+        return len(pushed)
 
     def _next_free_core(self, cores, pushed):
         n = len(cores)
@@ -310,10 +318,8 @@ class SimRun:
         self._mem_base = self.chip.n_cores
         self._mem_end = self.chip.n_cores + self.chip.n_mems
         self._occupancy = 0  # hashpad lines held over all mems, as last summed
-        self.active = set()  # components that asked to be stepped next cycle
-        self._woken = set()
-        self._timers = {}  # cycle -> components to step then
-        self._timer_of = [0] * len(self.components)  # each component's timer cycle, 0 = none
+        self._due = {}  # cycle -> components to step then
+        self._sending = set()  # components whose outbox holds packets
         self._live_routers = set()
         self.reads_outstanding = 0
         self.evictions_arrived = 0
@@ -361,14 +367,6 @@ class SimRun:
     def on_eviction_arrived(self):
         self.evictions_arrived += 1
 
-    def wake(self, comp):
-        idx = comp._engine_idx
-        self._woken.add(idx)
-        at = self._timer_of[idx]
-        if at:  # the timer is superseded: step once now, not again then
-            self._timers[at].discard(idx)
-            self._timer_of[idx] = 0
-
     # -- main loop ------------------------------------------------------------
 
     def run_to_completion(self) -> SimStats:
@@ -379,7 +377,13 @@ class SimRun:
             cfg.decode_latency, cfg.regalloc_latency, cfg.mul_latency,
             cfg.accumulate_latency, cfg.channel_fixed_latency,
         )
-        watchdog_limit = 10 * (diameter + max_stage)
+        # A hash compare may examine every slot of a region's probe sequence
+        # and makes no progress until it ends.
+        probes = sum(1 for _ in probe_sequence(0, self.chip.mems[0].regions[0].capacity))
+        longest_compare = 1 if cfg.full_parallel_compare else -(
+            -probes // cfg.tile.tag_comparators_per_engine
+        )
+        watchdog_limit = 10 * (diameter + max_stage) + longest_compare
         idle_cycles = 0
         while True:
             progressed = self._step_cycle()
@@ -402,50 +406,39 @@ class SimRun:
 
     def _step_cycle(self) -> bool:
         cycle = self.cycle
-        events = 0
+        table = self._due
+        due = table.pop(cycle, set())
+        nxt = cycle + 1
+        busy = table.setdefault(nxt, set())
 
         # Phase 0: dispatch
-        before = self.stats.mmh4_issued
-        if not self.dispatcher.done:
-            self.dispatcher.step(self, cycle)
-        events += self.stats.mmh4_issued - before
+        events = 0 if self.dispatcher.done else self.dispatcher.step(self, cycle, due)
 
         # Phase 1: step the due components (each touches its own state only)
-        due = self.active | self._woken
-        self._woken.clear()
-        timers = self._timers
-        timer_of = self._timer_of
-        expired = timers.pop(cycle, None)
-        if expired:
-            for idx in expired:
-                timer_of[idx] = 0
-            due |= expired
         order = sorted(due)
         at = bisect_left(order, self._mem_base)
         mem_stepped = at < len(order) and order[at] < self._mem_end
-        still_busy = set()
         comps = self.components
-        nxt = cycle + 1
+        sending = self._sending
         for idx in order:
             comp = comps[idx]
             wake = comp.step(self, cycle)
             if wake:
                 if wake == nxt:
-                    still_busy.add(idx)
+                    busy.add(idx)
                 elif wake > nxt:
-                    timer_of[idx] = wake
-                    timers.setdefault(wake, set()).add(idx)
+                    table.setdefault(wake, set()).add(idx)
                 else:
                     raise SimulationError(
                         f"component {idx} asked at cycle {cycle} to be stepped at cycle {wake}"
                     )
+            if comp.outbox:
+                sending.add(idx)
             events += comp.activity
             comp.activity = 0
 
         # Phase 2: commit in canonical order
-        events += self._commit(cycle, order)
-        self.active = still_busy | self._woken
-        self._woken.clear()
+        events += self._commit(cycle)
 
         # Hashpad occupancy and the current window change only in mem steps
         # and window flushes, so only those re-sum the mems and re-check.
@@ -471,7 +464,7 @@ class SimRun:
             stats.inflight_trace.append((cycle, self.reads_outstanding))
         return events > 0
 
-    def _commit(self, cycle, order) -> int:
+    def _commit(self, cycle) -> int:
         """Move each flit that can move one hop, then drain the outboxes.
 
         Live routers are visited once each, in rid order, and each scans its
@@ -482,16 +475,17 @@ class SimRun:
         one free slot downstream, entering a ring (first hop or X->Y turn)
         needs two. A router still holding a flit is re-armed right after its
         own visit: only that visit removes its flits, and every arrival arms
-        the router it reaches. Outboxes then drain in component order.
-        Returns the number of flits moved.
+        the router it reaches. Then every outbox that holds packets drains,
+        in component order, whether or not its owner stepped this cycle. A
+        delivery steps the receiving unit next cycle, and so does the
+        departure of an instruction's last HACC for its core, which can
+        then retire it. Returns the number of flits moved.
         """
         routers = self.chip.routers
         cfg = self.chip_cfg
         depth = cfg.router_queue_depth
         mem_depth = cfg.mem_inbox_depth
-        timers = self._timers
-        timer_of = self._timer_of
-        woken_add = self._woken.add
+        woken_add = self._due.setdefault(cycle + 1, set()).add
         live = set()
         arm = live.add
         hops = ejected = responses = 0
@@ -534,12 +528,7 @@ class SimRun:
                         q.popleft()
                         pkt.moved_at = cycle  # acceptance stamp at the unit
                         comp.inbox.append(pkt)
-                        idx = comp._engine_idx
-                        woken_add(idx)
-                        at = timer_of[idx]
-                        if at:  # superseded timer, as in wake()
-                            timers[at].discard(idx)
-                            timer_of[idx] = 0
+                        woken_add(comp._engine_idx)
                         ejected += 1
                         budget -= 1
                         continue
@@ -569,11 +558,10 @@ class SimRun:
         comps = self.components
         reads = self.reads_outstanding - responses
         injected = direct = 0
-        for idx in order:
+        sending = self._sending
+        for idx in sorted(sending):
             comp = comps[idx]
             outbox = comp.outbox
-            if not outbox:
-                continue
             injq = routers[comp.rid].in_q[0]
             inflight = comp.inflight if idx < self._mem_base else None
             budget = cfg.tile.ports
@@ -584,7 +572,7 @@ class SimRun:
                     outbox.popleft()
                     mc = routers[pkt.dst].memctrl
                     mc.inbox.append(pkt)
-                    self.wake(mc)
+                    woken_add(mc._engine_idx)
                     direct += 1
                     budget -= 1
                     continue
@@ -598,6 +586,8 @@ class SimRun:
                         rec = inflight.get(pkt.payload[4])
                         if rec is not None:
                             rec.haccs_pending -= 1
+                            if not rec.haccs_pending:
+                                woken_add(idx)  # the core can retire it
                 elif kind == K_REQ:
                     reads += 1
                     if reads > stats.peak_inflight_reads:
@@ -607,7 +597,9 @@ class SimRun:
                 arm(comp.rid)
                 injected += 1
                 budget -= 1
-            if outbox and budget == 0:
+            if not outbox:
+                sending.discard(idx)
+            elif budget == 0:
                 comp.stalls_port += 1
 
         self._live_routers = live
@@ -628,7 +620,7 @@ class SimRun:
         for mem in self.chip.mems:
             if self.eviction_mode == BARRIER and mem.occupancy:
                 mem.flush_all(self)
-                self.wake(mem)
+                self._sending.add(mem._engine_idx)
             mem.reset_pads()
         self.current_window = w + 1
         return 1

@@ -14,13 +14,15 @@ only its own state and appends outgoing packets to its outbox; it reads
 the program and its layout from the run and reports retirements, commits
 and write-back arrivals to the run's counters. The engine moves packets
 between components in a canonical commit order, which keeps results
-deterministic. Each step returns when the component next has work: the
-next cycle, a later cycle it waits for (a stage latency, a hash compare,
-the memory channel), or a false value when only the engine can give it
-work, in which case the engine wakes it on an inbox arrival, a dispatch
-or a window flush. Fabric queues are bounded with credit backpressure;
-endpoint inboxes for responses and memory requests are modeled as sinks
-so the network always drains.
+deterministic, and drains every outbox whether or not its owner stepped,
+so a component never steps just to send. Each step returns when the
+component next has work of its own: the next cycle, a later cycle it
+waits for (a stage latency, a hash compare, the memory channel), or a
+false value when only the engine can give it work, in which case the
+engine steps it after an inbox arrival, a dispatch, or, for a core, the
+departure of an instruction's last HACC. Fabric queues are bounded with
+credit backpressure; endpoint inboxes for responses and memory requests
+are modeled as sinks so the network always drains.
 """
 
 from __future__ import annotations
@@ -442,13 +444,14 @@ class CoreModel:
 
     ``step(run, cycle)`` reads the instruction's lanes and operand reads
     from ``run`` and reports retirements to it; the core keeps no link to
-    the run. It returns ``cycle + 1`` after a step that changed anything
-    or left packets to send; after a step that changed nothing, the
-    earliest cycle a decode, register-allocation or execute latency ends,
-    or None when only an operand response or a dispatch (both wake the
-    core) can move it on. A step that changes nothing leaves the state as it
-    was, so every cycle the core skips would have counted the same reg and
-    operand stalls; the next step adds them for the skipped cycles.
+    the run. It returns ``cycle + 1`` after a step that changed anything;
+    after a step that changed nothing, the earliest cycle a decode,
+    register-allocation or execute latency ends, or None when only an
+    operand response, a dispatch or the departure of an instruction's last
+    HACC (each steps the core) can move it on. A step that changes nothing
+    leaves the state as it was, so every cycle the core skips would have
+    counted the same reg and operand stalls; the next step adds them for
+    the skipped cycles.
     """
 
     __slots__ = (
@@ -598,7 +601,7 @@ class CoreModel:
         self.stalls_operand += operand_stalls
         self.reg_stalling = reg_stalls
         self.operand_stalling = operand_stalls
-        if acted or self.outbox or self.req_queue:
+        if acted:
             return cycle + 1
         return wake
 
@@ -696,11 +699,10 @@ class MemModel:
 
     ``step(run, cycle)`` and ``flush_all(run)`` take the eviction mode
     and write-back addresses from ``run`` and report commits to it; the
-    unit keeps no link to the run. ``step`` returns ``cycle + 1`` while the
-    outbox holds packets, else the cycle the first busy engine finishes
-    (at least ``cycle + 1``), or None when every engine is idle: then the
-    inbox holds nothing any engine could take, and an arrival or a window
-    flush wakes the unit.
+    unit keeps no link to the run. ``step`` returns the cycle the first
+    busy engine finishes (at least ``cycle + 1``), or None when every
+    engine is idle: then the inbox holds nothing any engine could take,
+    and an arrival steps the unit.
     """
 
     __slots__ = (
@@ -785,14 +787,10 @@ class MemModel:
             self.engines_pending[e] = (done, e, slot, evict, tag, src_core, birth)
             acted += 1
         self.activity += acted
-        if self.outbox:
-            return cycle + 1
         wake = None
         for pending in self.engines_pending:
             if pending is not None and (wake is None or pending[0] < wake):
                 wake = pending[0]
-        if wake is not None and wake <= cycle:
-            return cycle + 1
         return wake
 
     def _complete(self, run, pending, cycle):
@@ -853,11 +851,11 @@ class MemCtrlModel:
 
     ``step(run, cycle)`` takes response routes from ``run`` and reports
     write-back arrivals to it; the controller keeps no link to the run. It
-    returns ``cycle + 1`` while the outbox holds responses or the channel
-    can take the next pending transaction, else the earlier of the first
-    in-flight completion and, with transactions pending, the cycle the full
-    channel frees a slot; None when the controller holds nothing, until an
-    arriving request or write-back wakes it.
+    returns ``cycle + 1`` while the channel can take the next pending
+    transaction, else the earlier of the first in-flight completion and,
+    with transactions pending, the cycle the full channel frees a slot;
+    None when the controller holds nothing, until an arriving request or
+    write-back steps it.
     """
 
     __slots__ = (
@@ -962,8 +960,6 @@ class MemCtrlModel:
             acted += 1
 
         self.activity += acted
-        if self.outbox:
-            return cycle + 1
         wake = self.inflight[0][0] if self.inflight else None
         if self.read_pending or self.write_pending:
             channel = self.channel

@@ -317,6 +317,7 @@ BAD_INPUT_CASES = [
     ("removed-host-workers", ["--host-workers", "2"], None, cli.EXIT_USAGE, "--host-workers"),
     ("removed-reseed", ["--reseed", "7"], None, cli.EXIT_USAGE, "--reseed"),
     ("removed-verify-workers", ["verify", "--workers", "2"], None, cli.EXIT_USAGE, "--workers"),
+    ("gcn-matrix-b", ["gcn", "--matrix-b", "{tmp}/b.mtx"], None, cli.EXIT_USAGE, "--matrix-b"),
     # Degenerate chips: each used to die on a division by zero or a deadlock, or never end.
     *[(f"config-zero-{key}", [], chip_file(tile={**TILE4_FIELDS, key: 0}), cli.EXIT_USAGE, key)
       for key in ("hash_engines", "tag_comparators_per_engine", "multipliers",
