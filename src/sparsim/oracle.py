@@ -10,9 +10,11 @@ generator.
 The Gustavson kernel and the symbolic pass share one expansion: A's rows
 are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial products, so
 each pass's scratch memory is bounded per block, not by the product's
-size. The Gustavson kernel sums each output element as ``0.0`` plus its
-partial products in A-stream order, the order replay and SMASH also sum
-in, so it judges both bit for bit.
+size. Each product is keyed by its output element as a ``uint32``, so a
+block also ends after ``(1 << 32) // n_cols`` rows. The Gustavson kernel
+sums each output element as ``0.0`` plus its partial products in A-stream
+order, the order replay and SMASH also sum in, so it judges both bit for
+bit.
 
 Structural zeros produced by numeric cancellation are retained throughout:
 a structural nonzero is any output element receiving at least one partial
@@ -35,7 +37,8 @@ DEFAULT_EF = 1.5
 # Partial products expanded at once by symbolic_pass and spgemm_gustavson:
 # rows are taken in blocks whose products fit this bound (a single row above
 # it forms its own block), which caps a pass's scratch memory at a few tens
-# of MiB.
+# of MiB. A block also ends after (1 << 32) // n_cols rows, so that its
+# uint32 keys cannot wrap.
 SYMBOLIC_BLOCK_PP = 1 << 20
 
 
@@ -200,19 +203,24 @@ def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
     """Expand C = A * B into its partial products, one block of A rows at a time.
 
     Rows are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial
-    products (one row with more forms a block of its own). Returns
+    products (one row with more forms a block of its own) and at most
+    ``(1 << 32) // n_cols`` rows. Returns
     ``(pp_per_entry, fma_per_row, blocks)``: ``pp_per_entry[t]`` is the
     partial-product count of A entry t, and ``blocks`` yields
     ``(r0, r1, t0, t1, pos, keys)`` for each block of rows ``r0..r1`` (A
     entries ``t0..t1``) that has partial products. Its products are listed
     in A-stream order: ``pos[p]`` is the index in B's arrays of product p's
     B entry, and ``keys[p] = (i - r0) * n_cols + j`` names the output
-    element (i, j) it lands on. Once yielded, ``pos`` and ``keys`` are
-    referenced by the caller only, so it can free ``pos`` early.
+    element (i, j) it lands on, as a ``uint32``: B's columns are int32, so
+    ``n_cols < 2**31``, the row cap is at least 2, and every key fits.
+    B's columns are added by value, whatever their integer width. Once
+    yielded, ``pos`` and ``keys`` are referenced by the caller only, so it
+    can free ``pos`` early.
     """
     if a.n_cols != b.n_rows:
         raise ConfigError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    n_rows, n_cols = a.n_rows, b.n_cols
+    n_rows, n_cols = a.n_rows, int(b.n_cols)
+    max_rows = (1 << 32) // max(n_cols, 1)  # rows whose keys fit 32 bits
     a_off = np.asarray(a.row_offsets, dtype=np.int64)
     a_cols = a.col_indices
     b_off = np.asarray(b.row_offsets, dtype=np.int64)
@@ -228,9 +236,9 @@ def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
         pos += np.repeat(
             b_off[a_cols[t0:t1]] - (entry_prefix[t0:t1] - entry_prefix[t0]), pp_per_entry[t0:t1]
         )
-        keys = np.repeat(np.arange(r1 - r0, dtype=np.int64), fma_per_row[r0:r1])
+        keys = np.repeat(np.arange(r1 - r0, dtype=np.uint32), fma_per_row[r0:r1])
         keys *= n_cols
-        keys += b_cols[pos]
+        np.add(keys, b_cols[pos], out=keys, casting="unsafe")
         return pos, keys
 
     def blocks():
@@ -238,6 +246,7 @@ def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
         while r0 < n_rows:
             limit = row_prefix[r0] + SYMBOLIC_BLOCK_PP
             r1 = max(int(np.searchsorted(row_prefix, limit, side="right")) - 1, r0 + 1)
+            r1 = min(r1, r0 + max_rows)
             t0, t1 = int(a_off[r0]), int(a_off[r1])
             if entry_prefix[t1] > entry_prefix[t0]:
                 # No local names the arrays, so the generator keeps none alive.

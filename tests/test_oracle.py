@@ -147,6 +147,15 @@ def sparse_csr(n_rows, n_cols, density, seed, empty_rows=()):
     return matio.dense_to_csr(dense.astype(np.float64))
 
 
+def csr_rows(n_cols, rows):
+    """A CSR matrix from per-row lists of (column, value), kept in the given
+    order, duplicate columns included."""
+    offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    cols = np.array([j for r in rows for j, _ in r], dtype=np.int32)
+    vals = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    return matio.CsrMatrix(len(rows), n_cols, offsets, cols, vals)
+
+
 SYMBOLIC_CASES = {
     "rectangular": lambda: (sparse_csr(23, 31, 0.2, 1), sparse_csr(31, 9, 0.3, 2)),
     "empty-rows-in-a": lambda: (sparse_csr(20, 20, 0.3, 3, empty_rows=(0, 5, 6, 7, 19)), sparse_csr(20, 20, 0.3, 4)),
@@ -159,6 +168,29 @@ SYMBOLIC_CASES = {
     # One row with about 800 partial products: above every small block below.
     "one-dense-row": lambda: (sparse_csr(1, 40, 0.8, 9), sparse_csr(40, 50, 0.5, 10)),
     "rmat-squared": lambda: (rmat_csr(7, 6, seed=3), rmat_csr(7, 6, seed=3)),
+    # B as wide as int32 columns go: a block holds at most 2 rows, and its
+    # second row's keys reach 2^32 - 3.
+    "wide-b": lambda: (
+        csr_rows(
+            4,
+            [
+                [(0, 1.0), (1, 1.0)],
+                [],
+                [(1, 1.0), (2, 1.0), (3, 1.0)],
+                [(0, 1.0), (2, 1.0)],
+                [(3, 1.0), (1, 1.0), (0, 1.0)],
+            ],
+        ),
+        csr_rows(
+            2**31 - 1,
+            [
+                [(0, 1.0), (2**30, 1.0), (2**31 - 2, 1.0)],
+                [(7, 1.0), (2**31 - 3, 1.0), (2**30, 1.0)],
+                [(2**31 - 2, 1.0), (0, 1.0)],
+                [(2**31 - 3, 1.0), (7, 1.0), (2**31 - 2, 1.0)],
+            ],
+        ),
+    ),
 }
 
 
@@ -217,15 +249,6 @@ def test_gustavson_matches_dict_reference_bit_for_bit(case, block, monkeypatch):
     assert_same_bits(oracle.spgemm_gustavson(a, b), reference_gustavson(a, b))
 
 
-def csr_rows(n_cols, rows):
-    """A CSR matrix from per-row lists of (column, value), kept in the given
-    order, duplicate columns included."""
-    offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
-    cols = np.array([j for r in rows for j, _ in r], dtype=np.int32)
-    vals = np.array([v for r in rows for _, v in r], dtype=np.float64)
-    return matio.CsrMatrix(len(rows), n_cols, offsets, cols, vals)
-
-
 GUSTAVSON_HAND_CASES = {
     # -0.0 * 1.0 alone on an element: 0.0 + -0.0 is +0.0
     "lone-negative-zero": (
@@ -277,6 +300,19 @@ def test_symbolic_matches_per_row_reference(case, block, monkeypatch):
     assert contrib_counter(plan) == contrib
     assert plan.total_fma == int(fma.sum())
     assert plan.total_out_nnz == len(contrib)
+
+
+@pytest.mark.parametrize("case", ["rectangular", "wide-b"])
+def test_int64_columns_in_b_give_the_same_plan_and_product(case):
+    # Columns are read by value, whatever their integer width.
+    a, b = SYMBOLIC_CASES[case]()
+    a, b = with_normal_values(a, 11), with_normal_values(b, 12)
+    b64 = matio.CsrMatrix(b.n_rows, b.n_cols, b.row_offsets, b.col_indices.astype(np.int64), b.values)
+    got, want = oracle.symbolic_pass(a, b64), oracle.symbolic_pass(a, b)
+    for name in ("fma_per_row", "out_nnz_per_row", "out_offsets", "out_cols", "counts"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert_same_bits(oracle.spgemm_gustavson(a, b64), oracle.spgemm_gustavson(a, b))
 
 
 def test_symbolic_identity_times_b():
