@@ -45,7 +45,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import isa
+from . import isa, matio, oracle
 from .errors import DeadlockError, SimulationError
 from .mapping import Mapper, MapperConfig
 from .matio import csr_from_tags
@@ -61,6 +61,7 @@ from .uarch import (
     P_NORTH,
     P_SOUTH,
     P_WEST,
+    STAGE_NAMES,
     TIE_X,
     build_chip,
 )
@@ -653,8 +654,6 @@ class SimRun:
                     f"  core {core.id}: inflight={len(core.inflight)} outbox={len(core.outbox)}"
                 )
         if oldest is not None:
-            from .uarch import STAGE_NAMES
-
             lines.append(
                 f"  oldest blocked instruction: core {oldest[1]} seq {oldest[2]} "
                 f"stage {STAGE_NAMES.get(oldest[3], oldest[3])} accepted at cycle {oldest[0]}"
@@ -750,14 +749,11 @@ def run_spgemm_simulation(
     eviction a mapper that uses only part of the regions can fill one and
     overflow (rmat 9:4 on tile16 does under modular, drhm-low and drhm-high).
     """
-    from . import oracle
-    from .matio import csr_to_coo, to_csc
-
     plan = oracle.symbolic_pass(a_csr, b_csr)
     if spad_budget is None:
         spad_budget = chip_cfg.n_mems * chip_cfg.tile.hashlines_per_mem // 2
     wplan = oracle.plan_windows(plan, spad_budget=spad_budget)
-    a_csc = to_csc(csr_to_coo(a_csr))
+    a_csc = matio.to_csc(matio.csr_to_coo(a_csr))
     program = isa.lower_spgemm(a_csc, b_csr, plan, windows=wplan)
     run = SimRun(
         program,

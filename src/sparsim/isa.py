@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LoweringError, MemoryFaultError, TraceError
-from .matio import CscMatrix, CsrMatrix, csr_from_tags
+from .matio import CscMatrix, CsrMatrix, concat_ranges, csr_from_tags
 from .oracle import SymbolicPlan, WindowPlan
 
 OPCODE_MMH4 = 0x14
@@ -455,7 +455,7 @@ def lower_spgemm(
     window = wins[group_at][group]
     a_row_offsets = np.zeros(len(group) + 1, dtype=np.int64)
     np.cumsum(n_a, out=a_row_offsets[1:])
-    a_rows = a_row_of[np.repeat(a_at - a_row_offsets[:-1], n_a) + np.arange(a_row_offsets[-1])]
+    a_rows = a_row_of[concat_ranges(a_at, n_a)]
 
     image = MemoryImage()
     b_col_base = image.add("b_col_ind", b.col_indices.astype(np.int32))

@@ -392,6 +392,19 @@ def csc_to_dense(m: CscMatrix) -> np.ndarray:
     return out
 
 
+def concat_ranges(starts, lengths) -> np.ndarray:
+    """The int64 positions ``starts[k] .. starts[k] + lengths[k] - 1`` of
+    every range k, ranges in order: one ``arange`` plus one ``repeat`` of
+    each range's start less the positions before it, added in place."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    before = np.cumsum(lengths)
+    total = int(before[-1]) if len(before) else 0
+    before -= lengths
+    pos = np.arange(total, dtype=np.int64)
+    pos += np.repeat(np.asarray(starts, dtype=np.int64) - before, lengths)
+    return pos
+
+
 def csr_from_tags(n_rows: int, n_cols: int, tags, values, col_bits: int) -> CsrMatrix:
     """CSR matrix of distinct packed tags ``row << col_bits | column`` and
     their values: columns ascend in each row, and a tag whose row lies
@@ -527,15 +540,9 @@ def replication_ratio(m: MapCsrMatrix) -> float:
 def map_csr_to_csr(m: MapCsrMatrix) -> CsrMatrix:
     """Collapse back to plain CSR using each row's primary copy."""
     offsets = np.zeros(m.n_rows + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(m.elems_per_row)
-    cols = np.empty(int(offsets[-1]), dtype=np.int32)
-    vals = np.empty(int(offsets[-1]), dtype=np.float64)
-    for r in range(m.n_rows):
-        cj, cv = m.row(r)
-        lo = int(offsets[r])
-        cols[lo : lo + len(cj)] = cj
-        vals[lo : lo + len(cj)] = cv
-    return CsrMatrix(m.n_rows, m.n_cols, offsets, cols, vals)
+    np.cumsum(m.elems_per_row, out=offsets[1:])
+    at = concat_ranges(m.row_offsets, m.elems_per_row)
+    return CsrMatrix(m.n_rows, m.n_cols, offsets, m.col_indices[at], m.values[at])
 
 
 # ---------------------------------------------------------------------------

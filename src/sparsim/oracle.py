@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, SparsimError
-from .matio import CsrMatrix
+from .matio import CsrMatrix, concat_ranges, csr_to_dense
 
 DEFAULT_CF = 4.0
 DEFAULT_EF = 1.5
@@ -232,10 +232,7 @@ def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
     fma_per_row = np.diff(row_prefix)
 
     def expand(r0, r1, t0, t1):
-        pos = np.arange(entry_prefix[t1] - entry_prefix[t0], dtype=np.int64)
-        pos += np.repeat(
-            b_off[a_cols[t0:t1]] - (entry_prefix[t0:t1] - entry_prefix[t0]), pp_per_entry[t0:t1]
-        )
+        pos = concat_ranges(b_off[a_cols[t0:t1]], pp_per_entry[t0:t1])
         keys = np.repeat(np.arange(r1 - r0, dtype=np.uint32), fma_per_row[r0:r1])
         keys *= n_cols
         np.add(keys, b_cols[pos], out=keys, casting="unsafe")
@@ -480,7 +477,5 @@ def gcn_layer_workload(adj: CsrMatrix, x: np.ndarray, w: np.ndarray) -> GcnLayer
         raise ConfigError(f"adjacency is {adj.n_rows}x{adj.n_cols} but features have {x.shape[0]} rows")
     if x.shape[1] != w.shape[0]:
         raise ConfigError(f"features have {x.shape[1]} columns but weights have {w.shape[0]} rows")
-    from .matio import csr_to_dense
-
     reference = relu(csr_to_dense(adj) @ x @ w)
     return GcnLayerJob(adjacency=adj, features=x, weights=w, reference=reference)

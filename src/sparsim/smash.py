@@ -22,7 +22,11 @@ Four versions model the paper's ways of sharing a window among workers:
 
 The workers are virtual: the schedule decides only the audit ledger
 (rows or tokens per worker, v3's phase steps), and the program runs on
-one thread. Every version merges each row's partial products in A-stream
+one thread. Every version takes each window straight through prefetch,
+hash and write-back before the next; v3's pipeline exists only in its
+``phase_steps`` ledger. Prefetch gathers the window's A entries from A's
+arrays in one go, reading a MAP-CSR row from its replica when it has
+one. Every version merges each row's partial products in A-stream
 order (the row's A entries in order, each against its B row in order), so
 all four give the same result bit for bit, integer inputs or not, and
 every rerun gives the same result and ledger.
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError, HashOverflowError
-from .matio import CsrMatrix, MapCsrMatrix, csr_from_tags
+from .matio import NO_REPLICA, CsrMatrix, MapCsrMatrix, concat_ranges, csr_from_tags, map_csr_to_csr
 
 EMPTY = -1
 
@@ -178,37 +182,14 @@ def _add_units(audit: SmashAudit, phase: str, units: int) -> None:
     audit.phase_units[phase] = audit.phase_units.get(phase, 0) + units
 
 
-def _row_reader(a):
-    """Row accessor preferring replica copies when the format has them."""
-    if isinstance(a, MapCsrMatrix):
-        def read(i):
-            if int(a.replica_offsets[i]) != 0xFFFFFFFF:
-                return a.row(i, replica=True)
-            return a.row(i)
-
-        return read
-    if isinstance(a, CsrMatrix):
-        return a.row
-    raise ConfigError(f"unsupported A-matrix type {type(a).__name__}")
-
-
-def _planning_csr(a) -> CsrMatrix:
-    if isinstance(a, MapCsrMatrix):
-        from .matio import map_csr_to_csr
-
-        return map_csr_to_csr(a)
-    return a
-
-
-def _prefetch(rows, read_row, audit):
-    """A entries of a window's rows, in window order: (per-row entry
+def _prefetch(a, starts, lengths, rows, audit):
+    """A entries of a window's rows, in window order, read from A's
+    arrays at ``starts[r]`` for ``lengths[r]`` entries: (per-row entry
     counts, column indices, values)."""
-    parts = [read_row(r) for r in rows.tolist()]  # a window has at least one row
-    n_entries = np.array([len(cols) for cols, _ in parts], dtype=np.int64)
-    a_cols = np.concatenate([cols for cols, _ in parts])
-    a_vals = np.concatenate([vals for _, vals in parts])
-    _add_units(audit, "prefetch", len(a_cols))
-    return n_entries, a_cols, a_vals
+    n_entries = lengths[rows]
+    at = concat_ranges(starts[rows], n_entries)
+    _add_units(audit, "prefetch", len(at))
+    return n_entries, a.col_indices[at], a.values[at]
 
 
 def _record_schedule(cfg, n_entries, entry_pp, audit):
@@ -265,9 +246,7 @@ def _hash_window(wplan, span, fetched, b, cfg, audit, window_id):
     # The stream: each A entry against its B row, in order.
     n_pp = int(entry_pp.sum())
     _add_units(audit, "hash", n_pp)
-    entry_at = np.cumsum(entry_pp) - entry_pp
-    pos = np.arange(n_pp, dtype=np.int64)
-    pos += np.repeat(b_off[a_cols] - entry_at, entry_pp)
+    pos = concat_ranges(b_off[a_cols], entry_pp)
     prods = np.repeat(a_vals, entry_pp) * b.values[pos]
     tags = np.repeat(np.repeat(rows, n_entries) << 32, entry_pp)
     tags |= b.col_indices[pos]
@@ -319,51 +298,49 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
 
     The rows are planned by ``oracle.plan_windows`` with its default
     thresholds and a budget of ``cfg.spad_capacity`` lines, halved for v3,
-    whose pipeline holds two windows in the scratchpad at once. The
-    windows go through three phases: prefetch (read the rows' A
-    entries), hash (merge the window into its region tables) and write
-    back (emit the window's output elements). v3 overlaps them as a
-    pipeline, with prefetch(w+1), hash(w) and writeback(w-1) in one step
-    of its ``phase_steps`` ledger; the other versions take one window
-    through all three before the next. The phases of a step run in
-    sequence either way. The region tables are kept in
-    ``audit.window_tables`` only when an audit is passed in.
+    whose pipeline holds two windows in the scratchpad at once. Every
+    version takes window w through three phases before it starts w+1:
+    prefetch (gather the rows' A entries), hash (merge the window into
+    its region tables) and write back (emit the window's output
+    elements). v3 records the three-stage pipeline it models in
+    ``phase_steps``: step s prefetches window s, hashes s-1 and writes
+    back s-2, for s = 0..n+1, with None outside the n windows. The region
+    tables are kept in ``audit.window_tables`` only when an audit is
+    passed in. A of any type but CSR or MAP-CSR is a ConfigError.
     """
     own_audit = audit if audit is not None else SmashAudit(version=cfg.version)
     keep_tables = audit is not None
-    a_csr = _planning_csr(a)
+    if isinstance(a, MapCsrMatrix):
+        a_csr = map_csr_to_csr(a)
+        starts = np.where(a.replica_offsets != NO_REPLICA, a.replica_offsets, a.row_offsets)
+    elif isinstance(a, CsrMatrix):
+        a_csr = a
+        starts = a.row_offsets[:-1]
+    else:
+        raise ConfigError(f"unsupported A-matrix type {type(a).__name__}")
     if a_csr.n_cols != b.n_rows:
         raise ConfigError(f"inner dimensions differ: {a_csr.n_cols} vs {b.n_rows}")
+    lengths = np.diff(a_csr.row_offsets)
     plan = oracle.symbolic_pass(a_csr, b)
     budget = cfg.spad_capacity // 2 if cfg.version == V3 else cfg.spad_capacity
     wplan = oracle.plan_windows(plan, spad_budget=budget)
     n = wplan.n_windows
     bounds = wplan.offsets.tolist()
-    spans = [slice(bounds[w], bounds[w + 1]) for w in range(n)]
     own_audit.n_windows = n
-    read_row = _row_reader(a)
 
-    if cfg.version == V3:
-        steps = [(s, s - 1, s - 2) for s in range(n + 2)]
-    else:
-        steps = [(w, w, w) for w in range(n)]
-    fetched = {}  # window -> prefetched A entries
-    hashed = {}  # window -> (tables, tags, values)
     parts = []
-    for step, phases in enumerate(steps):
-        pf, hs, wb = (w if 0 <= w < n else None for w in phases)
-        if cfg.version == V3:
-            own_audit.phase_steps.append({"step": step, "prefetch": pf, "hash": hs, "writeback": wb})
-        if pf is not None:
-            fetched[pf] = _prefetch(wplan.rows[spans[pf]], read_row, own_audit)
-        if hs is not None:
-            hashed[hs] = _hash_window(wplan, spans[hs], fetched.pop(hs), b, cfg, own_audit, hs)
-        if wb is not None:
-            tables, tags, vals = hashed.pop(wb)
-            _add_units(own_audit, "writeback", len(tags))
-            parts.append((tags, vals))
-            if keep_tables:
-                own_audit.window_tables.append((wb, tables))
+    for w in range(n):
+        span = slice(bounds[w], bounds[w + 1])
+        fetched = _prefetch(a, starts, lengths, wplan.rows[span], own_audit)
+        tables, tags, vals = _hash_window(wplan, span, fetched, b, cfg, own_audit, w)
+        _add_units(own_audit, "writeback", len(tags))
+        parts.append((tags, vals))
+        if keep_tables:
+            own_audit.window_tables.append((w, tables))
+    if cfg.version == V3:
+        for s in range(n + 2):
+            pf, hs, wb = (w if 0 <= w < n else None for w in (s, s - 1, s - 2))
+            own_audit.phase_steps.append({"step": s, "prefetch": pf, "hash": hs, "writeback": wb})
     tags = np.concatenate([np.zeros(0, dtype=np.int64)] + [t for t, _ in parts])
     vals = np.concatenate([np.zeros(0)] + [v for _, v in parts])
     return csr_from_tags(a_csr.n_rows, b.n_cols, tags, vals, 32)

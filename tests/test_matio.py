@@ -1,5 +1,6 @@
 """Storage formats, Matrix Market I/O, MAP-CSR accounting, RMAT generation."""
 
+import dataclasses
 import io
 import random
 
@@ -191,6 +192,38 @@ def test_map_csr_replica_content_identical_and_aligned():
         assert np.array_equal(pj, rj) and np.array_equal(pv, rv)
     back = matio.map_csr_to_csr(mc)
     assert np.array_equal(matio.csr_to_dense(back), matio.csr_to_dense(m))
+
+
+def test_map_csr_to_csr_reads_primaries_in_any_placement():
+    m = matio.to_csr(random_coo(12, 30, seed=4))
+    placement = [(r, True) for r in (9, 2)] + [(r, False) for r in reversed(range(12))]
+    mc = matio.build_map_csr(m, bank_width=4, replicate_rows=(2, 9), placement=placement)
+    rep = mc.values.copy()
+    for r in (2, 9):  # replicas that differ from their primaries must not leak in
+        off = int(mc.replica_offsets[r])
+        rep[off : off + int(mc.elems_per_row[r])] += 100.0
+    back = matio.map_csr_to_csr(dataclasses.replace(mc, values=rep))
+    assert np.array_equal(back.row_offsets, m.row_offsets)
+    assert back.col_indices.dtype == m.col_indices.dtype
+    assert np.array_equal(back.col_indices, m.col_indices)
+    assert back.values.tobytes() == m.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "starts, lengths",
+    [
+        ([], []),
+        ([7], [4]),
+        ([5, 100, 2], [3, 0, 2]),
+        (np.array([10, 0, 3, 3], dtype=np.int32), np.array([2, 1, 0, 5], dtype=np.int32)),
+    ],
+)
+def test_concat_ranges_matches_python_loop(starts, lengths):
+    pairs = zip(np.asarray(starts).tolist(), np.asarray(lengths).tolist())
+    want = [p for s, n in pairs for p in range(s, s + n)]
+    got = matio.concat_ranges(starts, lengths)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 def test_map_csr_bad_placement_rejected():

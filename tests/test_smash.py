@@ -1,10 +1,12 @@
 """Host hashing kernel: probe semantics, tokenization, version equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sparsim import cli, matio, oracle, smash
-from sparsim.errors import HashOverflowError
+from sparsim.errors import ConfigError, HashOverflowError
 
 
 def rmat_csr(scale, ef, seed, integer=True):
@@ -268,6 +270,34 @@ def test_map_csr_backed_equals_csr_backed():
     assert_csr_equal(smash.smash_spgemm(mc, a, cfg), smash.smash_spgemm(a, a, cfg))
 
 
+def test_replicated_rows_are_read_from_their_replicas():
+    a = rmat_csr(6, 4, seed=61)
+    rep_rows = range(1, a.n_rows, 4)
+    mc = matio.build_map_csr(a, bank_width=8, replicate_rows=rep_rows)
+    vals = mc.values.copy()
+    for r in rep_rows:  # same columns, different values in every replica slot
+        off = int(mc.replica_offsets[r])
+        vals[off : off + int(mc.elems_per_row[r])] *= 3.0
+    mc = dataclasses.replace(mc, values=vals)
+    csr = matio.map_csr_to_csr(mc)
+    from_replicas = dataclasses.replace(csr, values=csr.values.copy())
+    for r in rep_rows:
+        lo, hi = int(csr.row_offsets[r]), int(csr.row_offsets[r + 1])
+        from_replicas.values[lo:hi] *= 3.0
+    want = oracle.spgemm_gustavson(from_replicas, a)
+    assert not np.array_equal(want.values, oracle.spgemm_gustavson(csr, a).values)
+    for version in smash.VERSIONS:
+        got = smash.smash_spgemm(mc, a, smash.SmashConfig(version=version, n_workers=3, spad_capacity=1 << 10))
+        assert_csr_equal(got, want)
+
+
+def test_unsupported_a_type_is_a_config_error():
+    a = rmat_csr(5, 3, seed=62)
+    csc = matio.to_csc(matio.csr_to_coo(a))
+    with pytest.raises(ConfigError, match="CscMatrix"):
+        smash.smash_spgemm(csc, a, smash.SmashConfig())
+
+
 # ---------------------------------------------------------------------------
 # Audit properties
 # ---------------------------------------------------------------------------
@@ -330,6 +360,23 @@ def test_v3_three_windows_all_phases_simultaneously_busy():
         for e in audit.phase_steps
     )
     assert_csr_equal(got, oracle.spgemm_gustavson(a, a))
+
+
+def test_v3_phase_steps_model_the_pipeline_and_accumulate():
+    a = rmat_csr(7, 4, seed=81)
+    audit = smash.SmashAudit(version=smash.V3)
+    cfg = smash.SmashConfig(version=smash.V3, n_workers=2, spad_capacity=600)
+    smash.smash_spgemm(a, a, cfg, audit=audit)
+    n = audit.n_windows
+    once = [
+        {"step": s, "prefetch": s if s < n else None, "hash": s - 1 if 1 <= s <= n else None,
+         "writeback": s - 2 if s >= 2 else None}
+        for s in range(n + 2)
+    ]
+    assert audit.phase_steps == once
+    smash.smash_spgemm(a, a, cfg, audit=audit)
+    assert audit.phase_steps == once + once
+    assert [w for w, _ in audit.window_tables] == list(range(n)) * 2
 
 
 def test_v3_phase_fractions_reported():
