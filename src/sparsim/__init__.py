@@ -44,7 +44,7 @@ from .oracle import (
     spgemm_gustavson,
     symbolic_pass,
 )
-from .smash import ScratchpadHashTable, SmashAudit, SmashConfig, hash_probe_insert, smash_spgemm
+from .smash import SmashAudit, SmashConfig, smash_spgemm
 from .isa import (
     HaccInstr,
     Mmh4Instr,
@@ -73,8 +73,7 @@ __all__ = [
     "SymbolicPlan", "WindowPlan", "BloatReport",
     "spgemm_dense_oracle", "spgemm_gustavson", "symbolic_pass",
     "bloat_report", "plan_windows", "gcn_layer_workload",
-    "ScratchpadHashTable", "SmashConfig", "SmashAudit",
-    "hash_probe_insert", "smash_spgemm",
+    "SmashConfig", "SmashAudit", "smash_spgemm",
     "Mmh4Instr", "HaccInstr", "TagLayout", "Program",
     "encode_tag", "decode_tag", "expand_mmh4", "lower_spgemm", "replay",
     "write_trace", "read_trace",

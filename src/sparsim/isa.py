@@ -439,7 +439,7 @@ def lower_spgemm(
     run_head = np.ones(m, dtype=bool)
     run_head[1:] = (wins[1:] != wins[:-1]) | (cols[1:] != cols[:-1])
     heads = np.flatnonzero(run_head)
-    in_run = np.arange(m) - np.repeat(heads, np.diff(np.append(heads, m)))
+    in_run = concat_ranges(np.zeros_like(heads), np.diff(np.append(heads, m)))
     group_at = np.flatnonzero(in_run % TILE == 0)
     group_n_a = np.diff(np.append(group_at, m))
     group_col = cols[group_at]
@@ -447,7 +447,7 @@ def lower_spgemm(
     # One instruction per (A group, B tile of the group's column).
     tiles = (b_len[group_col] + TILE - 1) // TILE
     group = np.repeat(np.arange(len(group_at), dtype=np.int64), tiles)
-    tile = np.arange(len(group)) - np.repeat(np.cumsum(tiles) - tiles, tiles)
+    tile = concat_ranges(np.zeros_like(tiles), tiles)
     b_start = b_off[group_col][group] + TILE * tile
     n_b = np.minimum(TILE, b_off[group_col + 1][group] - b_start)
     a_at = group_at[group]

@@ -1,13 +1,8 @@
 """Host-side sparse-matmul kernel with scratchpad hashing (SMASH).
 
 The kernel works window by window over an ``oracle.WindowPlan``: window
-w's rows, their region capacities and their dense flags are one slice of
-the plan's arrays, and each row owns a region of the scratchpad sized by
-the symbolic pass. Partial products are merged into the region with
-prime-modulo hashing along ``oracle.probe_sequence``: a tag probes
-``home + k*k`` for k up to half the capacity, then scans on from its home
-over the slots the quadratic steps missed, so every slot is examined
-before a region reports overflow. Dense rows map 1:1 by column instead.
+w's rows and their region capacities are one slice of the plan's arrays,
+and each row owns a region of the scratchpad sized by the symbolic pass.
 
 Four versions model the paper's ways of sharing a window among workers:
 
@@ -31,13 +26,17 @@ order (the row's A entries in order, each against its B row in order), so
 all four give the same result bit for bit, integer inputs or not, and
 every rerun gives the same result and ledger.
 
-One window is hashed at once with numpy: its partial-product stream is
+One window is merged at once with numpy: its partial-product stream is
 expanded, the distinct tags are found with their first touch, and each
-tag's value is its first product plus the rest in stream order. A tag's
-slot is fixed by its first insert, since lines are never deleted, so the
-Python probe loop runs once per distinct tag, in first-touch order, and
-fills the region tables exactly as ``hash_probe_insert`` applied to the
-stream one product at a time would.
+tag's value is its first product plus the rest in stream order. The host
+keeps no region tables. Where a tag lands in its region, and what probing
+for it costs, is modelled once, by the simulator's hash memories
+(``uarch``), which probe along ``oracle.probe_sequence``. That sequence
+examines every slot of a region, and SMASH frees no line within a window,
+so a region overflows exactly when its row has more distinct tags than
+the region has lines; the kernel checks that count per row and raises
+``HashOverflowError``. ``plan_windows`` sizes every row to hold its tags,
+so the check is a guard.
 """
 
 from __future__ import annotations
@@ -51,88 +50,11 @@ from . import oracle
 from .errors import ConfigError, HashOverflowError
 from .matio import NO_REPLICA, CsrMatrix, MapCsrMatrix, concat_ranges, csr_from_tags, map_csr_to_csr
 
-EMPTY = -1
-
 BASE = "base"
 V1 = "v1"
 V2 = "v2"
 V3 = "v3"
 VERSIONS = (BASE, V1, V2, V3)
-
-_COL_MASK = 0xFFFFFFFF
-
-
-def pack_tag(i: int, j: int) -> int:
-    """64-bit host tag: output row in the high word, column in the low."""
-    return (i << 32) | j
-
-
-def unpack_tag(tag: int) -> tuple[int, int]:
-    return tag >> 32, tag & _COL_MASK
-
-
-@dataclass
-class ScratchpadHashTable:
-    """One row's scratchpad region: open-addressed, prime capacity.
-
-    ``counts`` tallies contributions per slot for the atomicity audit.
-    Dense rows use direct 1:1 column indexing instead of probing; they are
-    built with ``direct=True`` and capacity equal to the output column
-    count.
-    """
-
-    capacity: int
-    direct: bool = False
-    tags: list = field(init=False)
-    vals: np.ndarray = field(init=False)
-    counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigError("capacity must be >= 1")
-        self.tags = [EMPTY] * self.capacity
-        self.vals = np.zeros(self.capacity, dtype=np.float64)
-        self.counts = np.zeros(self.capacity, dtype=np.int64)
-
-    def occupied(self):
-        """(tag, value, contributions) for live slots, unordered."""
-        for s, t in enumerate(self.tags):
-            if t != EMPTY:
-                yield t, self.vals[s], int(self.counts[s])
-
-
-def _probe(tags: list, tag: int, home: int, cap: int, direct: bool) -> tuple[int, int]:
-    """(k, slot) of the first probe that finds ``tag`` or an empty slot."""
-    for k, slot in enumerate(oracle.probe_sequence(home, cap)):
-        cur = tags[slot]
-        if cur == EMPTY or cur == tag:
-            return k, slot
-        if direct:
-            # 1:1 mapping cannot collide; a mismatch is a bookkeeping bug.
-            raise HashOverflowError(f"direct-mapped slot {slot} holds foreign tag")
-    raise HashOverflowError(f"no slot for tag {tag:#x} within {cap} probes")
-
-
-def hash_probe_insert(t: ScratchpadHashTable, tag: int, value: float):
-    """Merge one partial product into a region.
-
-    Returns ("INSERTED", 0) for a home-slot insert, ("UPDATED", k) when the
-    value was accumulated into an existing cell found after k probes, and
-    ("PROBED", k) when an empty slot was claimed after k probes.
-    Raises HashOverflowError when every slot was examined without finding
-    the tag or a free cell.
-    """
-    cap = t.capacity
-    home = (tag & _COL_MASK) % cap if t.direct else tag % cap
-    k, slot = _probe(t.tags, tag, home, cap, t.direct)
-    if t.tags[slot] == tag:
-        t.vals[slot] += value
-        t.counts[slot] += 1
-        return ("UPDATED", k)
-    t.tags[slot] = tag
-    t.vals[slot] = value
-    t.counts[slot] = 1
-    return ("INSERTED", 0) if k == 0 else ("PROBED", k)
 
 
 @dataclass(frozen=True)
@@ -150,7 +72,8 @@ class SmashConfig:
 
 @dataclass
 class SmashAudit:
-    """Execution evidence: the virtual workers' ledger and the v3 phase steps."""
+    """Execution evidence: the virtual workers' ledger and the v3 phase
+    steps. A second call on the same audit adds to every field."""
 
     version: str
     n_windows: int = 0
@@ -159,7 +82,6 @@ class SmashAudit:
     rows_per_worker: dict = field(default_factory=dict)
     phase_steps: list = field(default_factory=list)  # v3: per-step busy phases
     phase_units: dict = field(default_factory=dict)  # work units per phase
-    window_tables: list = field(default_factory=list)  # kept only when audit=True
 
     def phase_fractions(self) -> dict:
         total = sum(self.phase_units.values()) or 1
@@ -227,21 +149,17 @@ def _record_schedule(cfg, n_entries, entry_pp, audit):
 
 
 def _hash_window(wplan, span, fetched, b, cfg, audit, window_id):
-    """Merge one window's partial products into its region tables.
+    """Merge one window's partial products: its distinct tags, ascending,
+    with their values.
 
-    Returns the tables and the window's distinct tags, ascending, with
-    their values.
+    Raises HashOverflowError when a row has more distinct tags than its
+    region has lines.
     """
     n_entries, a_cols, a_vals = fetched
     b_off = np.asarray(b.row_offsets, dtype=np.int64)
     entry_pp = np.diff(b_off)[a_cols]
     _record_schedule(cfg, n_entries, entry_pp, audit)
     rows = wplan.rows[span]
-    rows_l = rows.tolist()
-    tables = {
-        r: ScratchpadHashTable(capacity=cap, direct=direct)
-        for r, cap, direct in zip(rows_l, wplan.capacity[span].tolist(), wplan.dense[span].tolist())
-    }
 
     # The stream: each A entry against its B row, in order.
     n_pp = int(entry_pp.sum())
@@ -253,44 +171,20 @@ def _hash_window(wplan, span, fetched, b, cfg, audit, window_id):
     del pos
 
     uniq, first, inv = np.unique(tags, return_index=True, return_inverse=True)
-    counts = np.bincount(inv, minlength=len(uniq))
+    uniq_rows = uniq >> 32
+    n_distinct = np.searchsorted(uniq_rows, rows, "right") - np.searchsorted(uniq_rows, rows, "left")
+    caps = wplan.capacity[span]
+    over = np.flatnonzero(n_distinct > caps)
+    if len(over):
+        k = over[0]
+        raise HashOverflowError(
+            f"window {window_id}, row {rows[k]}: {n_distinct[k]} distinct tags exceed its {caps[k]} lines"
+        )
     sums = prods[first]  # assigned, not added to 0.0, so a -0.0 stays
     rest = np.ones(n_pp, dtype=bool)
     rest[first] = False
     np.add.at(sums, inv[rest], prods[rest])
-
-    # Claim slots in first-touch order. Each row's products are contiguous
-    # in the stream, so that order takes the rows in window order, and a
-    # row's distinct tags are the run of ``uniq`` holding its row bits.
-    order = np.argsort(first)
-    touched = uniq[order]
-    uniq_rows = uniq >> 32
-    n_distinct = np.searchsorted(uniq_rows, rows, "right") - np.searchsorted(uniq_rows, rows, "left")
-    caps = np.repeat(wplan.capacity[span], n_distinct)
-    direct = np.repeat(wplan.dense[span], n_distinct)
-    homes = np.where(direct, touched & _COL_MASK, touched) % caps
-    touched_l = touched.tolist()
-    homes_l = homes.tolist()
-    at = 0
-    for r, n in zip(rows_l, n_distinct.tolist()):
-        if not n:
-            continue
-        table = tables[r]
-        tl = table.tags
-        slots = []
-        try:
-            for tag, slot in zip(touched_l[at : at + n], homes_l[at : at + n]):
-                if tl[slot] != EMPTY:  # tags are distinct: a taken home holds another tag
-                    slot = _probe(tl, tag, slot, table.capacity, table.direct)[1]
-                tl[slot] = tag
-                slots.append(slot)
-        except HashOverflowError as err:
-            raise HashOverflowError(f"window {window_id}, row {r}: {err}") from err
-        sel = order[at : at + n]
-        table.vals[slots] = sums[sel]
-        table.counts[slots] = counts[sel]
-        at += n
-    return tables, uniq, sums
+    return uniq, sums
 
 
 def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = None) -> CsrMatrix:
@@ -300,16 +194,19 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     thresholds and a budget of ``cfg.spad_capacity`` lines, halved for v3,
     whose pipeline holds two windows in the scratchpad at once. Every
     version takes window w through three phases before it starts w+1:
-    prefetch (gather the rows' A entries), hash (merge the window into
-    its region tables) and write back (emit the window's output
+    prefetch (gather the rows' A entries), hash (merge the window's
+    partial products) and write back (emit the window's output
     elements). v3 records the three-stage pipeline it models in
     ``phase_steps``: step s prefetches window s, hashes s-1 and writes
-    back s-2, for s = 0..n+1, with None outside the n windows. The region
-    tables are kept in ``audit.window_tables`` only when an audit is
-    passed in. A of any type but CSR or MAP-CSR is a ConfigError.
+    back s-2, for s = 0..n+1, with None outside the n windows.
+
+    A row with more distinct output elements than its region has lines
+    raises HashOverflowError naming the window and the row; the plan sizes
+    every region to hold its row, so this is a guard. ``audit``, when
+    passed in, receives the workers' ledger only, and a second call adds
+    to it. A of any type but CSR or MAP-CSR is a ConfigError.
     """
     own_audit = audit if audit is not None else SmashAudit(version=cfg.version)
-    keep_tables = audit is not None
     if isinstance(a, MapCsrMatrix):
         a_csr = map_csr_to_csr(a)
         starts = np.where(a.replica_offsets != NO_REPLICA, a.replica_offsets, a.row_offsets)
@@ -326,17 +223,15 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     wplan = oracle.plan_windows(plan, spad_budget=budget)
     n = wplan.n_windows
     bounds = wplan.offsets.tolist()
-    own_audit.n_windows = n
+    own_audit.n_windows += n
 
     parts = []
     for w in range(n):
         span = slice(bounds[w], bounds[w + 1])
         fetched = _prefetch(a, starts, lengths, wplan.rows[span], own_audit)
-        tables, tags, vals = _hash_window(wplan, span, fetched, b, cfg, own_audit, w)
+        tags, vals = _hash_window(wplan, span, fetched, b, cfg, own_audit, w)
         _add_units(own_audit, "writeback", len(tags))
         parts.append((tags, vals))
-        if keep_tables:
-            own_audit.window_tables.append((w, tables))
     if cfg.version == V3:
         for s in range(n + 2):
             pf, hs, wb = (w if 0 <= w < n else None for w in (s, s - 1, s - 2))

@@ -637,9 +637,9 @@ _TOMBSTONE = -2
 
 
 class _HashRegion:
-    """One hash engine's slice of the HashPad: prime capacity, probed as
-    SMASH probes (``oracle.probe_sequence``: quadratic steps over half the
-    region, then the slots they missed), remaining-contribution counters.
+    """One hash engine's slice of the HashPad: prime capacity, probed along
+    ``oracle.probe_sequence`` (quadratic steps over half the region, then
+    the slots they missed), remaining-contribution counters.
 
     Rolling eviction frees lines mid-stream, so freed slots become
     tombstones that probes walk through (otherwise a colliding tag's later

@@ -1,11 +1,16 @@
-"""Host hashing kernel: probe semantics, tokenization, version equivalence."""
+"""Host hashing kernel: the window merge and its capacity guard,
+tokenization, version equivalence, the audit ledger.
+
+The kernel keeps no region tables: where a tag lands in its region is
+modelled once, by the simulator's hashpad, so the probe tests here run on
+``uarch._HashRegion`` along ``oracle.probe_sequence``."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from sparsim import cli, matio, oracle, smash
+from sparsim import cli, matio, oracle, smash, uarch
 from sparsim.errors import ConfigError, HashOverflowError
 
 
@@ -20,12 +25,6 @@ def float_rmat_csr(scale, ef, seed):
     coo = matio.generate_rmat(matio.RmatParams(scale=scale, edge_factor=ef, seed=seed))
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     return matio.to_csr(matio.CooMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, rng.normal(size=coo.nnz)))
-
-
-def contrib_counter(plan):
-    """The plan's contribution counts as {(i, j): count}."""
-    rows = np.repeat(np.arange(plan.n_rows), np.diff(plan.out_offsets))
-    return dict(zip(zip(rows.tolist(), plan.out_cols.tolist()), plan.counts.tolist()))
 
 
 def identity_csr(n):
@@ -48,35 +47,27 @@ def assert_csr_equal(got, want, exact=True):
 
 
 def test_probe_insert_home_slot():
-    t = smash.ScratchpadHashTable(capacity=7)
-    outcome = smash.hash_probe_insert(t, 5, 1.0)
-    assert outcome == ("INSERTED", 0)
-    assert t.tags[5] == 5
+    region = uarch._HashRegion(7)
+    assert region.probe(5) == (5, 1, True)
 
 
 def test_probe_update_accumulates():
-    t = smash.ScratchpadHashTable(capacity=7)
-    smash.hash_probe_insert(t, 5, 2.0)
-    outcome = smash.hash_probe_insert(t, 5, 3.0)
-    assert outcome == ("UPDATED", 0)
-    assert t.vals[5] == 5.0
+    # a probe that meets its own tag is the hit a hash memory accumulates into
+    region = uarch._HashRegion(7)
+    region.tags[5] = 5
+    assert region.probe(5) == (5, 1, False)
 
 
 def test_probe_quadratic_collision():
-    t = smash.ScratchpadHashTable(capacity=7)
-    smash.hash_probe_insert(t, 3, 1.0)
-    outcome = smash.hash_probe_insert(t, 10, 1.0)  # 10 % 7 == 3, lands at (3+1) % 7
-    assert outcome == ("PROBED", 1)
-    assert t.tags[4] == 10
+    region = uarch._HashRegion(7)
+    region.tags[3] = 3
+    assert region.probe(10) == (4, 2, True)  # 10 % 7 == 3, lands at (3+1) % 7
 
 
 def test_probe_overflow_reported():
-    t = smash.ScratchpadHashTable(capacity=3)
-    smash.hash_probe_insert(t, 0, 1.0)
-    smash.hash_probe_insert(t, 1, 1.0)
-    smash.hash_probe_insert(t, 2, 1.0)
-    with pytest.raises(HashOverflowError):
-        smash.hash_probe_insert(t, 3, 1.0)
+    region = uarch._HashRegion(3)
+    region.tags = [0, 1, 2]
+    assert region.probe(3) == (None, 3, False)
 
 
 def test_probe_sequence_covers_every_slot_and_keeps_quadratic_prefix():
@@ -99,16 +90,18 @@ def test_probe_sequence_covers_composite_capacities():
 
 
 def test_probe_fills_every_slot_before_overflow():
-    # every tag homes to slot 4: the i-th insert takes the i-th probe slot,
-    # past the (p+1)/2 slots that quadratic probing alone can reach
+    # every tag homes to slot 4: the i-th claim takes the i-th probe slot
+    # after i + 1 compares, past the (p+1)/2 slots that quadratic probing
+    # alone can reach, and a claimed tag is found again where it was put
     p, home = 13, 4
-    t = smash.ScratchpadHashTable(capacity=p)
+    region = uarch._HashRegion(p)
+    seq = list(oracle.probe_sequence(home, p))
     for i in range(p):
-        kind, k = smash.hash_probe_insert(t, home + i * p, 1.0)
-        assert k == i and kind == ("INSERTED" if i == 0 else "PROBED")
-    assert sorted(t.tags) == [home + i * p for i in range(p)]
-    with pytest.raises(HashOverflowError, match="within 13 probes"):
-        smash.hash_probe_insert(t, home + p * p, 1.0)
+        assert region.probe(home + i * p) == (seq[i], i + 1, True)
+        region.tags[seq[i]] = home + i * p
+    for i in range(p):
+        assert region.probe(home + i * p) == (seq[i], i + 1, False)
+    assert region.probe(home + p * p) == (None, p, False)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +208,6 @@ def test_smash_audit_identical_across_reruns(tmp_path):
     assert digests[0] == digests[1]
 
 
-def stream_tables(a_csr, b, wplan, w):
-    """Region tables of window w after hash_probe_insert of its partial
-    products one by one, in A-stream order."""
-    span = slice(wplan.offsets[w], wplan.offsets[w + 1])
-    rows = wplan.rows[span].tolist()
-    tables = {
-        r: smash.ScratchpadHashTable(capacity=cap, direct=direct)
-        for r, cap, direct in zip(rows, wplan.capacity[span].tolist(), wplan.dense[span].tolist())
-    }
-    for r in rows:
-        a_cols, a_vals = a_csr.row(r)
-        for k, av in zip(a_cols, a_vals):
-            b_cols, b_vals = b.row(int(k))
-            for j, bv in zip(b_cols, b_vals):
-                smash.hash_probe_insert(tables[r], smash.pack_tag(r, int(j)), av * bv)
-    return tables
-
-
 def test_negative_zero_product_kept():
     # -1 * 0 is -0.0; the kernel assigns a tag's first product, as a home
     # insert does, rather than adding it to 0.0, which would drop the sign
@@ -243,24 +218,59 @@ def test_negative_zero_product_kept():
         assert got.values.tobytes() == np.array([-0.0, -2.0]).tobytes()
 
 
+def stream_sums(a_csr, b):
+    """{(i, j): value} with each output element's first partial product
+    plus the rest, added one by one in A-stream order."""
+    sums = {}
+    for i in range(a_csr.n_rows):
+        a_cols, a_vals = a_csr.row(i)
+        for k, av in zip(a_cols.tolist(), a_vals.tolist()):
+            b_cols, b_vals = b.row(k)
+            for j, bv in zip(b_cols.tolist(), b_vals.tolist()):
+                sums[i, j] = sums[i, j] + av * bv if (i, j) in sums else av * bv
+    return sums
+
+
 @pytest.mark.parametrize("map_csr", [False, True])
-def test_window_tables_equal_one_by_one_inserts(map_csr):
+def test_multi_window_merge_equals_stream_order_sums(map_csr):
     a = float_rmat_csr(7, 4, seed=90)
     a_in = matio.build_map_csr(a, bank_width=8, replicate_rows=range(0, a.n_rows, 3)) if map_csr else a
     audit = smash.SmashAudit(version=smash.V2)
     cfg = smash.SmashConfig(version=smash.V2, n_workers=3, spad_capacity=1 << 10)
-    smash.smash_spgemm(a_in, a, cfg, audit=audit)
-    plan = oracle.symbolic_pass(a, a)
-    wplan = oracle.plan_windows(plan, spad_budget=1 << 10)
-    assert len(audit.window_tables) == wplan.n_windows > 1
-    for i, (w, tables) in enumerate(audit.window_tables):
-        assert w == i
-        want = stream_tables(a, a, wplan, w)
-        assert list(tables) == list(want)
-        for r, table in tables.items():
-            assert table.tags == want[r].tags
-            assert table.vals.tobytes() == want[r].vals.tobytes()
-            assert np.array_equal(table.counts, want[r].counts)
+    got = smash.smash_spgemm(a_in, a, cfg, audit=audit)
+    assert audit.n_windows > 1
+    want = stream_sums(a, a)
+    keys = sorted(want)
+    rows = np.repeat(np.arange(got.n_rows), np.diff(got.row_offsets))
+    assert list(zip(rows.tolist(), got.col_indices.tolist())) == keys
+    assert got.values.tobytes() == np.array([want[k] for k in keys]).tobytes()
+
+
+@pytest.mark.parametrize("version", smash.VERSIONS)
+def test_row_over_its_region_capacity_raises(version, monkeypatch):
+    # plan_windows sizes every row to hold its distinct tags; shrink one
+    # sparse row of a later window below that count
+    a = rmat_csr(7, 4, seed=91)
+    out_nnz = oracle.symbolic_pass(a, a).out_nnz_per_row
+    planned = oracle.plan_windows
+    shrunk = []
+
+    def plan_windows(plan, **kwargs):
+        wplan = planned(plan, **kwargs)
+        at = np.flatnonzero(~wplan.dense & (out_nnz[wplan.rows] >= 2))[-1]
+        capacity = wplan.capacity.copy()
+        capacity[at] = out_nnz[wplan.rows[at]] - 1
+        window = int(np.searchsorted(wplan.offsets, at, "right")) - 1
+        shrunk.append((window, int(wplan.rows[at])))
+        return dataclasses.replace(wplan, capacity=capacity)
+
+    monkeypatch.setattr(oracle, "plan_windows", plan_windows)
+    cfg = smash.SmashConfig(version=version, n_workers=2, spad_capacity=1 << 10)
+    with pytest.raises(HashOverflowError) as err:
+        smash.smash_spgemm(a, a, cfg)
+    (window, row), = shrunk
+    assert window > 0
+    assert str(err.value).startswith(f"window {window}, row {row}: ")
 
 
 def test_map_csr_backed_equals_csr_backed():
@@ -301,20 +311,6 @@ def test_unsupported_a_type_is_a_config_error():
 # ---------------------------------------------------------------------------
 # Audit properties
 # ---------------------------------------------------------------------------
-
-
-def test_atomicity_window_counters_match_symbolic_plan():
-    a = rmat_csr(6, 4, seed=70)
-    plan = oracle.symbolic_pass(a, a)
-    audit = smash.SmashAudit(version=smash.V1)
-    cfg = smash.SmashConfig(version=smash.V1, n_workers=4)
-    smash.smash_spgemm(a, a, cfg, audit=audit)
-    seen = {}
-    for _, tables in audit.window_tables:
-        for r, table in tables.items():
-            for tag, _, count in table.occupied():
-                seen[smash.unpack_tag(tag)] = count
-    assert seen == contrib_counter(plan)
 
 
 def test_load_balance_64_rows_8_workers():
@@ -376,7 +372,7 @@ def test_v3_phase_steps_model_the_pipeline_and_accumulate():
     assert audit.phase_steps == once
     smash.smash_spgemm(a, a, cfg, audit=audit)
     assert audit.phase_steps == once + once
-    assert [w for w, _ in audit.window_tables] == list(range(n)) * 2
+    assert audit.n_windows == 2 * n
 
 
 def test_v3_phase_fractions_reported():
