@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +55,6 @@ from .uarch import (
     K_HACC,
     K_REQ,
     K_RESP,
-    MemChannelModel,
     P_EAST,
     P_NORTH,
     P_SOUTH,
@@ -69,7 +67,6 @@ from .uarch import (
 __all__ = [
     "SimRun",
     "SimStats",
-    "MemChannelModel",
     "ROLLING",
     "BARRIER",
     "run_spgemm_simulation",
@@ -87,6 +84,11 @@ _SCAN = tuple(tuple((start + off) % 5 for off in range(5)) for start in range(5)
 
 class SimStats:
     """Counters and traces of one run; serializes to a stable JSON schema.
+
+    Each count is kept once. The core and mem loads are the row and
+    column sums of ``grid``; ``evictions`` is the number of values the
+    mems evicted; ``bytes_read`` and ``bytes_written`` are the granule
+    times the read and write transactions.
 
     Wall-clock derived numbers (simulated kilocycles and committed HACCs
     per host second) stay out of the JSON so repeated runs are
@@ -317,8 +319,7 @@ class SimRun:
         for idx, comp in enumerate(self.components):
             comp._engine_idx = idx
         self._mem_base = self.chip.n_cores
-        self._mem_end = self.chip.n_cores + self.chip.n_mems
-        self._occupancy = 0  # hashpad lines held over all mems, as last summed
+        self.hashpad_lines = 0  # live hashpad lines over all mems
         self._due = {}  # cycle -> components to step then
         self._sending = set()  # components whose outbox holds packets
         self._live_routers = set()
@@ -364,6 +365,12 @@ class SimRun:
 
     def on_hacc_committed(self):
         self.stats.hacc_committed += 1
+
+    def on_line_claimed(self):
+        self.hashpad_lines += 1
+
+    def on_line_freed(self):
+        self.hashpad_lines -= 1
 
     def on_eviction_arrived(self):
         self.evictions_arrived += 1
@@ -416,12 +423,9 @@ class SimRun:
         events = 0 if self.dispatcher.done else self.dispatcher.step(self, cycle, due)
 
         # Phase 1: step the due components (each touches its own state only)
-        order = sorted(due)
-        at = bisect_left(order, self._mem_base)
-        mem_stepped = at < len(order) and order[at] < self._mem_end
         comps = self.components
         sending = self._sending
-        for idx in order:
+        for idx in sorted(due):
             comp = comps[idx]
             wake = comp.step(self, cycle)
             if wake:
@@ -441,27 +445,20 @@ class SimRun:
         # Phase 2: commit in canonical order
         events += self._commit(cycle)
 
-        # Hashpad occupancy and the current window change only in mem steps
-        # and window flushes, so only those re-sum the mems and re-check.
         stats = self.stats
-        fenced = 0
         if stats.mmh4_retired == stats.mmh4_issued and stats.hacc_committed == stats.hacc_created:
-            fenced = self._advance_window_fence()
-            events += fenced
-        if mem_stepped or fenced:
-            occ = 0
-            for mem in self.chip.mems:
-                occ += mem.occupancy
-            self._occupancy = occ
-            if occ > stats.hashpad_occupancy_max:
-                stats.hashpad_occupancy_max = occ
-            w, caps = self.current_window, self._window_caps
-            if w < len(caps) and occ > caps[w]:
-                raise SimulationError(
-                    f"hashpad occupancy {occ} exceeds window {w} capacity {caps[w]} at cycle {cycle}"
-                )
+            events += self._advance_window_fence()
+        # Mems report every line they claim or free, so the count is current.
+        occ = self.hashpad_lines
+        if occ > stats.hashpad_occupancy_max:
+            stats.hashpad_occupancy_max = occ
+        w, caps = self.current_window, self._window_caps
+        if w < len(caps) and occ > caps[w]:
+            raise SimulationError(
+                f"hashpad occupancy {occ} exceeds window {w} capacity {caps[w]} at cycle {cycle}"
+            )
         if cycle % SAMPLE_INTERVAL == 0:
-            stats.occupancy_trace.append((cycle, self._occupancy))
+            stats.occupancy_trace.append((cycle, occ))
             stats.inflight_trace.append((cycle, self.reads_outstanding))
         return events > 0
 
@@ -619,9 +616,10 @@ class SimRun:
         if not dispatcher.done and dispatcher.windows[dispatcher.pointer] == w:
             return 0
         for mem in self.chip.mems:
-            if self.eviction_mode == BARRIER and mem.occupancy:
+            if self.eviction_mode == BARRIER:
                 mem.flush_all(self)
-                self._sending.add(mem._engine_idx)
+                if mem.outbox:
+                    self._sending.add(mem._engine_idx)
             mem.reset_pads()
         self.current_window = w + 1
         return 1
@@ -667,12 +665,12 @@ class SimRun:
     def _finalize(self):
         stats = self.stats
         chip = self.chip
-        stats.core_loads = [core.lanes_executed for core in chip.cores]
-        stats.mem_loads = [mem.haccs_committed for mem in chip.mems]
         grid = np.zeros((chip.n_cores, chip.n_mems), dtype=np.int64)
         for mem in chip.mems:
             grid[:, mem.id] = mem.grid_row
         stats.grid = grid
+        stats.core_loads = grid.sum(axis=1).tolist()
+        stats.mem_loads = grid.sum(axis=0).tolist()
         mmh4_hist = {}
         for core in chip.cores:
             stats.stalls["reg"] += core.stalls_reg
@@ -687,19 +685,19 @@ class SimRun:
             stats.stalls["port"] += mem.stalls_port
             for c, n in mem.cpi.items():
                 hacc_hist[c] = hacc_hist.get(c, 0) + n
-            stats.evictions += mem.evictions
         stats.cpi[kind] = hacc_hist
-        occ = sum(mem.occupancy for mem in chip.mems)
+        occ = sum(region.occupancy for mem in chip.mems for region in mem.regions)
         stats.hashpad_occupancy_final = occ
         for mc in chip.memctrls:
-            stats.bytes_read += mc.bytes_read
-            stats.bytes_written += mc.bytes_written
             stats.read_transactions += mc.transactions_read
             stats.write_transactions += mc.transactions_write
             stats.reads_merged += mc.reads_merged
+        stats.bytes_read = self.chip_cfg.granule * stats.read_transactions
+        stats.bytes_written = self.chip_cfg.granule * stats.write_transactions
         stats.mapper_assignments = self.mapper.assignments
 
         evicted = [tv for mem in chip.mems for tv in mem.evicted_values]
+        stats.evictions = len(evicted)
         self.result = csr_from_tags(
             self.program.n_rows,
             self.program.n_cols,

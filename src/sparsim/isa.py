@@ -382,7 +382,6 @@ def lower_spgemm(
     a: CscMatrix,
     b: CsrMatrix,
     plan: SymbolicPlan,
-    layout: TagLayout | None = None,
     windows: WindowPlan | None = None,
 ) -> Program:
     """Tile C = A * B into MMH4 instructions covering every contributing
@@ -400,13 +399,7 @@ def lower_spgemm(
     """
     if a.n_cols != b.n_rows:
         raise LoweringError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
-    if layout is None:
-        layout = default_layout(a.n_rows, b.n_cols)
-    if a.n_rows > layout.max_rows or b.n_cols > layout.max_cols:
-        raise LoweringError(
-            f"{a.n_rows}x{b.n_cols} output does not fit tag layout "
-            f"{layout.row_bits}/{layout.col_bits}"
-        )
+    layout = default_layout(a.n_rows, b.n_cols)
 
     window_of_row = np.zeros(a.n_rows, dtype=np.int64)
     n_windows = 1

@@ -64,9 +64,6 @@ class CsrMatrix:
         lo, hi = int(self.row_offsets[i]), int(self.row_offsets[i + 1])
         return self.col_indices[lo:hi], self.values[lo:hi]
 
-    def row_nnz(self, i: int) -> int:
-        return int(self.row_offsets[i + 1] - self.row_offsets[i])
-
 
 @dataclass(frozen=True)
 class CscMatrix:
@@ -123,9 +120,6 @@ class MapCsrMatrix:
             off = int(self.row_offsets[i])
         n = int(self.elems_per_row[i])
         return self.col_indices[off : off + n], self.values[off : off + n]
-
-    def row_nnz(self, i: int) -> int:
-        return int(self.elems_per_row[i])
 
 
 @dataclass(frozen=True)

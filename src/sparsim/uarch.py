@@ -11,18 +11,19 @@ All components are pure state machines advanced by the engine, which
 passes its run to every ``step(run, cycle)`` (and to ``flush_all(run)``);
 no component keeps a link to the run. During a step a component mutates
 only its own state and appends outgoing packets to its outbox; it reads
-the program and its layout from the run and reports retirements, commits
-and write-back arrivals to the run's counters. The engine moves packets
-between components in a canonical commit order, which keeps results
-deterministic, and drains every outbox whether or not its owner stepped,
-so a component never steps just to send. Each step returns when the
-component next has work of its own: the next cycle, a later cycle it
-waits for (a stage latency, a hash compare, the memory channel), or a
-false value when only the engine can give it work, in which case the
-engine steps it after an inbox arrival, a dispatch, or, for a core, the
-departure of an instruction's last HACC. Fabric queues are bounded with
-credit backpressure; endpoint inboxes for responses and memory requests
-are modeled as sinks so the network always drains.
+the program and its layout from the run and reports retirements, commits,
+hashpad line claims and frees, and write-back arrivals to the run's
+counters. The engine moves packets between components in a canonical
+commit order, which keeps results deterministic, and drains every outbox
+whether or not its owner stepped, so a component never steps just to
+send. Each step returns when the component next has work of its own:
+the next cycle, a later cycle it waits for (a stage latency, a hash
+compare, the memory channel), or a false value when only the engine can
+give it work, in which case the engine steps it after an inbox arrival,
+a dispatch, or, for a core, the departure of an instruction's last HACC.
+Fabric queues are bounded with credit backpressure; endpoint inboxes for
+responses and memory requests are modeled as sinks so the network always
+drains.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ class MemChannelModel:
 
     __slots__ = (
         "peak_bandwidth", "fixed_latency", "queue_depth",
-        "free_at", "completions", "bytes_served", "transactions",
+        "free_at", "completions", "bytes_served",
     )
 
     def __init__(self, peak_bandwidth=16, fixed_latency=64, queue_depth=16):
@@ -378,7 +379,6 @@ class MemChannelModel:
         self.free_at = 0
         self.completions = deque()  # completion cycles of in-flight txns (FIFO)
         self.bytes_served = 0
-        self.transactions = 0
 
     def _reap(self, cycle):
         done = self.completions
@@ -397,7 +397,6 @@ class MemChannelModel:
         completion = start + self.fixed_latency
         self.completions.append(completion)
         self.bytes_served += nbytes
-        self.transactions += 1
         return completion
 
 
@@ -457,8 +456,8 @@ class CoreModel:
     __slots__ = (
         "id", "rid", "cfg", "dispatch_latch", "inflight", "pipes",
         "free_regs", "rr_pipe", "req_queue", "outbox", "inbox",
-        "stalls_reg", "stalls_operand", "stalls_port", "lanes_executed",
-        "cpi", "seq_gen", "activity", "_engine_idx",
+        "stalls_reg", "stalls_operand", "stalls_port", "cpi", "seq_gen",
+        "activity", "_engine_idx",
         "last_step", "reg_stalling", "operand_stalling",
     )
 
@@ -477,7 +476,6 @@ class CoreModel:
         self.stalls_reg = 0
         self.stalls_operand = 0
         self.stalls_port = 0
-        self.lanes_executed = 0
         self.cpi = {}
         self.seq_gen = 0
         self.activity = 0
@@ -578,7 +576,6 @@ class CoreModel:
                         core_id = self.id
                         for tag, value, counter in zip(tags, data, counters):
                             outbox.append(Packet(None, K_HACC, (tag, value, counter, core_id, seq)))
-                        self.lanes_executed += len(tags)
                         rec.haccs_pending = len(tags)
                         rec.stage = S_DRAIN
                         self._mark(rec, "exec_done", cycle)
@@ -698,18 +695,18 @@ class MemModel:
     flush (barrier mode).
 
     ``step(run, cycle)`` and ``flush_all(run)`` take the eviction mode
-    and write-back addresses from ``run`` and report commits to it; the
-    unit keeps no link to the run. ``step`` returns the cycle the first
-    busy engine finishes (at least ``cycle + 1``), or None when every
-    engine is idle: then the inbox holds nothing any engine could take,
-    and an arrival steps the unit.
+    and write-back addresses from ``run`` and report commits and each
+    line claimed or freed to it; the unit keeps no link to the run. Its
+    loads are its ``grid_row`` and its evictions its ``evicted_values``.
+    ``step`` returns the cycle the first busy engine finishes (at least
+    ``cycle + 1``), or None when every engine is idle: then the inbox
+    holds nothing any engine could take, and an arrival steps the unit.
     """
 
     __slots__ = (
         "id", "rid", "cfg", "inbox", "outbox", "engines_pending",
-        "regions", "n_engines", "occupancy", "haccs_committed",
-        "evictions", "cpi", "grid_row", "evicted_values", "activity", "probes_total",
-        "stalls_port", "_engine_idx",
+        "regions", "n_engines", "cpi", "grid_row", "evicted_values", "activity",
+        "probes_total", "stalls_port", "_engine_idx",
     )
 
     def __init__(self, mem_id, rid, cfg: ChipConfig):
@@ -723,9 +720,6 @@ class MemModel:
         cap = prev_prime_at_most(max(per_engine, 2))
         self.regions = [_HashRegion(cap) for _ in range(self.n_engines)]
         self.engines_pending = [None] * self.n_engines
-        self.occupancy = 0
-        self.haccs_committed = 0
-        self.evictions = 0
         self.cpi = {}
         self.grid_row = [0] * cfg.n_cores  # HACCs committed per source core
         self.evicted_values = []
@@ -763,8 +757,9 @@ class MemModel:
             slot, probes, is_insert = region.probe(tag)
             if slot is None:
                 raise SimulationError(
-                    f"hashpad overflow at mem {self.id} engine {e} (tag {tag:#x}); "
-                    "window sizing bug"
+                    f"hashpad overflow at mem {self.id} engine {e} (tag {tag:#x}): all "
+                    f"{region.capacity} lines of its region are live; the window plan "
+                    "bounds the chip-wide line count, not each (mem, engine) region's"
                 )
             self.probes_total += probes
             if is_insert:
@@ -774,7 +769,7 @@ class MemModel:
                 region.vals[slot] = data
                 region.counters[slot] = counter
                 region.occupancy += 1
-                self.occupancy += 1
+                run.on_line_claimed()
             else:
                 region.vals[slot] += data
                 region.counters[slot] -= 1
@@ -795,7 +790,6 @@ class MemModel:
 
     def _complete(self, run, pending, cycle):
         done, e, slot, evict, tag, src_core, birth = pending
-        self.haccs_committed += 1
         cycles = cycle - birth
         self.cpi[cycles] = self.cpi.get(cycles, 0) + 1
         self.grid_row[src_core] += 1
@@ -809,8 +803,7 @@ class MemModel:
         region.tags[slot] = _TOMBSTONE
         region.tombstones += 1
         region.occupancy -= 1
-        self.occupancy -= 1
-        self.evictions += 1
+        run.on_line_freed()
         self.evicted_values.append((tag, value))
         i, j, addr, nbytes = run.eviction_target(tag)
         # dst is the owning controller; on the dedicated-path config the
@@ -850,7 +843,9 @@ class MemCtrlModel:
     cycles and adds a fixed latency, so ``inflight`` is a FIFO.
 
     ``step(run, cycle)`` takes response routes from ``run`` and reports
-    write-back arrivals to it; the controller keeps no link to the run. It
+    write-back arrivals to it; the controller keeps no link to the run.
+    Each transaction moves one granule, so the bytes it moved are the
+    granule times ``transactions_read`` or ``transactions_write``. It
     returns ``cycle + 1`` while the channel can take the next pending
     transaction, else the earlier of the first in-flight completion and,
     with transactions pending, the cycle the full channel frees a slot;
@@ -860,8 +855,8 @@ class MemCtrlModel:
 
     __slots__ = (
         "id", "rid", "cfg", "channel", "inbox", "outbox",
-        "read_pending", "write_pending", "inflight", "bytes_read", "bytes_written",
-        "reads_merged", "transactions_read", "transactions_write", "activity",
+        "read_pending", "write_pending", "inflight", "reads_merged",
+        "transactions_read", "transactions_write", "activity",
         "touch_remaining", "stalls_port", "_engine_idx",
     )
 
@@ -875,8 +870,6 @@ class MemCtrlModel:
         self.read_pending = deque()  # (granule, core_id, seq, field, touches)
         self.write_pending = deque()  # granule ids
         self.inflight = deque()  # (completion, responses), completions in order
-        self.bytes_read = 0
-        self.bytes_written = 0
         self.reads_merged = 0
         self.transactions_read = 0
         self.transactions_write = 0
@@ -930,7 +923,6 @@ class MemCtrlModel:
                     kept.append(item)
             pending.extendleft(reversed(kept))
             completion = self.channel.submit(cycle, granule)
-            self.bytes_read += granule
             self.transactions_read += 1
             self.reads_merged += len(merged) - 1
             responses = []
@@ -954,7 +946,6 @@ class MemCtrlModel:
                     kept.append(g)
             pending.extendleft(reversed(kept))
             completion = self.channel.submit(cycle, granule)
-            self.bytes_written += granule
             self.transactions_write += 1
             self.inflight.append((completion, ()))
             acted += 1

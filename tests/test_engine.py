@@ -85,6 +85,29 @@ def test_conservation_counters():
     assert stats.mapper_assignments == plan.total_fma
 
 
+def test_loads_evictions_and_bytes_on_a_wider_granule():
+    a = rmat_csr(6, 4, seed=11)
+    plan = oracle.symbolic_pass(a, a)
+    cfg = replace(uarch.CHIP_TILE4, granule=128)
+    stats, _, run = engine.run_spgemm_simulation(a, a, cfg, mapper(), seed=1)
+    assert stats.read_transactions and stats.write_transactions
+    assert stats.bytes_read == 128 * stats.read_transactions
+    assert stats.bytes_written == 128 * stats.write_transactions
+    served = sum(mc.channel.bytes_served for mc in run.chip.memctrls)
+    assert stats.bytes_read + stats.bytes_written == served
+    # Loads are the grid's row and column sums, kept as Python ints, and
+    # match the lanes each core was dispatched and the commits each mem timed.
+    assert stats.core_loads == stats.grid.sum(axis=1).tolist()
+    assert stats.mem_loads == stats.grid.sum(axis=0).tolist()
+    assert all(type(n) is int for n in stats.core_loads + stats.mem_loads)
+    lanes = [0] * run.chip.n_cores
+    for n, core in run.dispatcher.log:
+        lanes[core] += run.lane_count(n)
+    assert stats.core_loads == lanes
+    assert stats.mem_loads == [sum(mem.cpi.values()) for mem in run.chip.mems]
+    assert stats.evictions == plan.total_out_nnz
+
+
 def test_multiple_windows_fenced_and_correct():
     a = rmat_csr(6, 6, seed=21)
     plan, wplan, prog = lower_for(a, a, budget=512)
@@ -268,8 +291,8 @@ def test_fence_keeps_all_work_in_current_window(mode):
         tags += [pend[4] for m in run.chip.mems for pend in m.engines_pending if pend is not None]
         assert all(ins.window == w for ins in instrs)
         assert all(window_of_row[tag >> col_bits] == w for tag in tags)
-        # The occupancy the engine reuses between mem steps and fences is current.
-        assert run._occupancy == sum(m.occupancy for m in run.chip.mems)
+        # The run's live-line count agrees with the hashpad itself.
+        assert run.hashpad_lines == sum(r.occupancy for m in run.chip.mems for r in m.regions)
         if instrs or tags:
             seen.add(w)
         if run._finished():

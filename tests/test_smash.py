@@ -110,11 +110,21 @@ def test_probe_fills_every_slot_before_overflow():
 
 
 def test_token_halving_rules():
-    # one entry: EVEN gets it, ODD is empty; four entries: 0-1 / 2-3
-    for n, even_span in ((1, (0, 1)), (4, (0, 2)), (5, (0, 3))):
-        mid = -(-n // 2)
-        assert (0, mid) == even_span
-        assert mid + (n - mid) == n
+    # Row 0's three A entries make 5, 5 and 1 partial products, row 1's one
+    # entry makes 1. The first token takes ceil(n/2) entries, so the tokens
+    # carry 10 and 1, then 1 and 0 products. With two workers the first
+    # token goes to worker 0 and the other three to the less busy worker 1.
+    # A first token of n//2 entries (5 and 6, then 1 and 0) would deal
+    # worker 0 three tokens instead.
+    a = matio.to_csr(matio.coo_from_entries(2, 3, [0, 0, 0, 1], [0, 1, 2, 2], [1.0] * 4))
+    b = matio.to_csr(matio.coo_from_entries(
+        3, 5, [0] * 5 + [1] * 5 + [2], list(range(5)) * 2 + [0], [1.0] * 11))
+    audit = smash.SmashAudit(version=smash.V2)
+    got = smash.smash_spgemm(a, b, smash.SmashConfig(version=smash.V2, n_workers=2), audit)
+    assert_csr_equal(got, oracle.spgemm_gustavson(a, b))
+    assert audit.n_windows == 1
+    assert audit.tokens_total == 4
+    assert audit.tokens_per_worker == {0: 1, 1: 3}
 
 
 def test_single_entry_row_unchanged_by_tokenization():

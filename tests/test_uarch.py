@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsim import engine, isa, mapping, matio, oracle, uarch
-from sparsim.errors import ConfigError
+from sparsim.errors import ConfigError, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +318,9 @@ def test_multi_granule_request_single_response():
 class _MemCtx:
     rolling_evictions = True
 
+    def __init__(self):
+        self.lines = 0  # live lines the mem reported
+
     def eviction_target(self, tag):
         return tag >> 16, tag & 0xFFFF, 0x100000, 12
 
@@ -326,6 +329,12 @@ class _MemCtx:
 
     def on_hacc_committed(self):
         pass
+
+    def on_line_claimed(self):
+        self.lines += 1
+
+    def on_line_freed(self):
+        self.lines -= 1
 
 
 def make_mem(rolling=True):
@@ -358,12 +367,11 @@ def test_mem_insert_update_evict_sequence():
     mem.inbox.append(hacc_packet(tag, 3.0, 2))
     run_mem(mem, ctx, 8)
     assert region.vals[slot] == 8.0 and region.counters[slot] == 1
-    assert mem.evictions == 0
+    assert len(mem.evicted_values) == 0
 
     mem.inbox.append(hacc_packet(tag, 3.0, 2))
     run_mem(mem, ctx, 12)
-    assert mem.evictions == 1
-    assert mem.occupancy == 0
+    assert ctx.lines == 0
     assert mem.evicted_values == [(tag, 11.0)]
     assert len(mem.outbox) == 1  # write-back packet
 
@@ -372,7 +380,7 @@ def test_mem_single_contribution_evicts_immediately():
     mem, ctx = make_mem()
     mem.inbox.append(hacc_packet(isa.encode_tag(1, 1), 4.0, 0))
     run_mem(mem, ctx, 4)
-    assert mem.evictions == 1
+    assert len(mem.evicted_values) == 1
     assert mem.evicted_values[0][1] == 4.0
 
 
@@ -382,9 +390,9 @@ def test_mem_barrier_mode_holds_lines_until_flush():
     mem.inbox.append(hacc_packet(tag, 1.0, 1))
     mem.inbox.append(hacc_packet(tag, 1.0, 1))
     run_mem(mem, ctx, 8)
-    assert mem.evictions == 0 and mem.occupancy == 1
+    assert len(mem.evicted_values) == 0 and ctx.lines == 1
     mem.flush_all(ctx)
-    assert mem.evictions == 1 and mem.occupancy == 0
+    assert ctx.lines == 0
     assert mem.evicted_values == [(tag, 2.0)]
 
 
@@ -398,13 +406,37 @@ def test_mem_tombstone_probing_reuses_freed_slots():
     t2 = 2 * cap * e
     mem.inbox.append(hacc_packet(t1, 1.0, 0))  # insert + immediate evict
     run_mem(mem, ctx, 4)
-    assert mem.evictions == 1
+    assert len(mem.evicted_values) == 1
     mem.inbox.append(hacc_packet(t2, 2.0, 1))  # probes through the tombstone
     run_mem(mem, ctx, 8)
     mem.inbox.append(hacc_packet(t2, 2.0, 1))
     run_mem(mem, ctx, 12)
-    assert mem.evictions == 2
+    assert len(mem.evicted_values) == 2
     assert (t2, 4.0) in mem.evicted_values
+
+
+def test_mem_overflow_names_the_full_region():
+    # Fill engine 0's region line by line, each tag at its own home slot,
+    # then send it one tag more.
+    mem, ctx = uarch.MemModel(0, 1, tiny_chip_cfg()), _MemCtx()
+    ctx.rolling_evictions = False
+    region = mem.regions[0]
+    cap, e = region.capacity, mem.n_engines
+    cycle = 0
+    for k in range(cap):
+        mem.inbox.append(hacc_packet(k * e, 1.0, 1))
+        while mem.inbox or any(mem.engines_pending):
+            mem.step(ctx, cycle)
+            cycle += 1
+    assert ctx.lines == region.occupancy == cap
+    mem.inbox.append(hacc_packet(cap * e, 1.0, 1))
+    with pytest.raises(SimulationError) as err:
+        mem.step(ctx, cycle)
+    assert str(err.value) == (
+        f"hashpad overflow at mem 0 engine 0 (tag {cap * e:#x}): all {cap} lines of its "
+        "region are live; the window plan bounds the chip-wide line count, not each "
+        "(mem, engine) region's"
+    )
 
 
 def test_hash_region_probe_reaches_non_quadratic_slots():
