@@ -254,9 +254,15 @@ def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
 
 
 def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
-    """A block's sorted distinct keys as (int32 columns, elements per row)."""
-    local_rows = uniq // n_cols
-    return (uniq - local_rows * n_cols).astype(np.int32), np.bincount(local_rows, minlength=n_block_rows)
+    """A block's sorted distinct keys as (int32 columns, elements per row).
+
+    Row k's keys start at ``k * n_cols``, so one ``searchsorted`` of the row
+    starts bounds every row's run. The starts keep the keys' dtype: in a
+    block they are below ``2**32`` (see ``_expand_blocks``).
+    """
+    row_starts = (np.arange(n_block_rows) * n_cols).astype(uniq.dtype)
+    counts = np.diff(np.searchsorted(uniq, row_starts), append=len(uniq))
+    return (uniq - np.repeat(row_starts, counts)).astype(np.int32), counts
 
 
 def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:

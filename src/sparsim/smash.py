@@ -26,17 +26,19 @@ order (the row's A entries in order, each against its B row in order), so
 all four give the same result bit for bit, integer inputs or not, and
 every rerun gives the same result and ledger.
 
-One window is merged at once with numpy: its partial-product stream is
-expanded, the distinct tags are found with their first touch, and each
-tag's value is its first product plus the rest in stream order. The host
-keeps no region tables. Where a tag lands in its region, and what probing
-for it costs, is modelled once, by the simulator's hash memories
-(``uarch``), which probe along ``oracle.probe_sequence``. That sequence
-examines every slot of a region, and SMASH frees no line within a window,
-so a region overflows exactly when its row has more distinct tags than
-the region has lines; the kernel checks that count per row and raises
-``HashOverflowError``. ``plan_windows`` sizes every row to hold its tags,
-so the check is a guard.
+One window is merged at once with numpy into the slots taken from the
+symbolic plan (``oracle.symbolic_pass``): each partial product finds its
+element's slot with one ``searchsorted``, and sums start from -0.0, IEEE
+addition's identity, so each is the element's first product plus the
+rest in stream order. The host keeps no region tables: where an element
+lands in its region, and what probing for it costs, is modelled once, by
+the simulator's hash memories (``uarch``), along
+``oracle.probe_sequence``. That sequence examines every slot of a region,
+and SMASH frees no line within a window, so a region overflows exactly
+when its row has more output elements than its region has lines. The
+kernel checks that count per row and raises ``HashOverflowError``;
+``plan_windows`` sizes every row to hold its elements, so the check is a
+guard.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError, HashOverflowError
-from .matio import NO_REPLICA, CsrMatrix, MapCsrMatrix, concat_ranges, csr_from_tags, map_csr_to_csr
+from .matio import NO_REPLICA, CsrMatrix, MapCsrMatrix, concat_ranges, map_csr_to_csr
 
 BASE = "base"
 V1 = "v1"
@@ -148,43 +150,38 @@ def _record_schedule(cfg, n_entries, entry_pp, audit):
     audit.tokens_total += 2 * n_rows
 
 
-def _hash_window(wplan, span, fetched, b, cfg, audit, window_id):
-    """Merge one window's partial products: its distinct tags, ascending,
-    with their values.
-
-    Raises HashOverflowError when a row has more distinct tags than its
-    region has lines.
-    """
+def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
+    """Merge one window's partial products into the slots taken from the
+    symbolic plan for its rows: (slot indices, their sums). Sums start from
+    -0.0, so a lone -0.0 product stays -0.0. Raises HashOverflowError when
+    a row has more output elements than its region has lines."""
     n_entries, a_cols, a_vals = fetched
     b_off = np.asarray(b.row_offsets, dtype=np.int64)
     entry_pp = np.diff(b_off)[a_cols]
     _record_schedule(cfg, n_entries, entry_pp, audit)
     rows = wplan.rows[span]
-
-    # The stream: each A entry against its B row, in order.
-    n_pp = int(entry_pp.sum())
-    _add_units(audit, "hash", n_pp)
-    pos = concat_ranges(b_off[a_cols], entry_pp)
-    prods = np.repeat(a_vals, entry_pp) * b.values[pos]
-    tags = np.repeat(np.repeat(rows, n_entries) << 32, entry_pp)
-    tags |= b.col_indices[pos]
-    del pos
-
-    uniq, first, inv = np.unique(tags, return_index=True, return_inverse=True)
-    uniq_rows = uniq >> 32
-    n_distinct = np.searchsorted(uniq_rows, rows, "right") - np.searchsorted(uniq_rows, rows, "left")
+    _add_units(audit, "hash", int(entry_pp.sum()))
+    n_out = plan.out_nnz_per_row[rows]
     caps = wplan.capacity[span]
-    over = np.flatnonzero(n_distinct > caps)
+    over = np.flatnonzero(n_out > caps)
     if len(over):
         k = over[0]
         raise HashOverflowError(
-            f"window {window_id}, row {rows[k]}: {n_distinct[k]} distinct tags exceed its {caps[k]} lines"
+            f"window {window_id}, row {rows[k]}: {n_out[k]} distinct tags exceed its {caps[k]} lines"
         )
-    sums = prods[first]  # assigned, not added to 0.0, so a -0.0 stays
-    rest = np.ones(n_pp, dtype=bool)
-    rest[first] = False
-    np.add.at(sums, inv[rest], prods[rest])
-    return uniq, sums
+    # Keys local_row * n_cols + col: the slots' ascend, the stream's find them.
+    row_keys = np.arange(len(rows), dtype=np.int64) * plan.n_cols
+    slots = concat_ranges(plan.out_offsets[rows], n_out)
+    slot_keys = np.repeat(row_keys, n_out) + plan.out_cols[slots]
+    # The stream: each A entry against its B row, in order.
+    pos = concat_ranges(b_off[a_cols], entry_pp)
+    prods = np.repeat(a_vals, entry_pp) * b.values[pos]
+    keys = np.repeat(np.repeat(row_keys, n_entries), entry_pp)
+    keys += b.col_indices[pos]
+    del pos
+    sums = np.full(len(slots), -0.0)
+    np.add.at(sums, np.searchsorted(slot_keys, keys), prods)
+    return slots, sums
 
 
 def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = None) -> CsrMatrix:
@@ -195,8 +192,8 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     whose pipeline holds two windows in the scratchpad at once. Every
     version takes window w through three phases before it starts w+1:
     prefetch (gather the rows' A entries), hash (merge the window's
-    partial products) and write back (emit the window's output
-    elements). v3 records the three-stage pipeline it models in
+    partial products) and write back (store the window's sums in the
+    plan's output slots). v3 records the three-stage pipeline it models in
     ``phase_steps``: step s prefetches window s, hashes s-1 and writes
     back s-2, for s = 0..n+1, with None outside the n windows.
 
@@ -225,17 +222,15 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     bounds = wplan.offsets.tolist()
     own_audit.n_windows += n
 
-    parts = []
+    values = np.empty(len(plan.out_cols))
     for w in range(n):
         span = slice(bounds[w], bounds[w + 1])
         fetched = _prefetch(a, starts, lengths, wplan.rows[span], own_audit)
-        tags, vals = _hash_window(wplan, span, fetched, b, cfg, own_audit, w)
-        _add_units(own_audit, "writeback", len(tags))
-        parts.append((tags, vals))
+        slots, sums = _hash_window(plan, wplan, span, fetched, b, cfg, own_audit, w)
+        _add_units(own_audit, "writeback", len(slots))
+        values[slots] = sums
     if cfg.version == V3:
         for s in range(n + 2):
             pf, hs, wb = (w if 0 <= w < n else None for w in (s, s - 1, s - 2))
             own_audit.phase_steps.append({"step": s, "prefetch": pf, "hash": hs, "writeback": wb})
-    tags = np.concatenate([np.zeros(0, dtype=np.int64)] + [t for t, _ in parts])
-    vals = np.concatenate([np.zeros(0)] + [v for _, v in parts])
-    return csr_from_tags(a_csr.n_rows, b.n_cols, tags, vals, 32)
+    return CsrMatrix(a_csr.n_rows, b.n_cols, plan.out_offsets, plan.out_cols, values)

@@ -315,6 +315,21 @@ def test_int64_columns_in_b_give_the_same_plan_and_product(case):
     assert_same_bits(oracle.spgemm_gustavson(a, b64), oracle.spgemm_gustavson(a, b))
 
 
+@pytest.mark.parametrize("n_cols", [1, 7, (1 << 32) // 6])
+def test_split_keys_equals_bincount_form(n_cols):
+    # a block of 6 rows: rows 0, 2 and 5 are empty, row 4 holds its last column
+    rows = np.array([1, 1, 3, 4, 4])
+    cols = np.array([0, n_cols - 1, 0, 0, n_cols - 1]) % n_cols
+    uniq = np.unique((rows * n_cols + cols).astype(np.uint32))
+    got_cols, got_counts = oracle._split_keys(uniq, n_cols, 6)
+    local_rows = uniq // n_cols
+    want_cols = (uniq - local_rows * n_cols).astype(np.int32)
+    want_counts = np.bincount(local_rows, minlength=6)
+    assert got_cols.dtype == want_cols.dtype and got_cols.tobytes() == want_cols.tobytes()
+    assert got_counts.dtype == want_counts.dtype and got_counts.tobytes() == want_counts.tobytes()
+    assert got_counts[0] == got_counts[-1] == 0 and got_counts.sum() == len(uniq)
+
+
 def test_symbolic_identity_times_b():
     b = rmat_csr(4, 3, seed=2)
     eye = matio.to_csr(matio.coo_from_entries(16, 16, range(16), range(16), [1.0] * 16))

@@ -219,13 +219,25 @@ def test_smash_audit_identical_across_reruns(tmp_path):
 
 
 def test_negative_zero_product_kept():
-    # -1 * 0 is -0.0; the kernel assigns a tag's first product, as a home
-    # insert does, rather than adding it to 0.0, which would drop the sign
+    # -1 * 0 is -0.0; a slot's sum starts from -0.0, so it equals the first
+    # product, as a home insert does; starting from 0.0 would drop the sign
     a = matio.to_csr(matio.coo_from_entries(1, 1, [0], [0], [-1.0]))
     b = matio.to_csr(matio.coo_from_entries(1, 2, [0, 0], [0, 1], [0.0, 2.0]))
     for version in smash.VERSIONS:
         got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
         assert got.values.tobytes() == np.array([-0.0, -2.0]).tobytes()
+
+
+@pytest.mark.parametrize("version", smash.VERSIONS)
+@pytest.mark.parametrize(
+    "products, want", [((-0.0, 0.0), 0.0), ((-0.0, -0.0), -0.0), ((0.0, -0.0), 0.0)]
+)
+def test_signed_zero_sums_on_one_element(version, products, want):
+    # two partial products, in this stream order, on output element (0, 0)
+    a = matio.to_csr(matio.coo_from_entries(1, 2, [0, 0], [0, 1], [1.0, 1.0]))
+    b = matio.to_csr(matio.coo_from_entries(2, 1, [0, 1], [0, 0], list(products)))
+    got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
+    assert got.values.tobytes() == np.array([want]).tobytes()
 
 
 def stream_sums(a_csr, b):
@@ -245,15 +257,49 @@ def stream_sums(a_csr, b):
 def test_multi_window_merge_equals_stream_order_sums(map_csr):
     a = float_rmat_csr(7, 4, seed=90)
     a_in = matio.build_map_csr(a, bank_width=8, replicate_rows=range(0, a.n_rows, 3)) if map_csr else a
-    audit = smash.SmashAudit(version=smash.V2)
-    cfg = smash.SmashConfig(version=smash.V2, n_workers=3, spad_capacity=1 << 10)
-    got = smash.smash_spgemm(a_in, a, cfg, audit=audit)
-    assert audit.n_windows > 1
     want = stream_sums(a, a)
     keys = sorted(want)
-    rows = np.repeat(np.arange(got.n_rows), np.diff(got.row_offsets))
-    assert list(zip(rows.tolist(), got.col_indices.tolist())) == keys
-    assert got.values.tobytes() == np.array([want[k] for k in keys]).tobytes()
+    for version in smash.VERSIONS:
+        audit = smash.SmashAudit(version=version)
+        cfg = smash.SmashConfig(version=version, n_workers=3, spad_capacity=1 << 10)
+        got = smash.smash_spgemm(a_in, a, cfg, audit=audit)
+        assert audit.n_windows > 1
+        rows = np.repeat(np.arange(got.n_rows), np.diff(got.row_offsets))
+        assert list(zip(rows.tolist(), got.col_indices.tolist())) == keys
+        assert got.values.tobytes() == np.array([want[k] for k in keys]).tobytes()
+
+
+@pytest.mark.parametrize("version", smash.VERSIONS)
+def test_structure_is_the_symbolic_plans(version):
+    a = rmat_csr(7, 4, seed=92)
+    audit = smash.SmashAudit(version=version)
+    cfg = smash.SmashConfig(version=version, n_workers=2, spad_capacity=1 << 10)
+    got = smash.smash_spgemm(a, a, cfg, audit=audit)
+    assert audit.n_windows > 1
+    plan = oracle.symbolic_pass(a, a)
+    assert np.array_equal(got.row_offsets, plan.out_offsets)
+    assert np.array_equal(got.col_indices, plan.out_cols)
+
+
+@pytest.mark.parametrize("version", smash.VERSIONS)
+def test_one_call_plans_once(version, monkeypatch):
+    # the merge writes into the one plan's slots, so a call plans once
+    calls = {"symbolic_pass": 0, "plan_windows": 0}
+
+    def counted(name):
+        inner = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name))
+    a = rmat_csr(7, 4, seed=93)
+    smash.smash_spgemm(a, a, smash.SmashConfig(version=version, spad_capacity=1 << 10))
+    assert calls == {"symbolic_pass": 1, "plan_windows": 1}
 
 
 @pytest.mark.parametrize("version", smash.VERSIONS)
