@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,32 +109,53 @@ def chip_config(name: str) -> uarch.ChipConfig:
     return _from_json(uarch.ChipConfig, dict(data, tile=tile), str(path))
 
 
-def mapper_config(args) -> mapping.MapperConfig:
-    return mapping.MapperConfig(
-        strategy=args.mapper,
-        n_targets=1,  # the engine sizes this to the chip
-        k=args.k,
-        rng_seed=args.seed,
+def mapper_config(strategy: str, k: int, seed: int) -> mapping.MapperConfig:
+    # n_targets is a placeholder: the engine sizes it to the chip
+    return mapping.MapperConfig(strategy=strategy, n_targets=1, k=k, rng_seed=seed)
+
+
+def read_matrix(args, path=None, rmat=None) -> tuple[str, matio.CsrMatrix]:
+    """One operand and its name: the rmat spec ``rmat`` drawn with
+    ``--seed``, else the file at ``path``; ``--integer-mode`` redraws its
+    values from ``--seed + 1``."""
+    if rmat is None:
+        coo = matio.load_matrix(path)
+        name = Path(path).name
+    else:
+        coo = matio.generate_rmat(dataclasses.replace(parse_rmat_spec(rmat), seed=args.seed))
+        name = f"rmat-{rmat}-s{args.seed}"
+    if args.integer_mode:
+        coo = matio.with_integer_values(coo, seed=args.seed + 1)
+    return name, matio.to_csr(coo)
+
+
+def load_operands(args):
+    """``(name, A, b_name, B)`` from ``--matrix`` or ``--rmat`` and the
+    optional ``--matrix-b``; B is A when that is absent."""
+    if args.matrix and args.rmat:
+        raise ConfigError("give either --matrix or --rmat, not both")
+    if not (args.matrix or args.rmat):
+        raise ConfigError("no --matrix given")
+    name, a = read_matrix(args, args.matrix, args.rmat)
+    b_path = getattr(args, "matrix_b", None)  # gcn has no --matrix-b
+    b_name, b = read_matrix(args, b_path) if b_path else (name, a)
+    return name, a, b_name, b
+
+
+def simulate(args, a, b, **kwargs):
+    """A*B through the engine on ``--config``, mapped by ``--mapper``/``--k``/``--seed``."""
+    return engine.run_spgemm_simulation(
+        a, b, chip_config(args.config), mapper_config(args.mapper, args.k, args.seed),
+        seed=args.seed, **kwargs,
     )
 
 
-def load_input_matrix(args, which="matrix") -> tuple[str, matio.CsrMatrix]:
-    path = getattr(args, which.replace("-", "_"), None)
-    if path and args.rmat and which == "matrix":
-        raise ConfigError("give either --matrix or --rmat, not both")
-    if path:
-        coo = matio.load_matrix(path)
-        name = Path(path).name
-    elif which == "matrix" and args.rmat:
-        params = parse_rmat_spec(args.rmat)
-        params = replace(params, seed=args.seed)
-        coo = matio.generate_rmat(params)
-        name = f"rmat-{args.rmat}-s{args.seed}"
-    else:
-        raise ConfigError(f"no --{which} given")
-    if getattr(args, "integer_mode", False):
-        coo = matio.with_integer_values(coo, seed=args.seed + 1)
-    return name, matio.to_csr(coo)
+def seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def out_dir(args) -> Path:
@@ -145,14 +166,6 @@ def out_dir(args) -> Path:
 
 def write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
-
-
-def write_cpi_csv(path: Path, hist: dict) -> None:
-    with path.open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cycles", "count"])
-        for c in sorted(hist):
-            writer.writerow([c, hist[c]])
 
 
 def write_series_csv(path: Path, header, rows) -> None:
@@ -197,8 +210,8 @@ def emit_run_outputs(out: Path, stats: engine.SimStats, result=None) -> None:
     write_json(out / "stats.json", stats.to_json_dict())
     with (out / "heatmap.csv").open("w") as fh:
         mapping.export_heatmap(stats.grid, fh)
-    for kind in stats.cpi:
-        write_cpi_csv(out / f"cpi_{kind}.csv", stats.cpi[kind])
+    for kind, hist in stats.cpi.items():
+        write_series_csv(out / f"cpi_{kind}.csv", ["cycles", "count"], sorted(hist.items()))
     write_series_csv(
         out / "hashpad_occupancy.csv", ["cycle", "occupancy"], stats.occupancy_trace
     )
@@ -214,20 +227,9 @@ def emit_run_outputs(out: Path, stats: engine.SimStats, result=None) -> None:
 
 
 def cmd_run(args) -> int:
-    name, a = load_input_matrix(args)
-    if args.matrix_b:
-        b_name, b = load_input_matrix(args, "matrix-b")
-    else:
-        b_name, b = name, a
+    name, a, b_name, b = load_operands(args)
     out = out_dir(args)
-    stats, result, run = engine.run_spgemm_simulation(
-        a,
-        b,
-        chip_config(args.config),
-        mapper_config(args),
-        seed=args.seed,
-        eviction_mode=args.eviction,
-    )
+    stats, result, run = simulate(args, a, b, eviction_mode=args.eviction)
     write_json(
         out / "seed_log.json",
         {
@@ -261,19 +263,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    name, a = load_input_matrix(args)
-    if args.matrix_b:
-        _, b = load_input_matrix(args, "matrix-b")
-    else:
-        b = a
+    name, a, _, b = load_operands(args)
     tol = 0.0 if args.integer_mode else 1e-9
     reference = oracle.spgemm_gustavson(a, b)
-    failures = []
+    failures = 0
 
     if a.n_rows <= 512:
         dense = oracle.spgemm_dense_oracle(matio.csr_to_dense(a), matio.csr_to_dense(b))
         div = first_divergence(reference, matio.dense_to_csr(dense), max(tol, 1e-12))
-        _report("dense-oracle vs gustavson", div, failures)
+        failures += _report("dense-oracle vs gustavson", div)
 
     plan = oracle.symbolic_pass(a, b)
     a_csc = matio.to_csc(matio.csr_to_coo(a))
@@ -298,37 +296,35 @@ def cmd_verify(args) -> int:
     try:
         replayed = isa.replay(program)
     except MemoryFaultError as err:
-        failures.append((label, err))
+        failures += 1
         print(f"FAIL {label}: {err}")
     else:
-        _report(label, first_divergence(replayed, reference, tol), failures)
+        failures += _report(label, first_divergence(replayed, reference, tol))
 
     if not args.trace:
         for version in smash.VERSIONS:
             got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
-            div = first_divergence(got, reference, tol)
-            _report(f"smash-{version}", div, failures)
+            failures += _report(f"smash-{version}", first_divergence(got, reference, tol))
 
-        _, sim_out, _ = engine.run_spgemm_simulation(
-            a, b, chip_config(args.config), mapper_config(args), seed=args.seed
-        )
+        _, sim_out, _ = simulate(args, a, b)
         div = first_divergence(sim_out, reference, tol)
-        _report(f"simulation ({args.config})", div, failures)
+        failures += _report(f"simulation ({args.config})", div)
 
     if failures:
-        print(f"verify: {len(failures)} path(s) diverged on {name}")
+        print(f"verify: {failures} path(s) diverged on {name}")
         return EXIT_VERIFY
     print(f"verify: all paths match the oracle on {name}")
     return EXIT_OK
 
 
-def _report(label, divergence, failures) -> None:
+def _report(label, divergence) -> bool:
+    """Print PASS, or FAIL with the first divergent element; True on FAIL."""
     if divergence is None:
         print(f"PASS {label}")
-    else:
-        i, j, got, want = divergence
-        failures.append((label, divergence))
-        print(f"FAIL {label}: first divergent element ({i},{j}): got {got!r}, want {want!r}")
+        return False
+    i, j, got, want = divergence
+    print(f"FAIL {label}: first divergent element ({i},{j}): got {got!r}, want {want!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -337,87 +333,64 @@ def _report(label, divergence, failures) -> None:
 
 
 def _sweep_point(payload):
-    (label, a, b, config_name, mapper_name, k, seed) = payload
+    """Simulate A*A: (stats dict, None), or (None, error) if the run failed."""
+    a, chip, mcfg, seed = payload
     try:
-        mcfg = mapping.MapperConfig(strategy=mapper_name, n_targets=1, k=k, rng_seed=seed)
-        stats, _, _ = engine.run_spgemm_simulation(
-            a, b, chip_config(config_name), mcfg, seed=seed
-        )
-        return label, stats.to_json_dict(), None
+        stats, _, _ = engine.run_spgemm_simulation(a, a, chip, mcfg, seed=seed)
+        return stats.to_json_dict(), None
     except SparsimError as err:
-        return label, None, str(err)
+        return None, str(err)
 
 
 def cmd_sweep(args) -> int:
-    configs = [c for c in args.configs.split(",") if c]
-    mappers = [m for m in args.mappers.split(",") if m]
-    matrices = []
-    for path in args.matrix or []:
-        coo = matio.load_matrix(path)
-        if args.integer_mode:
-            coo = matio.with_integer_values(coo, seed=args.seed + 1)
-        matrices.append((Path(path).name, matio.to_csr(coo)))
-    for spec in args.rmat or []:
-        params = replace(parse_rmat_spec(spec), seed=args.seed)
-        coo = matio.generate_rmat(params)
-        if args.integer_mode:
-            coo = matio.with_integer_values(coo, seed=args.seed + 1)
-        matrices.append((f"rmat-{spec}-s{args.seed}", matio.to_csr(coo)))
-    if not configs or not mappers or not matrices:
+    # every chip and mapper is built, and so checked, before any point runs
+    chips = [(name, chip_config(name)) for name in args.configs.split(",") if name]
+    mappers = [(name, mapper_config(name, args.k, args.seed))
+               for name in args.mappers.split(",") if name]
+    matrices = [read_matrix(args, path=path) for path in args.matrix or []]
+    matrices += [read_matrix(args, rmat=spec) for spec in args.rmat or []]
+    if not chips or not mappers or not matrices:
         raise ConfigError("sweep needs at least one config, one mapper, and one matrix")
-    for m in mappers:
-        if m not in mapping.STRATEGIES:
-            raise ConfigError(f"unknown mapper {m!r}")
 
     out = out_dir(args)
-    points = []
-    for mat_name, a in matrices:
-        for config_name in configs:
-            for mapper_name in mappers:
-                label = f"{mat_name}__{config_name}__{mapper_name}"
-                points.append((label, a, a, config_name, mapper_name, args.k, args.seed))
-
+    grid = list(itertools.product(matrices, chips, mappers))
+    payloads = [(a, chip, mcfg, args.seed) for (_, a), (_, chip), (_, mcfg) in grid]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point, points))
+            results = list(pool.map(_sweep_point, payloads))
     else:
-        results = [_sweep_point(p) for p in points]
+        results = [_sweep_point(p) for p in payloads]
 
-    rows = []
-    tile4_cycles = {}
-    for (label, stats_dict, error), point in zip(results, points):
-        _, _, _, config_name, mapper_name, _, _ = point
-        mat_name = label.split("__")[0]
-        if stats_dict is not None:
-            write_json(out / f"stats_{label}.json", stats_dict)
-            if config_name == "tile4":
-                tile4_cycles[(mat_name, mapper_name)] = stats_dict["cycles"]
-        rows.append((label, mat_name, config_name, mapper_name, stats_dict, error))
-
-    with (out / "summary.csv").open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["point", "matrix", "config", "mapper", "status", "cycles",
-             "cycles_vs_tile4", "hacc", "evictions", "mean_cpi_mmh4",
-             "occupancy_max", "bytes_read", "bytes_written"]
-        )
-        for label, mat_name, config_name, mapper_name, stats_dict, error in sorted(rows):
-            if stats_dict is None:
-                writer.writerow([label, mat_name, config_name, mapper_name,
-                                 f"error: {error}"] + [""] * 8)
-                continue
-            base = tile4_cycles.get((mat_name, mapper_name))
-            norm = f"{stats_dict['cycles'] / base:.6f}" if base else ""
-            cpi = stats_dict["cpi"]["mmh4"]["mean"]
-            writer.writerow([
-                label, mat_name, config_name, mapper_name, "ok",
-                stats_dict["cycles"], norm,
-                stats_dict["instructions"]["hacc_committed"],
-                stats_dict["evictions"], f"{cpi:.6f}",
-                stats_dict["hashpad"]["occupancy_max"],
-                stats_dict["memory"]["bytes_read"],
-                stats_dict["memory"]["bytes_written"],
-            ])
+    rows = sorted((f"{m}__{c}__{p}", m, c, p, *result)
+                  for ((m, _), (c, _), (p, _)), result in zip(grid, results))
+    tile4_cycles = {(m, p): stats_dict["cycles"] for _, m, c, p, stats_dict, _ in rows
+                    if stats_dict is not None and c == "tile4"}
+    summary = []
+    for label, mat_name, config_name, mapper_name, stats_dict, error in rows:
+        if stats_dict is None:
+            summary.append([label, mat_name, config_name, mapper_name, f"error: {error}"]
+                           + [""] * 8)
+            continue
+        write_json(out / f"stats_{label}.json", stats_dict)
+        base = tile4_cycles.get((mat_name, mapper_name))
+        norm = f"{stats_dict['cycles'] / base:.6f}" if base else ""
+        cpi = stats_dict["cpi"]["mmh4"]["mean"]
+        summary.append([
+            label, mat_name, config_name, mapper_name, "ok",
+            stats_dict["cycles"], norm,
+            stats_dict["instructions"]["hacc_committed"],
+            stats_dict["evictions"], f"{cpi:.6f}",
+            stats_dict["hashpad"]["occupancy_max"],
+            stats_dict["memory"]["bytes_read"],
+            stats_dict["memory"]["bytes_written"],
+        ])
+    write_series_csv(
+        out / "summary.csv",
+        ["point", "matrix", "config", "mapper", "status", "cycles",
+         "cycles_vs_tile4", "hacc", "evictions", "mean_cpi_mmh4",
+         "occupancy_max", "bytes_read", "bytes_written"],
+        summary,
+    )
 
     n_err = sum(1 for r in rows if r[4] is None)
     print(f"sweep: {len(rows)} points, {n_err} failed; summary at {out / 'summary.csv'}")
@@ -453,10 +426,7 @@ def cmd_bloat(args) -> int:
         })
         print(f"{rows[-1]['dataset']}: nodes={sym.n_rows} pp={rep.pp_interim} "
               f"out={rep.nnz_output} bloat={rep.bloat_percent:.2f}%")
-    with (out / "bloat.csv").open("w") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    write_series_csv(out / "bloat.csv", list(rows[0]), [list(r.values()) for r in rows])
     write_json(out / "bloat.json", rows)
     return EXIT_OK
 
@@ -467,11 +437,7 @@ def cmd_bloat(args) -> int:
 
 
 def cmd_smash(args) -> int:
-    name, a = load_input_matrix(args)
-    if args.matrix_b:
-        _, b = load_input_matrix(args, "matrix-b")
-    else:
-        b = a
+    name, a, _, b = load_operands(args)
     out = out_dir(args)
     versions = smash.VERSIONS if args.smash_version == "all" else [args.smash_version]
     reference = oracle.spgemm_gustavson(a, b)
@@ -483,8 +449,7 @@ def cmd_smash(args) -> int:
         cfg = smash.SmashConfig(version=version, n_workers=args.workers)
         got = smash.smash_spgemm(a, b, cfg, audit=audit)
         div = first_divergence(got, reference, tol)
-        _report(f"smash-{version} ({args.workers} workers)", div, [] if div is None else [1])
-        failures += div is not None
+        failures += _report(f"smash-{version} ({args.workers} workers)", div)
         reports[version] = audit.to_json_dict()
     write_json(out / "smash_audit.json", {"matrix": name, "versions": reports})
     return EXIT_VERIFY if failures else EXIT_OK
@@ -496,7 +461,10 @@ def cmd_smash(args) -> int:
 
 
 def cmd_gcn(args) -> int:
-    name, adj = load_input_matrix(args)
+    if args.features < 1 or args.hidden < 1:
+        raise ConfigError(f"--features and --hidden must be >= 1, "
+                          f"got {args.features} and {args.hidden}")
+    name, adj, _, _ = load_operands(args)
     rng = np.random.Generator(np.random.PCG64(args.seed + 17))
     x = rng.normal(size=(adj.n_cols, args.features))
     w = rng.normal(size=(args.features, args.hidden))
@@ -505,13 +473,8 @@ def cmd_gcn(args) -> int:
 
     if args.functional:
         aggregated = job.run_aggregation()
-        stats = None
     else:
-        x_csr = matio.dense_to_csr(x)
-        mcfg = mapper_config(args)
-        stats, agg_csr, _ = engine.run_spgemm_simulation(
-            adj, x_csr, chip_config(args.config), mcfg, seed=args.seed
-        )
+        stats, agg_csr, _ = simulate(args, adj, matio.dense_to_csr(x))
         aggregated = matio.csr_to_dense(agg_csr)
         emit_run_outputs(out, stats)
     chained = job.run_combination(aggregated)
@@ -545,15 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def shared(p):
+        p.add_argument("--integer-mode", action="store_true",
+                       help="replace values with small integers (exact arithmetic)")
+        p.add_argument("--seed", type=seed, default=0, help="random seed, >= 0")
+        p.add_argument("--out", default="sparsim-out", help="output directory")
+
     def inputs(p, matrix_b=True):
         p.add_argument("--matrix", help="input matrix (.mtx or edge list)")
         if matrix_b:  # gcn builds its own second operand
             p.add_argument("--matrix-b", dest="matrix_b", help="optional second operand")
         p.add_argument("--rmat", help="synthetic input, scale:ef[:a:b:c:d]")
-        p.add_argument("--integer-mode", action="store_true",
-                       help="replace values with small integers (exact arithmetic)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="sparsim-out", help="output directory")
+        shared(p)
 
     def common(p, matrix_b=True):
         inputs(p, matrix_b)
@@ -579,11 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mappers", default=",".join(MAPPER_CHOICES))
     p.add_argument("--matrix", action="append", help="repeatable dataset path")
     p.add_argument("--rmat", action="append", help="repeatable rmat spec")
-    p.add_argument("--integer-mode", action="store_true")
     p.add_argument("--k", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default="sparsim-out")
+    shared(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bloat", help="partial-product bloat for C = A*A")

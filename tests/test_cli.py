@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,44 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("extra,code,names", [
+    pytest.param(["--configs", "tile4,tile99"], cli.EXIT_USAGE, "tile99", id="unknown-config"),
+    pytest.param(["--configs", "tile4,file:{tmp}/nope.json"], cli.EXIT_IO, "nope.json",
+                 id="missing-config-file"),
+    pytest.param(["--mappers", "ring,nosuch"], cli.EXIT_USAGE, "nosuch", id="unknown-mapper"),
+    pytest.param(["--k", "40"], cli.EXIT_USAGE, "k must be in [0, 32)", id="k-out-of-range"),
+])
+def test_sweep_rejects_bad_grid_before_any_point(tmp_path, capsys, monkeypatch, extra, code,
+                                                 names):
+    def no_point(payload):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    out = tmp_path / "s"
+    rc = cli.main(["sweep", "--rmat", "4:2", "--out", str(out)]
+                  + [arg.format(tmp=tmp_path) for arg in extra])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert names in err
+    assert "Traceback" not in err
+    assert not (out / "summary.csv").exists()
+
+
+def test_sweep_point_failing_in_simulation_is_a_summary_row(tmp_path, capsys, monkeypatch):
+    # 64 hashlines per mem: drhm-high overflows one (mem, engine) region, ring fits.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.json").write_text(
+        chip_file(tile={**TILE4_FIELDS, "hashlines_per_mem": 64}))
+    rc = cli.main(["sweep", "--rmat", "6:4", "--seed", "1", "--configs", "file:small.json",
+                   "--mappers", "ring,drhm-high", "--jobs", "2", "--out", "s"])
+    assert rc == cli.EXIT_OK
+    assert "2 points, 1 failed" in capsys.readouterr().out
+    status = {row.split(",")[3]: row.split(",")[4]
+              for row in (tmp_path / "s" / "summary.csv").read_text().splitlines()[1:]}
+    assert status["ring"] == "ok"
+    assert status["drhm-high"].startswith('"error: hashpad overflow at mem')
+
+
 # ---------------------------------------------------------------------------
 # bloat
 # ---------------------------------------------------------------------------
@@ -318,6 +357,14 @@ BAD_INPUT_CASES = [
     ("removed-reseed", ["--reseed", "7"], None, cli.EXIT_USAGE, "--reseed"),
     ("removed-verify-workers", ["verify", "--workers", "2"], None, cli.EXIT_USAGE, "--workers"),
     ("gcn-matrix-b", ["gcn", "--matrix-b", "{tmp}/b.mtx"], None, cli.EXIT_USAGE, "--matrix-b"),
+    # A negative seed would reach numpy's PCG64, which raises on it.
+    ("seed-negative", ["--seed", "-1"], None, cli.EXIT_USAGE, "--seed"),
+    ("sweep-seed-negative", ["sweep", "--configs", "tile4", "--mappers", "ring", "--seed", "-3"],
+     None, cli.EXIT_USAGE, "--seed"),
+    ("smash-seed-negative", ["smash", "--seed", "-1"], None, cli.EXIT_USAGE, "--seed"),
+    ("gcn-seed-negative", ["gcn", "--seed", "-18"], None, cli.EXIT_USAGE, "--seed"),
+    ("gcn-features-zero", ["gcn", "--features", "0"], None, cli.EXIT_USAGE, "--features"),
+    ("gcn-hidden-negative", ["gcn", "--hidden", "-1"], None, cli.EXIT_USAGE, "--hidden"),
     # Degenerate chips: each used to die on a division by zero or a deadlock, or never end.
     *[(f"config-zero-{key}", [], chip_file(tile={**TILE4_FIELDS, key: 0}), cli.EXIT_USAGE, key)
       for key in ("hash_engines", "tag_comparators_per_engine", "multipliers",
@@ -381,3 +428,23 @@ def test_rmat_beyond_generator_peak_exits_before_drawing(tmp_path, capsys, monke
     assert rc == cli.EXIT_USAGE, err
     assert "edge_factor 4 at scale 10 draws 4096 edges" in err
     assert "physical memory is 131072 bytes" in err
+
+
+def readme_commands() -> list:
+    """Every ``sparsim`` command in README's "Command line" block, with
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("sparsim ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
