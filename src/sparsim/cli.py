@@ -142,12 +142,14 @@ def load_operands(args):
     return name, a, b_name, b
 
 
+def engine_configs(args):
+    """The chip of ``--config`` and the mapper of ``--mapper``/``--k``/``--seed``."""
+    return chip_config(args.config), mapper_config(args.mapper, args.k, args.seed)
+
+
 def simulate(args, a, b, **kwargs):
-    """A*B through the engine on ``--config``, mapped by ``--mapper``/``--k``/``--seed``."""
-    return engine.run_spgemm_simulation(
-        a, b, chip_config(args.config), mapper_config(args.mapper, args.k, args.seed),
-        seed=args.seed, **kwargs,
-    )
+    """A*B through the engine on ``engine_configs(args)``."""
+    return engine.run_spgemm_simulation(a, b, *engine_configs(args), seed=args.seed, **kwargs)
 
 
 def seed(text: str) -> int:
@@ -342,6 +344,12 @@ def _sweep_point(payload):
         return None, str(err)
 
 
+def file_label(label: str) -> str:
+    """``label`` as one file name: a ``file:`` config's path separators
+    are written ``%2F``, after each ``%`` is written ``%25``."""
+    return label.replace("%", "%25").replace("/", "%2F")
+
+
 def cmd_sweep(args) -> int:
     # every chip and mapper is built, and so checked, before any point runs
     chips = [(name, chip_config(name)) for name in args.configs.split(",") if name]
@@ -371,7 +379,7 @@ def cmd_sweep(args) -> int:
             summary.append([label, mat_name, config_name, mapper_name, f"error: {error}"]
                            + [""] * 8)
             continue
-        write_json(out / f"stats_{label}.json", stats_dict)
+        write_json(out / f"stats_{file_label(label)}.json", stats_dict)
         base = tile4_cycles.get((mat_name, mapper_name))
         norm = f"{stats_dict['cycles'] / base:.6f}" if base else ""
         cpi = stats_dict["cpi"]["mmh4"]["mean"]
@@ -464,6 +472,8 @@ def cmd_gcn(args) -> int:
     if args.features < 1 or args.hidden < 1:
         raise ConfigError(f"--features and --hidden must be >= 1, "
                           f"got {args.features} and {args.hidden}")
+    # built, and so checked, even when --functional leaves them unused
+    chip, mcfg = engine_configs(args)
     name, adj, _, _ = load_operands(args)
     rng = np.random.Generator(np.random.PCG64(args.seed + 17))
     x = rng.normal(size=(adj.n_cols, args.features))
@@ -474,7 +484,8 @@ def cmd_gcn(args) -> int:
     if args.functional:
         aggregated = job.run_aggregation()
     else:
-        stats, agg_csr, _ = simulate(args, adj, matio.dense_to_csr(x))
+        stats, agg_csr, _ = engine.run_spgemm_simulation(
+            adj, matio.dense_to_csr(x), chip, mcfg, seed=args.seed)
         aggregated = matio.csr_to_dense(agg_csr)
         emit_run_outputs(out, stats)
     chained = job.run_combination(aggregated)

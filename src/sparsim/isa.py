@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LoweringError, MemoryFaultError, TraceError
-from .matio import CscMatrix, CsrMatrix, concat_ranges, csr_from_tags
+from .matio import CscMatrix, CsrMatrix, concat_ranges, group_by_key
 from .oracle import SymbolicPlan, WindowPlan
 
 OPCODE_MMH4 = 0x14
@@ -353,13 +353,16 @@ def expand_program(program: Program):
 def _gather(datas, span, live, dtype) -> np.ndarray:
     """One operand of every instruction as an (n_instrs, width) array:
     lane l reads element ``idx + l`` of the access's segment; 0 where not
-    live."""
+    live. Each segment that some access reads fills those accesses' live
+    lanes from one clipped ``np.take``; an empty segment has no live lane."""
     seg, idx = span
     out = np.zeros(live.shape, dtype=dtype)
     elem = idx[:, None] + np.arange(live.shape[1])
-    for s in np.unique(seg).tolist():
-        sel = live & (seg == s)[:, None]
-        out[sel] = datas[s][elem[sel]]
+    for s, data in enumerate(datas):
+        here = seg == s
+        if len(data) and here.any():
+            np.copyto(out, np.take(data, elem, mode="clip"), casting="unsafe",
+                      where=live & here[:, None])
     return out
 
 
@@ -483,10 +486,12 @@ def _roll_counters(a_at, b_at, n_a, n_b, a_row_of, b, plan) -> np.ndarray:
     on each live lane and 0 on the rest.
 
     Each instruction reads A elements ``a_at:a_at + n_a`` and B elements
-    ``b_at:b_at + n_b``. Each live lane's output element (row, column) is
-    found among the plan's elements with one ``searchsorted`` over their
-    keys ``row * n_cols + column``, which are ascending in the plan's
-    layout.
+    ``b_at:b_at + n_b``. The live lanes are grouped by their output
+    element's key ``row * n_cols + column`` (``matio.group_by_key``); the
+    distinct keys must be the plan's elements, which ascend by key in the
+    plan's layout, so run g is plan element g and each of its lanes gets
+    ``plan.counts[g] - 1``. A product whose elements are not exactly the
+    plan's raises LoweringError.
     """
     lane = np.arange(TILE)
     live_a = lane < n_a[:, None]
@@ -495,14 +500,16 @@ def _roll_counters(a_at, b_at, n_a, n_b, a_row_of, b, plan) -> np.ndarray:
     cols = b.col_indices[np.where(live_b, b_at[:, None] + lane, 0)]
     live = live_a[:, :, None] & live_b[:, None, :]
     lane_keys = (rows[:, :, None] * plan.n_cols + cols[:, None, :])[live]
+    order, keys, offsets = group_by_key(lane_keys)
     plan_keys = np.repeat(np.arange(plan.n_rows, dtype=np.int64), plan.out_nnz_per_row)
     plan_keys *= plan.n_cols
     plan_keys += plan.out_cols
-    at = np.searchsorted(plan_keys, lane_keys)
-    if len(at) and (not len(plan_keys) or np.any(np.take(plan_keys, at, mode="clip") != lane_keys)):
-        raise LoweringError("symbolic plan lacks output elements of this product")
+    if not np.array_equal(keys, plan_keys):
+        raise LoweringError("this product's output elements are not the symbolic plan's")
+    lane_roll = np.empty(len(order), dtype=np.int32)
+    lane_roll[order] = np.repeat(plan.counts - 1, np.diff(offsets))
     roll = np.zeros((len(n_a), TILE, TILE), dtype=np.int32)
-    roll[live] = plan.counts[at] - 1
+    roll[live] = lane_roll
     return roll.reshape(-1)
 
 
@@ -522,42 +529,54 @@ def replay(program: Program) -> CsrMatrix:
     opening counter of 0). An arrival after an eviction opens the line
     again, and the tag's last eviction is its output value. A line still
     open at the end raises ``MemoryFaultError``, naming the open line that
-    opened first: the counter convention is self-checking.
+    opened first: the counter convention is self-checking. So does a lane
+    whose tag names a row outside the product.
 
-    The lanes are grouped by tag with a stable sort, so each tag's lanes
-    stay in stream order. A tag whose opening counter is its lane count
+    The lanes are grouped by tag with ``matio.group_by_key``, so each tag's
+    lanes stay in stream order and the tags come out ascending, which is
+    the output's CSR order. A tag whose opening counter is its lane count
     minus one, as lowering emits, has a single line over all its lanes;
-    only other tags are walked line by line. A value is the line's first
-    product, to which ``np.add.at`` adds each later product in stream order:
-    ``add.at`` adds repeated indices one at a time in index order, so every
-    float sum is the left-to-right sum, bit for bit. ``np.add.reduceat`` or
-    a pairwise sum would round differently.
+    only other tags are walked line by line. Each tag's value is -0.0 plus
+    every product from its last opening on, in stream order, by one
+    ``np.add.at``: ``add.at`` adds repeated indices one at a time in index
+    order, so every float sum is the left-to-right sum bit for bit, and
+    ``-0.0 + p`` is ``p``. ``np.add.reduceat`` or a pairwise sum would round
+    differently.
     """
-    _, stream_tags, data, counters = expand_program(program)
-    order = np.argsort(stream_tags, kind="stable")
-    tags = stream_tags[order]
-    data = data[order]
+    instr_offsets, stream_tags, data, counters = expand_program(program)
+    col_bits = program.layout.col_bits
+    rows = stream_tags >> col_bits
+    outside = (rows < 0) | (rows >= program.n_rows)
+    if outside.any():
+        lane = int(np.argmax(outside))
+        instr = int(np.count_nonzero(instr_offsets[1:] <= lane))
+        raise MemoryFaultError(
+            f"lane {lane} (instruction {instr}) writes row {rows[lane]}, "
+            f"outside the product's {program.n_rows} rows"
+        )
+    del rows, outside
+    order, tags, offsets = group_by_key(stream_tags)
     counters = counters[order]
-    n = len(tags)
-    head = np.ones(n, dtype=bool)
-    head[1:] = tags[1:] != tags[:-1]
-    starts = np.flatnonzero(head)
-    sizes = np.diff(np.append(starts, n))
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
 
-    opened = starts.copy()  # where each tag's last line opened
+    # The output element of each grouped lane; lanes of lines that a later
+    # opening of the same tag replaced go to one extra element, dropped.
+    element = np.repeat(np.arange(len(tags)), sizes)
     never = []  # stream position of each line that never evicts
     for g in np.flatnonzero(counters[starts] != sizes - 1).tolist():
-        at = int(starts[g])
-        end = at + int(sizes[g])
+        at = opened = int(starts[g])
+        end = int(offsets[g + 1])
         while True:
             counter = int(counters[at])
             if counter < 0 or at + counter >= end:
                 never.append(int(order[at]))
                 break
-            opened[g] = at
+            opened = at
             at += counter + 1
             if at == end:
                 break
+        element[starts[g] : opened] = len(tags)
     if never:
         tag = int(stream_tags[min(never)])
         raise MemoryFaultError(
@@ -565,10 +584,12 @@ def replay(program: Program) -> CsrMatrix:
             "roll counters are inconsistent with the stream"
         )
 
-    sums = data[opened]  # assigned, not added to 0.0, so a -0.0 stays
-    rest = np.arange(n) > np.repeat(opened, sizes)
-    np.add.at(sums, np.repeat(np.arange(len(starts)), sizes)[rest], data[rest])
-    return csr_from_tags(program.n_rows, program.n_cols, tags[starts], sums, program.layout.col_bits)
+    sums = np.full(len(tags) + 1, -0.0)
+    np.add.at(sums, element, data[order])
+    row_offsets = np.zeros(program.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tags >> col_bits, minlength=program.n_rows), out=row_offsets[1:])
+    cols = (tags & ((1 << col_bits) - 1)).astype(np.int32)
+    return CsrMatrix(program.n_rows, program.n_cols, row_offsets, cols, sums[:-1])
 
 
 # ---------------------------------------------------------------------------

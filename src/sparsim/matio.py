@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MatrixFormatError, SparsimError
+from .errors import CapacityError, ConfigError, MatrixFormatError, SparsimError
 
 # Sentinel for "row has no replica" in the replica-offset array.
 NO_REPLICA = np.uint32(0xFFFFFFFF)
@@ -397,6 +397,46 @@ def concat_ranges(starts, lengths) -> np.ndarray:
     pos = np.arange(total, dtype=np.int64)
     pos += np.repeat(np.asarray(starts, dtype=np.int64) - before, lengths)
     return pos
+
+
+def group_by_key(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a stream by key, keeping stream order within each key:
+    ``(order, distinct, offsets)``, all int64.
+
+    ``distinct`` holds the stream's distinct keys in ascending order, and
+    the stream positions of key ``distinct[g]`` are
+    ``order[offsets[g]:offsets[g + 1]]``, ascending (CSR over the keys).
+
+    One ``np.sort`` of ``key << b | position`` as ``uint64`` does this,
+    where ``b`` is the bit length of the last position: equal keys come out
+    by position, so the grouping is stable at the cost of a plain sort,
+    about a fifth of ``argsort(kind="stable")``. Keys must be non-negative
+    (ValueError otherwise), and a key wider than ``64 - b`` bits raises
+    CapacityError.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    b = max(n - 1, 0).bit_length()
+    packed = keys.astype(np.uint64)
+    if n:
+        if keys.min() < 0:
+            raise ValueError(f"keys must be non-negative, got {keys.min()}")
+        widest = int(packed.max())
+        if widest >> (64 - b):
+            raise CapacityError(
+                f"key {widest} is wider than the {64 - b} bits left beside {n} stream positions"
+            )
+    packed <<= b
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64((1 << b) - 1)).view(np.int64)
+    packed >>= b
+    sorted_keys = packed.view(np.int64)
+    head = np.empty(n + 1, dtype=bool)
+    head[0] = head[n] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:n])
+    offsets = np.flatnonzero(head)
+    return order, sorted_keys[offsets[:-1]], offsets
 
 
 def csr_from_tags(n_rows: int, n_cols: int, tags, values, col_bits: int) -> CsrMatrix:

@@ -258,11 +258,15 @@ def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
 
     Row k's keys start at ``k * n_cols``, so one ``searchsorted`` of the row
     starts bounds every row's run. The starts keep the keys' dtype: in a
-    block they are below ``2**32`` (see ``_expand_blocks``).
+    block they are below ``2**32`` (see ``_expand_blocks``). The columns,
+    ``uniq`` less its rows' starts, are written straight into int32: they
+    are below ``n_cols < 2**31``.
     """
     row_starts = (np.arange(n_block_rows) * n_cols).astype(uniq.dtype)
     counts = np.diff(np.searchsorted(uniq, row_starts), append=len(uniq))
-    return (uniq - np.repeat(row_starts, counts)).astype(np.int32), counts
+    cols = np.empty(len(uniq), dtype=np.int32)
+    np.subtract(uniq, np.repeat(row_starts, counts), out=cols, casting="unsafe")
+    return cols, counts
 
 
 def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
@@ -283,12 +287,18 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
         del pos  # before the sort, so a block never holds both
         keys.sort()
         n_pp = len(keys)
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        uniq = keys[starts]
+        head = np.empty(n_pp + 1, dtype=bool)  # run starts, and the end
+        head[0] = head[n_pp] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:n_pp])
+        bounds = np.flatnonzero(head)
+        del head
+        uniq = keys[bounds[:-1]]
         del keys
         cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
         col_parts.append(cols)
-        count_parts.append(np.diff(starts, append=n_pp).astype(np.int32))
+        counts = np.empty(len(bounds) - 1, dtype=np.int32)
+        np.subtract(bounds[1:], bounds[:-1], out=counts)
+        count_parts.append(counts)
 
     out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(out_nnz_per_row, out=out_offsets[1:])

@@ -27,8 +27,9 @@ all four give the same result bit for bit, integer inputs or not, and
 every rerun gives the same result and ledger.
 
 One window is merged at once with numpy into the slots taken from the
-symbolic plan (``oracle.symbolic_pass``): each partial product finds its
-element's slot with one ``searchsorted``, and sums start from -0.0, IEEE
+symbolic plan (``oracle.symbolic_pass``): one stable grouping of the
+window's partial products by output element (``matio.group_by_key``)
+gives each product its element's slot, and sums start from -0.0, IEEE
 addition's identity, so each is the element's first product plus the
 rest in stream order. The host keeps no region tables: where an element
 lands in its region, and what probing for it costs, is modelled once, by
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .errors import ConfigError, HashOverflowError
-from .matio import NO_REPLICA, CsrMatrix, MapCsrMatrix, concat_ranges, map_csr_to_csr
+from .errors import ConfigError, HashOverflowError, VerificationError
+from .matio import NO_REPLICA, CsrMatrix, MapCsrMatrix, concat_ranges, group_by_key, map_csr_to_csr
 
 BASE = "base"
 V1 = "v1"
@@ -152,9 +153,16 @@ def _record_schedule(cfg, n_entries, entry_pp, audit):
 
 def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
     """Merge one window's partial products into the slots taken from the
-    symbolic plan for its rows: (slot indices, their sums). Sums start from
-    -0.0, so a lone -0.0 product stays -0.0. Raises HashOverflowError when
-    a row has more output elements than its region has lines."""
+    symbolic plan for its rows: (slot indices, their sums).
+
+    Raises HashOverflowError when a row has more output elements than its
+    region has lines. The stream's products are grouped by their key
+    ``local_row * n_cols + column`` (``matio.group_by_key``); the distinct
+    keys must be the window's slot keys, which ascend, so run g is slot g,
+    and a stream that is not the plan's raises VerificationError. Sums
+    start from -0.0, so a lone -0.0 product stays -0.0, and add the run's
+    products in stream order.
+    """
     n_entries, a_cols, a_vals = fetched
     b_off = np.asarray(b.row_offsets, dtype=np.int64)
     entry_pp = np.diff(b_off)[a_cols]
@@ -169,7 +177,6 @@ def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
         raise HashOverflowError(
             f"window {window_id}, row {rows[k]}: {n_out[k]} distinct tags exceed its {caps[k]} lines"
         )
-    # Keys local_row * n_cols + col: the slots' ascend, the stream's find them.
     row_keys = np.arange(len(rows), dtype=np.int64) * plan.n_cols
     slots = concat_ranges(plan.out_offsets[rows], n_out)
     slot_keys = np.repeat(row_keys, n_out) + plan.out_cols[slots]
@@ -179,8 +186,15 @@ def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
     keys = np.repeat(np.repeat(row_keys, n_entries), entry_pp)
     keys += b.col_indices[pos]
     del pos
+    order, distinct, offsets = group_by_key(keys)
+    del keys
+    if not np.array_equal(distinct, slot_keys):
+        raise VerificationError(
+            f"window {window_id}: its partial products do not land on the symbolic plan's "
+            f"{len(slots)} output elements"
+        )
     sums = np.full(len(slots), -0.0)
-    np.add.at(sums, np.searchsorted(slot_keys, keys), prods)
+    np.add.at(sums, np.repeat(np.arange(len(slots)), np.diff(offsets)), prods[order])
     return slots, sums
 
 

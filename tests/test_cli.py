@@ -106,6 +106,12 @@ BAD_TRACE_CASES = [
      "FAIL trace replay ({trace}): 4 hash lines never evicted"),
     ("unmapped-a-data", lambda lines: with_field(lines, 7, 2, "0x10"), cli.EXIT_VERIFY,
      "FAIL trace replay ({trace}): unmapped address 0x10"),
+    # a row outside the 16-row product, which used to be dropped from the output
+    ("row-outside-product",
+     lambda lines: with_field(lines, 5, 8, ",".join(["70000"] + lines[5].split()[8].split(",")[1:])),
+     cli.EXIT_VERIFY,
+     "FAIL trace replay ({trace}): lane 0 (instruction 0) writes row 70000, "
+     "outside the product's 16 rows"),
     # each field fits in int64, but base + address would wrap
     ("base-plus-address-overflows", lambda lines: with_field(lines, 5, 1, "0x7fffffffffffffff"),
      cli.EXIT_IO, "corrupted record 0: base plus an operand address exceeds 64 signed bits"),
@@ -248,6 +254,21 @@ def test_sweep_point_failing_in_simulation_is_a_summary_row(tmp_path, capsys, mo
     assert status["drhm-high"].startswith('"error: hashpad overflow at mem')
 
 
+def test_sweep_with_absolute_file_config_writes_its_stats(tmp_path, capsys):
+    chip = tmp_path / "chips" / "my%chip.json"
+    chip.parent.mkdir()
+    chip.write_text(chip_file())
+    config = f"file:{chip}"
+    rc = cli.main(["sweep", "--rmat", "4:2", "--configs", config, "--mappers", "ring",
+                   "--out", str(tmp_path / "s")])
+    assert rc == cli.EXIT_OK, capsys.readouterr().err
+    label = f"rmat-4:2-s0__{config}__ring"
+    name = "stats_" + label.replace("%", "%25").replace("/", "%2F") + ".json"
+    assert [p.name for p in (tmp_path / "s").glob("stats_*.json")] == [name]
+    (row,) = (tmp_path / "s" / "summary.csv").read_text().splitlines()[1:]
+    assert row.split(",")[:5] == [label, "rmat-4:2-s0", config, "ring", "ok"]
+
+
 # ---------------------------------------------------------------------------
 # bloat
 # ---------------------------------------------------------------------------
@@ -365,6 +386,13 @@ BAD_INPUT_CASES = [
     ("gcn-seed-negative", ["gcn", "--seed", "-18"], None, cli.EXIT_USAGE, "--seed"),
     ("gcn-features-zero", ["gcn", "--features", "0"], None, cli.EXIT_USAGE, "--features"),
     ("gcn-hidden-negative", ["gcn", "--hidden", "-1"], None, cli.EXIT_USAGE, "--hidden"),
+    # --functional runs no simulation, but its chip and mapper flags are still checked
+    ("gcn-functional-unknown-config", ["gcn", "--functional", "--config", "tile99"], None,
+     cli.EXIT_USAGE, "tile99"),
+    ("gcn-functional-missing-config-file",
+     ["gcn", "--functional", "--config", "file:{tmp}/nope.json"], None, cli.EXIT_IO, "nope.json"),
+    ("gcn-functional-k-out-of-range", ["gcn", "--functional", "--k", "40"], None,
+     cli.EXIT_USAGE, "k must be in [0, 32)"),
     # Degenerate chips: each used to die on a division by zero or a deadlock, or never end.
     *[(f"config-zero-{key}", [], chip_file(tile={**TILE4_FIELDS, key: 0}), cli.EXIT_USAGE, key)
       for key in ("hash_engines", "tag_comparators_per_engine", "multipliers",

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from sparsim import matio
-from sparsim.errors import ConfigError, MatrixFormatError, SparsimError
+from sparsim.errors import CapacityError, ConfigError, MatrixFormatError, SparsimError
 
 
 def random_coo(n, nnz, seed, integer=False):
@@ -224,6 +224,41 @@ def test_concat_ranges_matches_python_loop(starts, lengths):
     got = matio.concat_ranges(starts, lengths)
     assert got.dtype == np.int64
     assert got.tolist() == want
+
+
+def test_group_by_key_keeps_stream_order_within_each_key():
+    keys = np.array([5, 0, 5, 3, 0, 5, 7, 3])
+    order, distinct, offsets = matio.group_by_key(keys)
+    assert distinct.tolist() == [0, 3, 5, 7]
+    assert offsets.tolist() == [0, 2, 4, 7, 8]
+    assert order.tolist() == [1, 4, 3, 7, 0, 2, 5, 6]
+    assert order.dtype == distinct.dtype == offsets.dtype == np.int64
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 50, size=1000)
+    order, distinct, offsets = matio.group_by_key(keys)
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert distinct.tolist() == np.unique(keys).tolist()
+    assert np.diff(offsets).tolist() == np.bincount(keys)[distinct].tolist()
+
+
+def test_group_by_key_of_nothing_and_of_one_key():
+    order, distinct, offsets = matio.group_by_key(np.zeros(0, dtype=np.int64))
+    assert (order.tolist(), distinct.tolist(), offsets.tolist()) == ([], [], [0])
+    # one position needs no bits, so a key may take all 63
+    order, distinct, offsets = matio.group_by_key([(1 << 63) - 1])
+    assert (order.tolist(), distinct.tolist(), offsets.tolist()) == ([0], [(1 << 63) - 1], [0, 1])
+
+
+def test_group_by_key_rejects_keys_too_wide_for_the_positions():
+    # 5 positions take 3 bits, which leaves 61 for the key
+    keys = np.zeros(5, dtype=np.int64)
+    keys[2] = (1 << 61) - 1
+    assert matio.group_by_key(keys)[1].tolist() == [0, (1 << 61) - 1]
+    keys[2] = 1 << 61
+    with pytest.raises(CapacityError, match="wider than the 61 bits left beside 5 stream positions"):
+        matio.group_by_key(keys)
+    with pytest.raises(ValueError, match="non-negative"):
+        matio.group_by_key([3, -1])
 
 
 def test_map_csr_bad_placement_rejected():

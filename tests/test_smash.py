@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sparsim import cli, matio, oracle, smash, uarch
-from sparsim.errors import ConfigError, HashOverflowError
+from sparsim.errors import ConfigError, HashOverflowError, VerificationError
 
 
 def rmat_csr(scale, ef, seed, integer=True):
@@ -327,6 +327,17 @@ def test_row_over_its_region_capacity_raises(version, monkeypatch):
     (window, row), = shrunk
     assert window > 0
     assert str(err.value).startswith(f"window {window}, row {row}: ")
+
+
+@pytest.mark.parametrize("version", smash.VERSIONS)
+def test_plan_of_other_operands_is_a_verification_error(version, monkeypatch):
+    # Same shape, other pattern: the window's products do not land on the
+    # plan's slots, which must not be merged into the wrong ones.
+    a, other = rmat_csr(6, 4, seed=1), rmat_csr(6, 4, seed=2)
+    planned = oracle.symbolic_pass
+    monkeypatch.setattr(oracle, "symbolic_pass", lambda x, y: planned(other, other))
+    with pytest.raises(VerificationError, match=r"^window \d+: its partial products do not land"):
+        smash.smash_spgemm(a, a, smash.SmashConfig(version=version, spad_capacity=1 << 10))
 
 
 def test_map_csr_backed_equals_csr_backed():
