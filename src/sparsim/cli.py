@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -147,11 +149,6 @@ def engine_configs(args):
     return chip_config(args.config), mapper_config(args.mapper, args.k, args.seed)
 
 
-def simulate(args, a, b, **kwargs):
-    """A*B through the engine on ``engine_configs(args)``."""
-    return engine.run_spgemm_simulation(a, b, *engine_configs(args), seed=args.seed, **kwargs)
-
-
 def seed(text: str) -> int:
     """argparse type of ``--seed``: a non-negative integer."""
     value = int(text)
@@ -231,7 +228,8 @@ def emit_run_outputs(out: Path, stats: engine.SimStats, result=None) -> None:
 def cmd_run(args) -> int:
     name, a, b_name, b = load_operands(args)
     out = out_dir(args)
-    stats, result, run = simulate(args, a, b, eviction_mode=args.eviction)
+    stats, result, run = engine.run_spgemm_simulation(
+        a, b, *engine_configs(args), seed=args.seed, eviction_mode=args.eviction)
     write_json(
         out / "seed_log.json",
         {
@@ -265,6 +263,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # built, and so checked, before any path runs, even with --trace
+    chip, mcfg = engine_configs(args)
     name, a, _, b = load_operands(args)
     tol = 0.0 if args.integer_mode else 1e-9
     reference = oracle.spgemm_gustavson(a, b)
@@ -308,7 +308,7 @@ def cmd_verify(args) -> int:
             got = smash.smash_spgemm(a, b, smash.SmashConfig(version=version))
             failures += _report(f"smash-{version}", first_divergence(got, reference, tol))
 
-        _, sim_out, _ = simulate(args, a, b)
+        _, sim_out, _ = engine.run_spgemm_simulation(a, b, chip, mcfg, seed=args.seed)
         div = first_divergence(sim_out, reference, tol)
         failures += _report(f"simulation ({args.config})", div)
 
@@ -344,10 +344,10 @@ def _sweep_point(payload):
         return None, str(err)
 
 
-def file_label(label: str) -> str:
-    """``label`` as one file name: a ``file:`` config's path separators
-    are written ``%2F``, after each ``%`` is written ``%25``."""
-    return label.replace("%", "%25").replace("/", "%2F")
+def stats_name(label: str) -> str:
+    """The stats file name of sweep point ``label``: a ``file:`` config's
+    path separators are written ``%2F``, after each ``%`` is written ``%25``."""
+    return "stats_" + label.replace("%", "%25").replace("/", "%2F") + ".json"
 
 
 def cmd_sweep(args) -> int:
@@ -362,6 +362,13 @@ def cmd_sweep(args) -> int:
 
     out = out_dir(args)
     grid = list(itertools.product(matrices, chips, mappers))
+    labels = [f"{m}__{c}__{p}" for (m, _), (c, _), (p, _) in grid]
+    # every point's stats file name is checked before any point runs, too
+    name_max = os.pathconf(out, "PC_NAME_MAX")
+    for label in labels:
+        if len(os.fsencode(stats_name(label))) > name_max:
+            raise OSError(errno.ENAMETOOLONG, f"sweep point {label}: its stats file name "
+                          f"passes the {name_max}-byte limit of {out}")
     payloads = [(a, chip, mcfg, args.seed) for (_, a), (_, chip), (_, mcfg) in grid]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -369,8 +376,8 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_point(p) for p in payloads]
 
-    rows = sorted((f"{m}__{c}__{p}", m, c, p, *result)
-                  for ((m, _), (c, _), (p, _)), result in zip(grid, results))
+    rows = sorted((label, m, c, p, *result)
+                  for label, ((m, _), (c, _), (p, _)), result in zip(labels, grid, results))
     tile4_cycles = {(m, p): stats_dict["cycles"] for _, m, c, p, stats_dict, _ in rows
                     if stats_dict is not None and c == "tile4"}
     summary = []
@@ -379,7 +386,7 @@ def cmd_sweep(args) -> int:
             summary.append([label, mat_name, config_name, mapper_name, f"error: {error}"]
                            + [""] * 8)
             continue
-        write_json(out / f"stats_{file_label(label)}.json", stats_dict)
+        write_json(out / stats_name(label), stats_dict)
         base = tile4_cycles.get((mat_name, mapper_name))
         norm = f"{stats_dict['cycles'] / base:.6f}" if base else ""
         cpi = stats_dict["cpi"]["mmh4"]["mean"]

@@ -31,7 +31,10 @@ committed HACCs equal created ones.
 The memory system is an analytic channel model per tile: bandwidth cap,
 fixed pipelined latency, bounded queue. Runs end when the last window has
 drained, every hash line has been evicted and written back, and all
-queues are empty; conservation invariants are checked at exit. A watchdog
+queues are empty; conservation invariants are checked at exit. The
+product is then read out of the symbolic plan's slots, each holding its
+element's evicted value: a run that does not evict each plan element
+exactly once raises SimulationError (exit 1 from the CLI). A watchdog
 raises a diagnostic deadlock error if nothing makes progress for an
 extended window.
 """
@@ -47,7 +50,6 @@ import numpy as np
 from . import isa, matio, oracle
 from .errors import DeadlockError, SimulationError
 from .mapping import Mapper, MapperConfig
-from .matio import csr_from_tags
 from .oracle import probe_sequence
 from .uarch import (
     ChipConfig,
@@ -299,9 +301,8 @@ class SimRun:
         granule = chip_cfg.granule
         image_end = program.image._next_base
         self._out_base = ((image_end + granule - 1) // granule) * granule
-        self._out_prefix = plan.out_offsets
+        self.plan = plan
         self._col_bits = program.layout.col_bits
-        self._col_mask = (1 << self._col_bits) - 1
 
         self.n_windows = max(program.n_windows, 1)
         self.current_window = 0
@@ -354,11 +355,9 @@ class SimRun:
     def core_rid(self, core_id: int) -> int:
         return self.chip.core_rids[core_id]
 
-    def eviction_target(self, tag: int):
-        i = tag >> self._col_bits
-        j = tag & self._col_mask
-        addr = self._out_base + int(self._out_prefix[i]) * 12
-        return i, j, addr, 12
+    def eviction_target(self, tag: int) -> int:
+        """Byte address the write-back of output element ``tag`` goes to."""
+        return self._out_base + int(self.plan.out_offsets[tag >> self._col_bits]) * 12
 
     def on_mmh4_retired(self):
         self.stats.mmh4_retired += 1
@@ -698,13 +697,6 @@ class SimRun:
 
         evicted = [tv for mem in chip.mems for tv in mem.evicted_values]
         stats.evictions = len(evicted)
-        self.result = csr_from_tags(
-            self.program.n_rows,
-            self.program.n_cols,
-            np.array([tag for tag, _ in evicted], dtype=np.int64),
-            np.array([value for _, value in evicted], dtype=np.float64),
-            self.program.layout.col_bits,
-        )
 
         cons = {
             "hacc_created": stats.hacc_created,
@@ -727,6 +719,26 @@ class SimRun:
         stats.conservation = cons
         if not cons["ok"]:
             raise SimulationError(f"conservation violated: {cons}")
+
+        # The product is the plan's structure with each element's evicted
+        # value in its slot; every plan element must be evicted exactly once.
+        plan = self.plan
+        tags = np.array([tag for tag, _ in evicted], dtype=np.int64)
+        order, distinct, offsets = matio.group_by_key(tags)
+        rows = np.repeat(np.arange(plan.n_rows, dtype=np.int64), np.diff(plan.out_offsets))
+        want = rows << self._col_bits | plan.out_cols
+        if not np.array_equal(tags[order], want):
+            # the first element outside the plan, missing, or evicted twice
+            odd = np.union1d(np.setxor1d(distinct, want), distinct[np.diff(offsets) > 1])
+            tag = int(odd[0])
+            raise SimulationError(
+                f"output element ({tag >> self._col_bits}, {tag & ((1 << self._col_bits) - 1)}), "
+                f"{'in' if (want == tag).any() else 'not in'} the symbolic plan, was evicted "
+                f"{np.count_nonzero(tags == tag)} time(s); each plan element must be evicted once")
+        values = np.array([value for _, value in evicted], dtype=np.float64)[order]
+        self.result = matio.CsrMatrix(
+            plan.n_rows, plan.n_cols, plan.out_offsets, plan.out_cols, values
+        )
 
 
 def run_spgemm_simulation(

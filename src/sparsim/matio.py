@@ -439,25 +439,6 @@ def group_by_key(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, sorted_keys[offsets[:-1]], offsets
 
 
-def csr_from_tags(n_rows: int, n_cols: int, tags, values, col_bits: int) -> CsrMatrix:
-    """CSR matrix of distinct packed tags ``row << col_bits | column`` and
-    their values: columns ascend in each row, and a tag whose row lies
-    outside ``n_rows`` is dropped."""
-    order = np.argsort(tags, kind="stable")
-    tags = np.asarray(tags, dtype=np.int64)[order]
-    rows = tags >> col_bits
-    keep = (rows >= 0) & (rows < n_rows)
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=offsets[1:])
-    return CsrMatrix(
-        n_rows,
-        n_cols,
-        offsets,
-        (tags[keep] & ((1 << col_bits) - 1)).astype(np.int32),
-        np.asarray(values, dtype=np.float64)[order][keep],
-    )
-
-
 def dense_to_csr(a: np.ndarray) -> CsrMatrix:
     """CSR view of a dense array keeping only exact nonzeros."""
     a = np.asarray(a, dtype=np.float64)

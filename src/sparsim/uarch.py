@@ -5,7 +5,8 @@ eight tiles (horizontal slabs of the torus). Each tile holds an equal-ish
 interleave of multiplier cores and hash-accumulate memory units plus one
 memory controller attached at the tile's origin router. Units exchange
 packets over the torus: operand read requests and responses, hash-
-accumulate instructions, and eviction write-backs.
+accumulate instructions, and eviction write-backs, which carry only the
+byte address the memory controller writes (the run keeps the value).
 
 All components are pure state machines advanced by the engine, which
 passes its run to every ``step(run, cycle)`` (and to ``flush_all(run)``);
@@ -805,12 +806,10 @@ class MemModel:
         region.occupancy -= 1
         run.on_line_freed()
         self.evicted_values.append((tag, value))
-        i, j, addr, nbytes = run.eviction_target(tag)
+        addr = run.eviction_target(tag)
         # dst is the owning controller; on the dedicated-path config the
         # engine delivers it directly instead of injecting into the torus.
-        self.outbox.append(
-            Packet(run.memctrl_rid_for(addr), K_EVICT, (i, j, value, addr, nbytes))
-        )
+        self.outbox.append(Packet(run.memctrl_rid_for(addr), K_EVICT, addr))
 
     def flush_all(self, run):
         """Barrier eviction: drain every occupied line (window boundary)."""
@@ -892,9 +891,8 @@ class MemCtrlModel:
                 touches = last - first + 1
                 for g in range(first, last + 1):
                     self.read_pending.append((g, core_id, seq, field, touches))
-            else:  # eviction write-back
-                _i, _j, _value, addr, nbytes = pkt.payload
-                self.write_pending.append(addr // granule)
+            else:  # eviction write-back: the payload is its byte address
+                self.write_pending.append(pkt.payload // granule)
                 run.on_eviction_arrived()
             acted += 1
 

@@ -135,6 +135,28 @@ def test_verify_bad_trace_exit_codes(tmp_path, capsys, corrupt, code, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["paths", "trace"])
+@pytest.mark.parametrize("extra,code,names", [
+    pytest.param(["--config", "tile99"], cli.EXIT_USAGE, "tile99", id="unknown-config"),
+    pytest.param(["--k", "40"], cli.EXIT_USAGE, "k must be in [0, 32)", id="k-out-of-range"),
+    pytest.param(["--config", "file:{tmp}/nope.json"], cli.EXIT_IO, "nope.json",
+                 id="missing-config-file"),
+])
+def test_verify_checks_chip_and_mapper_before_any_path(tmp_path, capsys, traced, extra, code,
+                                                       names):
+    argv = VERIFY_ARGS + [arg.format(tmp=tmp_path) for arg in extra]
+    if traced:
+        trace, _ = written_trace(tmp_path, capsys)
+        argv += ["--trace", str(trace)]
+    out = tmp_path / "checked"
+    rc = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == code, captured.out + captured.err
+    assert names in captured.err
+    assert "PASS" not in captured.out
+    assert not (out / "program.trace").exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -222,6 +244,9 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, capsys):
                  id="missing-config-file"),
     pytest.param(["--mappers", "ring,nosuch"], cli.EXIT_USAGE, "nosuch", id="unknown-mapper"),
     pytest.param(["--k", "40"], cli.EXIT_USAGE, "k must be in [0, 32)", id="k-out-of-range"),
+    # the config loads, but its escaped path makes stats names pass 255 bytes
+    pytest.param(["--configs", "file:{long}"], cli.EXIT_IO, "/chip.json__ring: its stats file name passes",
+                 id="stats-name-too-long"),
 ])
 def test_sweep_rejects_bad_grid_before_any_point(tmp_path, capsys, monkeypatch, extra, code,
                                                  names):
@@ -229,9 +254,12 @@ def test_sweep_rejects_bad_grid_before_any_point(tmp_path, capsys, monkeypatch, 
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
+    long = tmp_path / ("d" * 200) / "chip.json"
+    long.parent.mkdir()
+    long.write_text(chip_file())
     out = tmp_path / "s"
     rc = cli.main(["sweep", "--rmat", "4:2", "--out", str(out)]
-                  + [arg.format(tmp=tmp_path) for arg in extra])
+                  + [arg.format(tmp=tmp_path, long=long) for arg in extra])
     err = capsys.readouterr().err
     assert rc == code, err
     assert names in err

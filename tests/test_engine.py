@@ -40,8 +40,10 @@ def lower_for(a, b, budget=4096):
 
 
 def empty_run():
-    """A tile4 run of a program with no instructions."""
-    plan = oracle.symbolic_pass(identity_csr(2), identity_csr(2))
+    """A tile4 run of a program with no instructions, and of the all-zero
+    2x2 product it computes."""
+    zero = matio.to_csr(matio.coo_from_entries(2, 2, [], [], []))
+    plan = oracle.symbolic_pass(zero, zero)
     prog = isa.Program.from_instrs(
         [], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
         n_rows=2, n_cols=2, window_starts=[0], total_fma=0, total_out_nnz=0,
@@ -53,6 +55,28 @@ def test_empty_program_drains_immediately():
     stats = empty_run().run_to_completion()
     assert stats.mmh4_retired == 0
     assert stats.cycles <= 2
+
+
+@pytest.mark.parametrize("out_offsets,out_cols,message", [
+    pytest.param([0, 2, 3, 4, 5], [0, 1, 1, 2, 3],
+                 r"\(0, 1\), in the symbolic plan, was evicted 0 ", id="one-more"),
+    pytest.param([0, 0, 1, 2, 3], [1, 2, 3],
+                 r"\(0, 0\), not in the symbolic plan, was evicted 1 ", id="one-fewer"),
+])
+def test_run_fails_unless_it_evicts_each_plan_element_once(out_offsets, out_cols, message):
+    # The program computes the 4x4 identity; the run is handed a plan with
+    # one element more or one fewer than the program's.
+    eye = identity_csr(4)
+    plan, wplan, prog = lower_for(eye, eye)
+    wrong = replace(
+        plan,
+        out_offsets=np.array(out_offsets, dtype=np.int64),
+        out_cols=np.array(out_cols, dtype=np.int32),
+        counts=np.ones(len(out_cols), dtype=np.int32),
+    )
+    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), wrong, window_plan=wplan, seed=0)
+    with pytest.raises(SimulationError, match=message):
+        run.run_to_completion()
 
 
 def test_identity64_gives_identity_and_64_evictions():
@@ -334,7 +358,7 @@ def test_router_ejects_at_most_four_flits_per_cycle():
     assert mc is not None
 
     def evict():
-        return uarch.Packet(8, uarch.K_EVICT, (0, 0, 1.0, 0, 12))
+        return uarch.Packet(8, uarch.K_EVICT, 0)
 
     for port, n in ((uarch.P_INJ, 4), (uarch.P_EAST, 1), (uarch.P_WEST, 1)):
         router.in_q[port].extend(evict() for _ in range(n))

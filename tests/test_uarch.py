@@ -322,7 +322,7 @@ class _MemCtx:
         self.lines = 0  # live lines the mem reported
 
     def eviction_target(self, tag):
-        return tag >> 16, tag & 0xFFFF, 0x100000, 12
+        return 0x100000
 
     def memctrl_rid_for(self, addr):
         return 0
