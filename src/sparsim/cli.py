@@ -226,10 +226,12 @@ def emit_run_outputs(out: Path, stats: engine.SimStats, result=None) -> None:
 
 
 def cmd_run(args) -> int:
+    # built, and so checked, before the operands are read and --out is made
+    chip, mcfg = engine_configs(args)
     name, a, b_name, b = load_operands(args)
     out = out_dir(args)
     stats, result, run = engine.run_spgemm_simulation(
-        a, b, *engine_configs(args), seed=args.seed, eviction_mode=args.eviction)
+        a, b, chip, mcfg, seed=args.seed, eviction_mode=args.eviction)
     write_json(
         out / "seed_log.json",
         {

@@ -18,6 +18,19 @@ cycle again anyway. Because inter-component effects only happen in the
 commit phase, final statistics and the output matrix are bit-for-bit
 functions of (program, chip config, mapper config, seed).
 
+The loop runs on events. The dispatcher is called only in the cycle after
+it issued, after a core accepted its latched instruction, or after a
+window fence opened; in any other cycle it would repeat its last call, so
+its next call adds that call's dispatch stall for each cycle it sat out,
+and a blocked dispatch still counts one stall per cycle. After a cycle
+that leaves nothing due next, no live router, no sending outbox and the
+dispatcher not ready, nothing can change until the earliest cycle a
+component asked for, and the run jumps there. The occupancy and in-flight
+samples that fall in the skipped span and the watchdog's idle count are
+taken as if each cycle had been stepped, so a deadlock raises at the same
+cycle with the same dump. ``_step_cycle`` stays the one way to advance a
+single cycle.
+
 The run passes itself to the dispatcher's and every component's ``step``
 (and to a mem's ``flush_all``); no component keeps a link back to it, so
 dropping the last reference to a run frees it at once, mid-run included.
@@ -196,7 +209,17 @@ class _Dispatcher:
     with buffer space, consecutive tiles of one A-column group pinned to
     one core, window fences respected. A core's latch takes the
     instruction's index in the program. The dispatcher keeps no link to its
-    run, which passes itself to ``step``."""
+    run, which passes itself to ``step``.
+
+    The run calls ``step`` only while ``ready``: in the cycle after a call
+    that issued, after a core accepted its latched instruction (the core
+    tells the run), or after a window fence opened. A call that issues
+    nothing changes nothing but the dispatch stall count, and what it reads
+    (the pointer, the latches, the current window) changes only by those
+    three events, so every cycle the dispatcher sits out would have
+    repeated its last call; the next call adds that call's stall, at most
+    one, for each of them.
+    """
 
     def __init__(self, windows, groups):
         self.windows = windows  # window of each instruction, a list
@@ -207,6 +230,9 @@ class _Dispatcher:
         self.active_group = None
         self.active_core = None
         self.log = []  # (instr index, core id)
+        self.ready = True
+        self.last_step = -1  # cycle of the last call
+        self.stalling = 0  # dispatch stalls the last call counted
 
     @property
     def done(self) -> bool:
@@ -215,6 +241,12 @@ class _Dispatcher:
     def step(self, run, cycle, due) -> int:
         """Fill free core latches, adding each filled core to ``due``, the
         components stepped this cycle; returns the instructions issued."""
+        stalls = run.stats.stalls
+        skipped = cycle - self.last_step - 1
+        if skipped > 0 and self.stalling:
+            stalls["dispatch"] += skipped
+        self.last_step = cycle
+        stalled = 0
         windows = self.windows
         groups = self.groups
         cores = run.chip.cores
@@ -228,12 +260,12 @@ class _Dispatcher:
                 core = cores[self.active_core]
                 if core.id in pushed or core.dispatch_latch is not None:
                     if core.dispatch_latch is not None and core.id not in pushed:
-                        run.stats.stalls["dispatch"] += 1
+                        stalled = 1
                     break
             else:
                 core = self._next_free_core(cores, pushed)
                 if core is None:
-                    run.stats.stalls["dispatch"] += 1
+                    stalled = 1
                     break
                 self.active_group = group
                 self.active_core = core.id
@@ -243,6 +275,9 @@ class _Dispatcher:
             self.log.append((n, core.id))
             pushed.add(core.id)
             self.pointer += 1
+        stalls["dispatch"] += stalled
+        self.stalling = stalled
+        self.ready = bool(pushed)
         return len(pushed)
 
     def _next_free_core(self, cores, pushed):
@@ -359,6 +394,9 @@ class SimRun:
         """Byte address the write-back of output element ``tag`` goes to."""
         return self._out_base + int(self.plan.out_offsets[tag >> self._col_bits]) * 12
 
+    def on_latch_accepted(self):
+        self.dispatcher.ready = True
+
     def on_mmh4_retired(self):
         self.stats.mmh4_retired += 1
 
@@ -392,6 +430,8 @@ class SimRun:
         )
         watchdog_limit = 10 * (diameter + max_stage) + longest_compare
         idle_cycles = 0
+        due = self._due
+        dispatcher = self.dispatcher
         while True:
             progressed = self._step_cycle()
             if self._finished():
@@ -403,6 +443,8 @@ class SimRun:
                 if idle_cycles > watchdog_limit:
                     raise DeadlockError(self._deadlock_dump(watchdog_limit))
             self.cycle += 1
+            if not (due.get(self.cycle) or self._live_routers or self._sending or dispatcher.ready):
+                idle_cycles = self._skip_idle(idle_cycles, watchdog_limit)
         self.stats.cycles = self.cycle
         self._finalize()
         self.stats.wall_seconds = time.perf_counter() - t0
@@ -410,6 +452,34 @@ class SimRun:
             self.stats.kcps = (self.cycle / 1000.0) / self.stats.wall_seconds
             self.stats.hacc_per_s = self.stats.hacc_committed / self.stats.wall_seconds
         return self.stats
+
+    def _skip_idle(self, idle_cycles, watchdog_limit) -> int:
+        """Jump from ``self.cycle``, a cycle with nothing due, no live router,
+        no sending outbox and the dispatcher not ready, to the earliest cycle
+        a component asked to be stepped; returns the watchdog's idle count
+        there. Until then no step, flit or dispatch can change any state,
+        the counts a window fence compares included (a fence that opens
+        readies the dispatcher), so the skipped cycles' samples repeat the
+        last values and the watchdog counts each of them as idle, raising
+        at the cycle it would have tripped on.
+        """
+        due = self._due
+        start = self.cycle
+        end = min((c for c, comps in due.items() if comps), default=None)
+        trip = start + watchdog_limit - idle_cycles  # first cycle past the limit
+        stop = end if end is not None and end <= trip else trip + 1
+        stats = self.stats
+        first = -(-start // SAMPLE_INTERVAL) * SAMPLE_INTERVAL
+        for c in range(first, stop, SAMPLE_INTERVAL):
+            stats.occupancy_trace.append((c, self.hashpad_lines))
+            stats.inflight_trace.append((c, self.reads_outstanding))
+        if stop > trip:
+            self.cycle = trip
+            raise DeadlockError(self._deadlock_dump(watchdog_limit))
+        for c in [c for c in due if c < end]:
+            del due[c]  # empty: every cycle anyone asked for is at least end
+        self.cycle = end
+        return idle_cycles + end - start
 
     def _step_cycle(self) -> bool:
         cycle = self.cycle
@@ -419,7 +489,8 @@ class SimRun:
         busy = table.setdefault(nxt, set())
 
         # Phase 0: dispatch
-        events = 0 if self.dispatcher.done else self.dispatcher.step(self, cycle, due)
+        dispatcher = self.dispatcher
+        events = dispatcher.step(self, cycle, due) if dispatcher.ready else 0
 
         # Phase 1: step the due components (each touches its own state only)
         comps = self.components
@@ -621,6 +692,7 @@ class SimRun:
                     self._sending.add(mem._engine_idx)
             mem.reset_pads()
         self.current_window = w + 1
+        dispatcher.ready = True
         return 1
 
     def _finished(self) -> bool:

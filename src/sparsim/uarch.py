@@ -443,8 +443,8 @@ class CoreModel:
     instruction buffer refuses dispatch (backpressure, never overflow).
 
     ``step(run, cycle)`` reads the instruction's lanes and operand reads
-    from ``run`` and reports retirements to it; the core keeps no link to
-    the run. It returns ``cycle + 1`` after a step that changed anything;
+    from ``run`` and reports each latch it accepts and each retirement to
+    it; the core keeps no link to the run. It returns ``cycle + 1`` after a step that changed anything;
     after a step that changed nothing, the earliest cycle a decode,
     register-allocation or execute latency ends, or None when only an
     operand response, a dispatch or the departure of an instruction's last
@@ -516,6 +516,7 @@ class CoreModel:
         if self.dispatch_latch is not None and len(self.inflight) < cfg.core_buffer_depth:
             instr = self.dispatch_latch
             self.dispatch_latch = None
+            run.on_latch_accepted()  # the dispatcher may fill the latch again
             seq = self.seq_gen
             self.seq_gen += 1
             pipe = self.rr_pipe
@@ -881,6 +882,10 @@ class MemCtrlModel:
         cfg = self.cfg
         acted = 0
         granule = cfg.granule
+        channel = self.channel
+        channel._reap(cycle)
+        completions = channel.completions
+        depth = channel.queue_depth
 
         while self.inbox:
             pkt = self.inbox.popleft()
@@ -908,7 +913,7 @@ class MemCtrlModel:
         # Issue at most one transaction, reads first. Only the first
         # coalesce_window entries can merge; the rest stay as they are.
         window = cfg.coalesce_window
-        if self.read_pending and self.channel.can_submit(cycle):
+        if self.read_pending and len(completions) < depth:
             pending = self.read_pending
             g0 = pending[0][0]
             merged = []
@@ -920,7 +925,7 @@ class MemCtrlModel:
                 else:
                     kept.append(item)
             pending.extendleft(reversed(kept))
-            completion = self.channel.submit(cycle, granule)
+            completion = channel.submit(cycle, granule)
             self.transactions_read += 1
             self.reads_merged += len(merged) - 1
             responses = []
@@ -934,7 +939,7 @@ class MemCtrlModel:
                     self.touch_remaining[key] = remaining
             self.inflight.append((completion, responses))
             acted += 1
-        elif self.write_pending and self.channel.can_submit(cycle):
+        elif self.write_pending and len(completions) < depth:
             pending = self.write_pending
             g0 = pending[0]
             kept = []
@@ -943,7 +948,7 @@ class MemCtrlModel:
                 if g != g0:
                     kept.append(g)
             pending.extendleft(reversed(kept))
-            completion = self.channel.submit(cycle, granule)
+            completion = channel.submit(cycle, granule)
             self.transactions_write += 1
             self.inflight.append((completion, ()))
             acted += 1
@@ -951,8 +956,8 @@ class MemCtrlModel:
         self.activity += acted
         wake = self.inflight[0][0] if self.inflight else None
         if self.read_pending or self.write_pending:
-            channel = self.channel
-            free = cycle + 1 if channel.can_submit(cycle) else channel.completions[0]
+            # a submit this cycle completes no earlier than the next one
+            free = cycle + 1 if len(completions) < depth else completions[0]
             if wake is None or free < wake:
                 wake = free
         return wake

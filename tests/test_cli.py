@@ -365,11 +365,12 @@ def test_gcn_path_graph_through_simulator(tmp_path):
 
 
 def test_usage_error_exit_code(tmp_path):
-    rc = cli.main(["run", "--rmat", "bogus", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--rmat", "bogus", "--out", str(out)])
     assert rc == cli.EXIT_USAGE
-    rc = cli.main(["run", "--config", "tile9000", "--rmat", "4:2",
-                   "--out", str(tmp_path / "o")])
+    rc = cli.main(["run", "--config", "tile9000", "--rmat", "4:2", "--out", str(out)])
     assert rc == cli.EXIT_USAGE
+    assert not out.exists()  # the chip is checked before --out is made
 
 
 TILE4_FIELDS = dataclasses.asdict(uarch.TILE4)

@@ -440,6 +440,62 @@ def test_deadlock_detector_fires_with_diagnostic(monkeypatch):
     assert "blocked instruction" in str(err.value) or "flits" in str(err.value)
 
 
+# What the watchdog reports when the controllers drop every request below,
+# recorded from a run that stepped every cycle.
+DROPPED_REQUESTS_DEADLOCK = """\
+no progress for 1985 cycles at cycle 2010
+  core 0: inflight=2 outbox=0
+  core 1: inflight=2 outbox=0
+  core 2: inflight=2 outbox=0
+  core 3: inflight=1 outbox=0
+  core 4: inflight=1 outbox=0
+  core 5: inflight=1 outbox=0
+  core 6: inflight=1 outbox=0
+  core 7: inflight=1 outbox=0
+  core 8: inflight=1 outbox=0
+  core 9: inflight=1 outbox=0
+  oldest blocked instruction: core 0 seq 0 stage wait accepted at cycle 0
+  network flits pending: 0"""
+
+
+def test_deadlock_inside_a_skipped_span_raises_where_stepping_would(monkeypatch):
+    # Controllers that drop every request: once the network drains, no
+    # component is ever due again, so the engine jumps ahead and the
+    # watchdog trips inside the jump. It must raise at the cycle, and with
+    # the state, that stepping every cycle reaches.
+    a = rmat_csr(4, 2, seed=19)
+    plan, wplan, prog = lower_for(a, a)
+    run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
+
+    def drop(self, run, cycle):
+        self.inbox.clear()
+
+    monkeypatch.setattr(uarch.MemCtrlModel, "step", drop)
+    with pytest.raises(DeadlockError) as err:
+        run.run_to_completion()
+    assert str(err.value) == DROPPED_REQUESTS_DEADLOCK
+
+
+def test_dispatcher_and_cycles_run_only_when_something_is_due(monkeypatch):
+    # The dispatcher runs in the cycle after it issued, after a core accepted
+    # its latch, or after a fence opened; cycles with nothing due are skipped.
+    a = rmat_csr(8, 4, seed=1)
+    calls = {"dispatch": 0, "cycle": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine._Dispatcher, "step", counted("dispatch", engine._Dispatcher.step))
+    monkeypatch.setattr(engine.SimRun, "_step_cycle", counted("cycle", engine.SimRun._step_cycle))
+    stats, _, _ = engine.run_spgemm_simulation(a, a, uarch.CHIP_TILE4, mapper(), seed=1)
+    # every issued instruction is accepted once
+    assert calls["dispatch"] <= 2 * stats.mmh4_issued + stats.windows + 1
+    assert calls["cycle"] < stats.cycles
+
+
 def test_long_hash_compare_is_not_a_deadlock():
     # On tile4 a region's probe sequence is 2,509 slots long, so a compare
     # with two comparators can take 1,255 cycles, longer than the network
@@ -520,7 +576,9 @@ def digest(data: bytes) -> str:
 # 256-core tile16-gnn chip, whose two-flit router queues make the ring
 # bubble block flits often, and a one-flit injection queue, behind which
 # cores hold packets in their outbox most of the time. The first run has
-# non-zero reg, operand, port and dispatch stalls. Any change to these
+# non-zero reg, operand, port and dispatch stalls. On the last, a 512-cycle
+# memory channel leaves most cycles with nothing due, which the engine
+# jumps over, samples included. Any change to these
 # digests is a change of the modelled machine, not of the engine's speed.
 PINNED_RUNS = [
     # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget,
@@ -570,6 +628,12 @@ PINNED_RUNS = [
      "a2e4cde7aa7e236694b6a51e0c567e48c65d847ca7cc8fee03e6f3b7ac92bd88",
      "14472ba101adb813ffebe8a1c1b47ae989fc7657e01c48bd56ae55330737eba5",
      "8a3c70e590c5e2003e8f36eb7a73273bf7196e95eea043960ce050a0235658d0"),
+    ("tile4-barrier-channel-latency-512", (6, 4, 1),
+     replace(uarch.CHIP_TILE4, channel_fixed_latency=512), mapping.DRHM_LOW, engine.BARRIER, None,
+     "0ee3778448eaec2115e828a08cfe6482b89aba0de7f6a6eef7e8055b929402c6",
+     "77c2d01e91e5a9e3bba4dc924b82bee54fcb21181ea29f40e8e9e1da98752ac6",
+     "342280be28be4315a9f936fbd684f299e84ac529f6bca5278ae2ead4867b70fa",
+     "5ec406fa397acbce746e436d7f975ef024d0d099c4e534b27f6ab5e93390824d"),
 ]
 
 
