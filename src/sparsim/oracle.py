@@ -8,13 +8,16 @@ planning, and a single graph-convolution layer used as a workload
 generator.
 
 The Gustavson kernel and the symbolic pass share one expansion: A's rows
-are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial products, so
-each pass's scratch memory is bounded per block, not by the product's
-size. Each product is keyed by its output element as a ``uint32``, so a
-block also ends after ``(1 << 32) // n_cols`` rows. The Gustavson kernel
-sums each output element as ``0.0`` plus its partial products in A-stream
-order, the order replay and SMASH also sum in, so it judges both bit for
-bit.
+are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial products.
+Each product is keyed by its output element as a ``uint32``, so a block
+also ends after ``(1 << 32) // n_cols`` rows. A block is expanded and
+reduced as one task, and the tasks run on every CPU the process may use,
+one worker each, so a pass's scratch memory in flight is bounded by the
+worker count times the block bound, not by the product's size. A block
+owns its rows, so the results depend neither on the block bound nor on the
+worker count. The Gustavson kernel sums each output element as ``0.0``
+plus its partial products in A-stream order, the order replay and SMASH
+also sum in, so it judges both bit for bit.
 
 Structural zeros produced by numeric cancellation are retained throughout:
 a structural nonzero is any output element receiving at least one partial
@@ -24,6 +27,8 @@ product, which keeps the contribution counters format-independent.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +39,13 @@ from .matio import CsrMatrix, concat_ranges, csr_to_dense
 DEFAULT_CF = 4.0
 DEFAULT_EF = 1.5
 
-# Partial products expanded at once by symbolic_pass and spgemm_gustavson:
-# rows are taken in blocks whose products fit this bound (a single row above
-# it forms its own block), which caps a pass's scratch memory at a few tens
-# of MiB. A block also ends after (1 << 32) // n_cols rows, so that its
-# uint32 keys cannot wrap.
-SYMBOLIC_BLOCK_PP = 1 << 20
+# Partial products one task of symbolic_pass or spgemm_gustavson expands at
+# once: rows are taken in blocks whose products fit this bound (a single row
+# above it forms its own block). Each CPU the process may use works on one
+# block at a time, so a pass's scratch memory in flight is (workers x this
+# bound), a few MiB per worker. A block also ends after (1 << 32) // n_cols
+# rows, so that its uint32 keys cannot wrap. Results do not depend on it.
+SYMBOLIC_BLOCK_PP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -147,18 +153,19 @@ def spgemm_gustavson(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     order, each against B's row k in storage order), so a lone ``-0.0``
     product gives ``+0.0``. Replay and SMASH sum in the same order, which
     makes this an exact judge for both. Rows are taken in the row blocks of
-    ``_expand_blocks``: a block's products are keyed by (row, column),
-    ``np.unique`` numbers the keys in (row, column) order, and
-    ``np.add.at`` sums each key's products onto zero in stream order. Output
-    rows are sorted by column. Elements that cancel to zero stay in the
-    structure.
+    ``_row_blocks``, run by ``_run_blocks``: a block's products are keyed
+    by (row, column), ``np.unique`` numbers the keys in (row, column)
+    order, and ``np.add.at`` sums each key's products onto zero in stream
+    order. A block sums only its own rows, so the product does not depend
+    on the block bound or the worker count. Output rows are sorted by
+    column. Elements that cancel to zero stay in the structure.
     """
     n_rows, n_cols = a.n_rows, b.n_cols
-    pp_per_entry, _, blocks = _expand_blocks(a, b)
+    pp_per_entry, _, blocks, expand = _row_blocks(a, b)
     out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
-    col_parts = []
-    val_parts = []
-    for r0, r1, t0, t1, pos, keys in blocks:
+
+    def merge(r0, r1, t0, t1):
+        pos, keys = expand(r0, r1, t0, t1)
         prods = np.repeat(a.values[t0:t1], pp_per_entry[t0:t1])
         prods *= b.values[pos]
         del pos
@@ -167,17 +174,17 @@ def spgemm_gustavson(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
         sums = np.zeros(len(uniq), dtype=np.float64)
         np.add.at(sums, inv, prods)
         cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
-        col_parts.append(cols)
-        val_parts.append(sums)
+        return cols, sums
 
+    parts = _run_blocks(blocks, merge)
     out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(out_nnz_per_row, out=out_offsets[1:])
     return CsrMatrix(
         n_rows,
         n_cols,
         out_offsets,
-        np.concatenate([np.zeros(0, dtype=np.int32), *col_parts]),
-        np.concatenate([np.zeros(0, dtype=np.float64), *val_parts]),
+        np.concatenate([np.zeros(0, dtype=np.int32), *(cols for cols, _ in parts)]),
+        np.concatenate([np.zeros(0, dtype=np.float64), *(sums for _, sums in parts)]),
     )
 
 
@@ -199,23 +206,24 @@ def spmm_csr_dense(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
-    """Expand C = A * B into its partial products, one block of A rows at a time.
+def _row_blocks(a: CsrMatrix, b: CsrMatrix):
+    """Cut C = A * B into blocks of A rows, and expand a block's products.
 
     Rows are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial
     products (one row with more forms a block of its own) and at most
     ``(1 << 32) // n_cols`` rows. Returns
-    ``(pp_per_entry, fma_per_row, blocks)``: ``pp_per_entry[t]`` is the
-    partial-product count of A entry t, and ``blocks`` yields
-    ``(r0, r1, t0, t1, pos, keys)`` for each block of rows ``r0..r1`` (A
-    entries ``t0..t1``) that has partial products. Its products are listed
-    in A-stream order: ``pos[p]`` is the index in B's arrays of product p's
-    B entry, and ``keys[p] = (i - r0) * n_cols + j`` names the output
-    element (i, j) it lands on, as a ``uint32``: B's columns are int32, so
-    ``n_cols < 2**31``, the row cap is at least 2, and every key fits.
-    B's columns are added by value, whatever their integer width. Once
-    yielded, ``pos`` and ``keys`` are referenced by the caller only, so it
-    can free ``pos`` early.
+    ``(pp_per_entry, fma_per_row, blocks, expand)``: ``pp_per_entry[t]`` is
+    the partial-product count of A entry t, and ``blocks`` lists
+    ``(r0, r1, t0, t1)`` for each block of rows ``r0..r1`` (A entries
+    ``t0..t1``) that has partial products, in row order.
+    ``expand(r0, r1, t0, t1)`` returns the block's products in A-stream
+    order as ``(pos, keys)``: ``pos[p]`` is the index in B's arrays of
+    product p's B entry, and ``keys[p] = (i - r0) * n_cols + j`` names the
+    output element (i, j) it lands on, as a ``uint32``: B's columns are
+    int32, so ``n_cols < 2**31``, the row cap is at least 2, and every key
+    fits. B's columns are added by value, whatever their integer width.
+    ``expand`` reads only the operands, so blocks may expand concurrently,
+    and the caller alone holds the arrays it returns.
     """
     if a.n_cols != b.n_rows:
         raise ConfigError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -238,19 +246,69 @@ def _expand_blocks(a: CsrMatrix, b: CsrMatrix):
         np.add(keys, b_cols[pos], out=keys, casting="unsafe")
         return pos, keys
 
-    def blocks():
-        r0 = 0
-        while r0 < n_rows:
-            limit = row_prefix[r0] + SYMBOLIC_BLOCK_PP
-            r1 = max(int(np.searchsorted(row_prefix, limit, side="right")) - 1, r0 + 1)
-            r1 = min(r1, r0 + max_rows)
-            t0, t1 = int(a_off[r0]), int(a_off[r1])
-            if entry_prefix[t1] > entry_prefix[t0]:
-                # No local names the arrays, so the generator keeps none alive.
-                yield (r0, r1, t0, t1, *expand(r0, r1, t0, t1))
-            r0 = r1
+    blocks = []
+    r0 = 0
+    while r0 < n_rows:
+        limit = row_prefix[r0] + SYMBOLIC_BLOCK_PP
+        r1 = max(int(np.searchsorted(row_prefix, limit, side="right")) - 1, r0 + 1)
+        r1 = min(r1, r0 + max_rows)
+        if row_prefix[r1] > row_prefix[r0]:
+            blocks.append((r0, r1, int(a_off[r0]), int(a_off[r1])))
+        r0 = r1
+    return pp_per_entry, fma_per_row, blocks, expand
 
-    return pp_per_entry, fma_per_row, blocks()
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(blocks, task) -> list:
+    """``[task(*block) for block in blocks]``, on every CPU the process may use.
+
+    With one block, or one CPU, the tasks run on the caller's thread and no
+    thread starts. Otherwise the caller and one new thread per further CPU
+    (at most one worker per block) take the blocks in order, each running
+    one task at a time; the numpy calls a task makes release the GIL. Every
+    thread is joined before this returns or raises. When tasks fail, the
+    error of the first failed block is raised: the workers stop taking
+    blocks, but every block before it was taken earlier and runs to the end.
+    """
+    n_workers = min(_cpu_count(), len(blocks))
+    if n_workers <= 1:
+        return [task(*block) for block in blocks]
+    results = [None] * len(blocks)
+    errors = {}
+    claims = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(*blocks[i])
+            except BaseException as exc:  # raised by the caller once all are joined
+                errors[i] = exc
+
+    threads = []
+    try:
+        for _ in range(n_workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
@@ -258,7 +316,7 @@ def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
 
     Row k's keys start at ``k * n_cols``, so one ``searchsorted`` of the row
     starts bounds every row's run. The starts keep the keys' dtype: in a
-    block they are below ``2**32`` (see ``_expand_blocks``). The columns,
+    block they are below ``2**32`` (see ``_row_blocks``). The columns,
     ``uniq`` less its rows' starts, are written straight into int32: they
     are below ``n_cols < 2**31``.
     """
@@ -272,19 +330,20 @@ def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
 def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
     """Count FMA work and per-output-element contributions for C = A * B.
 
-    Rows of A are taken in the row blocks of ``_expand_blocks``. A block's
-    keys ``i * n_cols + j`` (i counted from the block's first row) are
-    sorted and each run of equal keys counted: the run starts are the
-    block's output elements in (row, column) order, the run lengths their
-    contribution counts.
+    Rows of A are taken in the row blocks of ``_row_blocks``, run by
+    ``_run_blocks``. A block's keys ``i * n_cols + j`` (i counted from the
+    block's first row) are sorted and each run of equal keys counted: the
+    run starts are the block's output elements in (row, column) order, the
+    run lengths their contribution counts. A block counts only its own
+    rows, so the plan does not depend on the block bound or the worker
+    count.
     """
     n_rows, n_cols = a.n_rows, b.n_cols
-    _, fma_per_row, blocks = _expand_blocks(a, b)
+    _, fma_per_row, blocks, expand = _row_blocks(a, b)
     out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
-    col_parts = []
-    count_parts = []
-    for r0, r1, _, _, pos, keys in blocks:
-        del pos  # before the sort, so a block never holds both
+
+    def count(r0, r1, t0, t1):
+        keys = expand(r0, r1, t0, t1)[1]  # pos is freed at once
         keys.sort()
         n_pp = len(keys)
         head = np.empty(n_pp + 1, dtype=bool)  # run starts, and the end
@@ -295,11 +354,11 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
         uniq = keys[bounds[:-1]]
         del keys
         cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
-        col_parts.append(cols)
         counts = np.empty(len(bounds) - 1, dtype=np.int32)
         np.subtract(bounds[1:], bounds[:-1], out=counts)
-        count_parts.append(counts)
+        return cols, counts
 
+    parts = _run_blocks(blocks, count)
     out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(out_nnz_per_row, out=out_offsets[1:])
     empty = np.zeros(0, dtype=np.int32)
@@ -309,8 +368,8 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
         fma_per_row=fma_per_row,
         out_nnz_per_row=out_nnz_per_row,
         out_offsets=out_offsets,
-        out_cols=np.concatenate([empty, *col_parts]),
-        counts=np.concatenate([empty, *count_parts]),
+        out_cols=np.concatenate([empty, *(cols for cols, _ in parts)]),
+        counts=np.concatenate([empty, *(counts for _, counts in parts)]),
         total_fma=int(fma_per_row.sum()),
         total_out_nnz=int(out_offsets[-1]),
     )

@@ -1,7 +1,10 @@
 """Each module imports only the layers below it in ``__init__``'s order."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sparsim
@@ -50,3 +53,15 @@ def test_modules_import_only_lower_layers():
             if dep not in order or order.index(dep) >= order.index(name):
                 upward.append(f"{name} imports {dep}")
     assert upward == []
+
+
+def test_import_loads_no_executor_module():
+    """``import sparsim`` does not load ``concurrent.futures``: the oracle's
+    block workers are plain threads, and only ``cli``, which the package
+    does not import, uses a process pool."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sparsim; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"

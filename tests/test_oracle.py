@@ -1,5 +1,8 @@
 """Reference kernels, symbolic pass, bloat accounting, window planning."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,14 @@ def sparse_csr(n_rows, n_cols, density, seed, empty_rows=()):
     return matio.dense_to_csr(dense.astype(np.float64))
 
 
+def with_hub_row(n_rows, n_cols, hub, seed):
+    """Sparse rows around one row ``hub`` that has every column."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dense = (rng.random((n_rows, n_cols)) < 0.08) * rng.integers(1, 5, size=(n_rows, n_cols))
+    dense[hub] = rng.integers(1, 5, size=n_cols)
+    return matio.dense_to_csr(dense.astype(np.float64))
+
+
 def csr_rows(n_cols, rows):
     """A CSR matrix from per-row lists of (column, value), kept in the given
     order, duplicate columns included."""
@@ -167,6 +178,9 @@ SYMBOLIC_CASES = {
     "empty-matrices": lambda: (sparse_csr(5, 7, 0.0, 7), sparse_csr(7, 3, 0.0, 8)),
     # One row with about 800 partial products: above every small block below.
     "one-dense-row": lambda: (sparse_csr(1, 40, 0.8, 9), sparse_csr(40, 50, 0.5, 10)),
+    # Rows of about 45 partial products around a hub of about 600: the hub
+    # alone exceeds the small blocks below, between blocks of its neighbours.
+    "hub-row": lambda: (with_hub_row(24, 40, 11, 13), sparse_csr(40, 30, 0.5, 14)),
     "rmat-squared": lambda: (rmat_csr(7, 6, seed=3), rmat_csr(7, 6, seed=3)),
     # B as wide as int32 columns go: a block holds at most 2 rows, and its
     # second row's keys reach 2^32 - 3.
@@ -239,11 +253,26 @@ def assert_same_bits(got, want):
     assert got.values.tobytes() == want.values.tobytes()
 
 
-@pytest.mark.parametrize("block", [None, 1, 7, 100])
-@pytest.mark.parametrize("case", sorted(SYMBOLIC_CASES))
-def test_gustavson_matches_dict_reference_bit_for_bit(case, block, monkeypatch):
+# Every block bound (None: the module's) with 1, 2 and 3 block workers; the
+# serial runs keep the bare block id.
+BLOCK_WORKERS = [
+    pytest.param(block, workers, id=str(block) if workers == 1 else f"{block}-w{workers}")
+    for block in (None, 1, 7, 100)
+    for workers in (1, 2, 3)
+]
+
+
+def set_blocks(monkeypatch, block, workers):
+    """Run the oracle's passes with block bound ``block`` on ``workers`` CPUs."""
     if block is not None:
         monkeypatch.setattr(oracle, "SYMBOLIC_BLOCK_PP", block)
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
+
+
+@pytest.mark.parametrize("block, workers", BLOCK_WORKERS)
+@pytest.mark.parametrize("case", sorted(SYMBOLIC_CASES))
+def test_gustavson_matches_dict_reference_bit_for_bit(case, block, workers, monkeypatch):
+    set_blocks(monkeypatch, block, workers)
     a, b = SYMBOLIC_CASES[case]()
     a, b = with_normal_values(a, 11), with_normal_values(b, 12)
     assert_same_bits(oracle.spgemm_gustavson(a, b), reference_gustavson(a, b))
@@ -281,11 +310,10 @@ def test_gustavson_hand_cases_bit_for_bit(case):
     assert not np.signbit(got.values).any()
 
 
-@pytest.mark.parametrize("block", [None, 1, 7, 100])
+@pytest.mark.parametrize("block, workers", BLOCK_WORKERS)
 @pytest.mark.parametrize("case", sorted(SYMBOLIC_CASES))
-def test_symbolic_matches_per_row_reference(case, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(oracle, "SYMBOLIC_BLOCK_PP", block)
+def test_symbolic_matches_per_row_reference(case, block, workers, monkeypatch):
+    set_blocks(monkeypatch, block, workers)
     a, b = SYMBOLIC_CASES[case]()
     fma, out_nnz, contrib = reference_symbolic(a, b)
     plan = oracle.symbolic_pass(a, b)
@@ -300,6 +328,113 @@ def test_symbolic_matches_per_row_reference(case, block, monkeypatch):
     assert contrib_counter(plan) == contrib
     assert plan.total_fma == int(fma.sum())
     assert plan.total_out_nnz == len(contrib)
+
+
+BLOCK_PASSES = {"symbolic": oracle.symbolic_pass, "gustavson": oracle.spgemm_gustavson}
+
+
+def assert_same_output(got, want):
+    """Two symbolic plans, or two products, equal bit for bit."""
+    if isinstance(want, oracle.SymbolicPlan):
+        for field in ("fma_per_row", "out_nnz_per_row", "out_offsets", "out_cols", "counts"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    else:
+        assert_same_bits(got, want)
+
+
+def wrap_tasks(monkeypatch, wrap):
+    """Make ``_run_blocks`` run ``wrap(blocks, task)`` in place of each task."""
+    run_blocks = oracle._run_blocks
+    monkeypatch.setattr(oracle, "_run_blocks", lambda blocks, task: run_blocks(blocks, wrap(blocks, task)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BLOCK_PASSES))
+def test_block_error_reaches_the_caller_and_no_thread_outlives_the_pass(name, workers, monkeypatch):
+    set_blocks(monkeypatch, 100, workers)
+    a, b = SYMBOLIC_CASES["rmat-squared"]()
+    before = threading.active_count()
+    want = BLOCK_PASSES[name](a, b)
+    assert threading.active_count() == before
+
+    third_started = threading.Event()
+
+    def fail_from_second(blocks, task):
+        assert len(blocks) > 3
+
+        def run(*block):
+            # Blocks 1 and 2 fail. With workers to spare, block 1 fails only
+            # once block 2 runs, so both errors are in flight: the first
+            # block's must win.
+            if block == blocks[2]:
+                third_started.set()
+            elif block == blocks[1] and workers > 1:
+                assert third_started.wait(timeout=60)
+            if block in blocks[1:3]:
+                raise MemoryError(f"no room for block {blocks.index(block)}")
+            return task(*block)
+
+        return run
+
+    wrap_tasks(monkeypatch, fail_from_second)
+    with pytest.raises(MemoryError) as err:
+        BLOCK_PASSES[name](a, b)
+    assert err.type is MemoryError and str(err.value) == "no room for block 1"
+    assert threading.active_count() == before
+    monkeypatch.undo()
+    set_blocks(monkeypatch, 100, workers)
+    assert_same_output(BLOCK_PASSES[name](a, b), want)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PASSES))
+def test_more_block_workers_than_cores_run_each_block_once(name, monkeypatch):
+    a, b = SYMBOLIC_CASES["rmat-squared"]()
+    set_blocks(monkeypatch, 1, 1)
+    want = BLOCK_PASSES[name](a, b)
+    set_blocks(monkeypatch, 1, 8)
+    runs, lock = [], threading.Lock()
+
+    def count_runs(blocks, task):
+        runs.append(dict.fromkeys(blocks, 0))
+
+        def run(*block):
+            with lock:
+                runs[-1][block] += 1
+            return task(*block)
+
+        return run
+
+    wrap_tasks(monkeypatch, count_runs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [BLOCK_PASSES[name](a, b) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(set(ran.values()) == {1} for ran in runs)
+    for out in got:
+        assert_same_output(out, want)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PASSES))
+def test_product_in_one_block_runs_on_the_callers_thread(name, monkeypatch):
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
+    ran_on = set()
+
+    def record(blocks, task):
+        assert len(blocks) == 1
+
+        def run(*block):
+            ran_on.add(threading.get_ident())
+            return task(*block)
+
+        return run
+
+    wrap_tasks(monkeypatch, record)
+    a, b = SYMBOLIC_CASES["rmat-squared"]()
+    BLOCK_PASSES[name](a, b)
+    assert ran_on == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("case", ["rectangular", "wide-b"])
