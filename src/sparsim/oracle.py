@@ -12,8 +12,9 @@ are taken in blocks of at most ``SYMBOLIC_BLOCK_PP`` partial products.
 Each product is keyed by its output element as a ``uint32``, so a block
 also ends after ``(1 << 32) // n_cols`` rows. A block is expanded and
 reduced as one task, and the tasks run on every CPU the process may use,
-one worker each, so a pass's scratch memory in flight is bounded by the
-worker count times the block bound, not by the product's size. A block
+one worker each (at most ``(1 << 20) // SYMBOLIC_BLOCK_PP`` workers), so a
+pass's scratch memory in flight is bounded by the worker count times the
+block bound, not by the product's size. A block
 owns its rows, so the results depend neither on the block bound nor on the
 worker count. The Gustavson kernel sums each output element as ``0.0``
 plus its partial products in A-stream order, the order replay and SMASH
@@ -41,10 +42,12 @@ DEFAULT_EF = 1.5
 
 # Partial products one task of symbolic_pass or spgemm_gustavson expands at
 # once: rows are taken in blocks whose products fit this bound (a single row
-# above it forms its own block). Each CPU the process may use works on one
-# block at a time, so a pass's scratch memory in flight is (workers x this
-# bound), a few MiB per worker. A block also ends after (1 << 32) // n_cols
-# rows, so that its uint32 keys cannot wrap. Results do not depend on it.
+# above it forms its own block). Each CPU the process may use, up to
+# (1 << 20) // SYMBOLIC_BLOCK_PP of them, works on one block at a time, so a
+# pass's scratch memory in flight is (workers x this bound), a few MiB per
+# worker and never above 1 << 20 products' worth. A block also ends after
+# (1 << 32) // n_cols rows, so that its uint32 keys cannot wrap. Results do
+# not depend on it.
 SYMBOLIC_BLOCK_PP = 1 << 17
 
 
@@ -269,17 +272,18 @@ def _cpu_count() -> int:
 def _run_blocks(blocks, task) -> list:
     """``[task(*block) for block in blocks]``, on every CPU the process may use.
 
-    With one block, or one CPU, the tasks run on the caller's thread and no
-    thread starts. Otherwise the caller and one new thread per further CPU
-    (at most one worker per block) take the blocks in order, each running
-    one task at a time; the numpy calls a task makes release the GIL. Every
-    thread is joined before this returns or raises. When tasks fail, the
-    error of the first failed block is raised: the workers stop taking
-    blocks, but every block before it was taken earlier and runs to the end.
+    The caller and one new thread per further worker take the blocks in
+    order, each running one task at a time; the numpy calls a task makes
+    release the GIL. There is one worker per CPU, but no more than there
+    are blocks, nor than ``(1 << 20) // SYMBOLIC_BLOCK_PP``, so the scratch
+    in flight stays within ``1 << 20`` partial products. With one worker
+    (one block, or one CPU) the caller runs every block and no thread
+    starts. Every thread is joined before this returns or raises. When
+    tasks fail, the error of the first failed block is raised: the workers
+    stop taking blocks, but every block before it was taken earlier and
+    runs to the end.
     """
-    n_workers = min(_cpu_count(), len(blocks))
-    if n_workers <= 1:
-        return [task(*block) for block in blocks]
+    n_workers = min(_cpu_count(), len(blocks), (1 << 20) // SYMBOLIC_BLOCK_PP)
     results = [None] * len(blocks)
     errors = {}
     claims = iter(range(len(blocks)))

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -415,6 +416,25 @@ def test_more_block_workers_than_cores_run_each_block_once(name, monkeypatch):
     assert all(set(ran.values()) == {1} for ran in runs)
     for out in got:
         assert_same_output(out, want)
+
+
+def test_block_workers_stop_at_the_scratch_bound(monkeypatch):
+    # 64 CPUs, but at most (1 << 20) // SYMBOLIC_BLOCK_PP blocks in flight.
+    monkeypatch.setattr(oracle, "_cpu_count", lambda: 64)
+    cap = (1 << 20) // oracle.SYMBOLIC_BLOCK_PP
+    before = threading.active_count()
+    peak, lock = [before], threading.Lock()
+
+    def task(i):
+        with lock:
+            peak[0] = max(peak[0], threading.active_count())
+        time.sleep(0.005)
+        return i
+
+    blocks = [(i,) for i in range(3 * cap)]
+    assert oracle._run_blocks(blocks, task) == list(range(3 * cap))
+    assert peak[0] - before <= cap - 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_PASSES))
