@@ -4,9 +4,13 @@ Each cycle has three phases. The dispatcher issues tile instructions to
 cores (phase 0); every component that is due advances one cycle touching
 only its own state and outbox (phase 1); the engine then commits all
 cross-component transfers in one pass (phase 2): the live routers in rid
-order, each re-armed for the next cycle right after its own visit if it
-still holds a flit, then every outbox that holds packets, in component
-order, whether or not its owner stepped this cycle.
+order, then every outbox that holds packets, in component order, whether
+or not its owner stepped this cycle. The commit visits only what can move.
+A router still holding a flit after its visit is re-armed for the next
+cycle, unless every head it holds is blocked by credit; then it is parked
+until a queue it feeds pops, and an outbox that stops at a full injection
+queue is parked until its router pops from that queue. A parked unit's
+visits would have moved nothing, so parking changes no flit's timing.
 One table maps a cycle to the components due then. A component is due
 when a step of it asked for this cycle (the next one, or the end of a
 latency it waits for), or when the engine gave it work: a delivered
@@ -25,7 +29,8 @@ its next call adds that call's dispatch stall for each cycle it sat out,
 and a blocked dispatch still counts one stall per cycle. After a cycle
 that leaves nothing due next, no live router, no sending outbox and the
 dispatcher not ready, nothing can change until the earliest cycle a
-component asked for, and the run jumps there. The occupancy and in-flight
+component asked for (a parked unit waits on a pop, which only a live
+router makes), and the run jumps there. The occupancy and in-flight
 samples that fall in the skipped span and the watchdog's idle count are
 taken as if each cycle had been stepped, so a deadlock raises at the same
 cycle with the same dump. ``_step_cycle`` stays the one way to advance a
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import insort
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +101,32 @@ SAMPLE_INTERVAL = 64  # cycles between occupancy and in-flight read samples
 _RING = (0, 1, 1, 2, 2)  # ring (1 = X, 2 = Y) each output port travels along
 # Input-queue scan order per (cycle + rid) % 5, rotating which input goes first.
 _SCAN = tuple(tuple((start + off) % 5 for off in range(5)) for start in range(5))
+_BACK = (0, P_WEST, P_EAST, P_SOUTH, P_NORTH)  # the port at the other end of a link
+# Bits of the output ports a credit-blocked head waits on, by its next_port
+# entry: its port, or both ways of a half-way tie (a blocked tie means both
+# ways are full, since it picked the shorter queue).
+_WAIT = (
+    0, 1 << P_EAST, 1 << P_WEST, 1 << P_NORTH, 1 << P_SOUTH,
+    1 << P_EAST | 1 << P_WEST, 1 << P_NORTH | 1 << P_SOUTH,
+)
+
+
+def _router_table(router):
+    """What the commit reads of a router, built once per run:
+    (router, next_port, ports, scans). ``ports[port]`` is (port bit, ring,
+    the queue it feeds, the rid it reaches) for ports 1-4. ``scans[start]``
+    lists the input queues in ``_SCAN[start]`` order as (queue, flits it may
+    move a cycle, the rid feeding it, that router's port bit); outboxes feed
+    the injection queue, rid -1.
+    """
+    ports = (None,) + tuple(
+        (1 << p, _RING[p], router.out_q[p], router.out_rid[p]) for p in range(1, 5)
+    )
+    inputs = [(router.in_q[0], 4, -1, 0)] + [
+        (router.in_q[qi], 1, router.out_rid[qi], 1 << _BACK[qi]) for qi in range(1, 5)
+    ]
+    scans = tuple(tuple(inputs[qi] for qi in order) for order in _SCAN)
+    return router, router.next_port, ports, scans
 
 
 class SimStats:
@@ -354,11 +386,31 @@ class SimRun:
         self.components = list(self.chip.cores) + list(self.chip.mems) + list(self.chip.memctrls)
         for idx, comp in enumerate(self.components):
             comp._engine_idx = idx
-        self._mem_base = self.chip.n_cores
         self.hashpad_lines = 0  # live hashpad lines over all mems
         self._due = {}  # cycle -> components to step then
-        self._sending = set()  # components whose outbox holds packets
-        self._live_routers = set()
+        self._sending = set()  # components whose outbox holds packets, parked ones aside
+        self._live_routers = set()  # routers to visit in the next commit
+        routers = self.chip.routers
+        # Per router: the bits of the ports its credit-blocked heads wait on
+        # while it is parked, else 0; and the parked outboxes waiting on its
+        # injection queue.
+        self._parked = [0] * len(routers)
+        self._inj_waiting = [[] for _ in routers]
+        self._parked_outboxes = set()
+        self._router_tabs = [_router_table(router) for router in routers]
+        # Per component: (component, outbox, rid, injection queue, a core's
+        # in-flight instructions or None).
+        self._outbox_tabs = [
+            (comp, comp.outbox, comp.rid, routers[comp.rid].in_q[0],
+             comp.inflight if idx < self.chip.n_cores else None)
+            for idx, comp in enumerate(self.components)
+        ]
+        # What the commit reads of the chip config and the mapper.
+        self._net = (
+            chip_cfg.router_queue_depth, chip_cfg.mem_inbox_depth, chip_cfg.injection_depth,
+            chip_cfg.tile.ports, chip_cfg.eviction_path == "direct", self.chip.mem_rids,
+            self.mapper.map_for_accumulation,
+        )
         self.reads_outstanding = 0
         self.evictions_arrived = 0
         self.net_flits = 0
@@ -432,9 +484,10 @@ class SimRun:
         idle_cycles = 0
         due = self._due
         dispatcher = self.dispatcher
+        n_windows = self.n_windows
         while True:
             progressed = self._step_cycle()
-            if self._finished():
+            if self.current_window >= n_windows and self._finished():
                 break
             if progressed:
                 idle_cycles = 0
@@ -457,7 +510,9 @@ class SimRun:
         """Jump from ``self.cycle``, a cycle with nothing due, no live router,
         no sending outbox and the dispatcher not ready, to the earliest cycle
         a component asked to be stepped; returns the watchdog's idle count
-        there. Until then no step, flit or dispatch can change any state,
+        there. Until then no step, flit or dispatch can change any state
+        (flits and packets may wait in parked routers and outboxes, but only
+        a live router's pop wakes them),
         the counts a window fence compares included (a fence that opens
         readies the dispatcher), so the skipped cycles' samples repeat the
         last values and the watchdog counts each of them as idle, raising
@@ -484,9 +539,13 @@ class SimRun:
     def _step_cycle(self) -> bool:
         cycle = self.cycle
         table = self._due
-        due = table.pop(cycle, set())
+        due = table.pop(cycle, None)
+        if due is None:
+            due = set()
         nxt = cycle + 1
-        busy = table.setdefault(nxt, set())
+        busy = table.get(nxt)
+        if busy is None:
+            busy = table[nxt] = set()
 
         # Phase 0: dispatch
         dispatcher = self.dispatcher
@@ -495,6 +554,7 @@ class SimRun:
         # Phase 1: step the due components (each touches its own state only)
         comps = self.components
         sending = self._sending
+        parked_outboxes = self._parked_outboxes
         for idx in sorted(due):
             comp = comps[idx]
             wake = comp.step(self, cycle)
@@ -507,13 +567,13 @@ class SimRun:
                     raise SimulationError(
                         f"component {idx} asked at cycle {cycle} to be stepped at cycle {wake}"
                     )
-            if comp.outbox:
+            if comp.outbox and idx not in parked_outboxes:
                 sending.add(idx)
             events += comp.activity
             comp.activity = 0
 
         # Phase 2: commit in canonical order
-        events += self._commit(cycle)
+        events += self._commit(cycle, busy)
 
         stats = self.stats
         if stats.mmh4_retired == stats.mmh4_issued and stats.hacc_committed == stats.hacc_created:
@@ -532,8 +592,9 @@ class SimRun:
             stats.inflight_trace.append((cycle, self.reads_outstanding))
         return events > 0
 
-    def _commit(self, cycle) -> int:
-        """Move each flit that can move one hop, then drain the outboxes.
+    def _commit(self, cycle, woken) -> int:
+        """Move each flit that can move one hop, then drain the outboxes;
+        ``woken`` collects the components to step next cycle.
 
         Live routers are visited once each, in rid order, and each scans its
         input queues in the ``_SCAN`` rotation. A direction input moves one
@@ -541,52 +602,76 @@ class SimRun:
         ports); a router ejects at most four flits over all its inputs and
         sends one per output port. Bubble rule: continuing along a ring needs
         one free slot downstream, entering a ring (first hop or X->Y turn)
-        needs two. A router still holding a flit is re-armed right after its
-        own visit: only that visit removes its flits, and every arrival arms
-        the router it reaches. Then every outbox that holds packets drains,
-        in component order, whether or not its owner stepped this cycle. A
-        delivery steps the receiving unit next cycle, and so does the
-        departure of an instruction's last HACC for its core, which can
-        then retire it. Returns the number of flits moved.
+        needs two. Then every outbox that holds packets drains, in component
+        order, whether or not its owner stepped this cycle. A delivery steps
+        the receiving unit next cycle, and so does the departure of an
+        instruction's last HACC for its core, which can then retire it.
+        Returns the number of flits moved.
+
+        Only a unit that can move is visited. A router still holding a flit
+        after its visit is re-armed for the next commit, unless every head
+        it holds is blocked by credit: then it is parked, and no visit could
+        move anything until the queue a head waits on pops. That pop wakes
+        it: if the popping router has a lower rid, the parked one is visited
+        later in the same commit, at its rid position, as it would have been
+        while live; otherwise it is armed for the next commit. Every arrival
+        still arms the router it reaches. An outbox that stops at a full
+        injection queue is parked likewise until its router pops from that
+        queue, and then drains in the same commit. A parked unit's skipped
+        visits would have moved nothing, so every flit moves in the same
+        cycle as if each unit holding one were visited every commit.
         """
+        depth, mem_depth, inj_cap, n_ports, direct_evictions, mem_rids, map_tag = self._net
         routers = self.chip.routers
-        cfg = self.chip_cfg
-        depth = cfg.router_queue_depth
-        mem_depth = cfg.mem_inbox_depth
-        woken_add = self._due.setdefault(cycle + 1, set()).add
+        router_tabs = self._router_tabs
+        parked = self._parked
+        inj_waiting = self._inj_waiting
+        sending = self._sending
+        woken_add = woken.add
+        armed = self._live_routers  # this commit's routers, before any wake
+        visit = sorted(armed)
         live = set()
         arm = live.add
         hops = ejected = responses = 0
 
-        for rid in sorted(self._live_routers):
-            router = routers[rid]
-            in_q = router.in_q
-            out_q = router.out_q
-            next_port = router.next_port
+        # A router woken for this commit is inserted after the one visiting,
+        # and the list's iterator reaches it there.
+        for rid in visit:
+            router, next_port, out, scans = router_tabs[rid]
             out_used = 0
             eject_cap = ejected + 4
-            for qi in _SCAN[(cycle + rid) % 5]:
-                q = in_q[qi]
+            keep = False  # a head may move next commit
+            wait = 0
+            for q, budget, feeder, feeder_bit in scans[(cycle + rid) % 5]:
                 if not q:
                     continue
-                budget = 4 if qi == 0 else 1
-                while q and budget:
+                left = budget
+                while True:
                     pkt = q[0]
                     if pkt.moved_at == cycle:
-                        break  # arrived this commit
-                    port = next_port[pkt.dst]
+                        # Arrived this commit: it may move next cycle, so the
+                        # router stays live, whatever its other heads wait on.
+                        keep = True
+                        break
+                    port = way = next_port[pkt.dst]
                     if port > P_SOUTH:  # half-way tie
+                        out_q = router.out_q
                         if port == TIE_X:
                             port = P_EAST if len(out_q[P_EAST]) <= len(out_q[P_WEST]) else P_WEST
                         else:
                             port = P_SOUTH if len(out_q[P_SOUTH]) <= len(out_q[P_NORTH]) else P_NORTH
                     if port == 0:  # eject here
+                        # A head held back by the ejection cap or by a full
+                        # mem inbox keeps the router live: the inbox drains
+                        # when its mem steps, which wakes no router.
                         if ejected == eject_cap:
+                            keep = True
                             break
                         kind = pkt.kind
                         if kind == K_HACC:
                             comp = router.component
                             if len(comp.inbox) >= mem_depth:
+                                keep = True
                                 break
                         elif kind == K_RESP:
                             comp = router.component
@@ -598,41 +683,60 @@ class SimRun:
                         comp.inbox.append(pkt)
                         woken_add(comp._engine_idx)
                         ejected += 1
-                        budget -= 1
-                        continue
-                    bit = 1 << port
-                    if out_used & bit:
-                        break  # one flit per output port per cycle
-                    dim = _RING[port]
-                    nq = out_q[port]
-                    if len(nq) > depth - (1 if pkt.ring == dim else 2):
-                        break  # credit backpressure (with the ring bubble)
-                    q.popleft()
-                    pkt.ring = dim
-                    pkt.moved_at = cycle
-                    nq.append(pkt)
-                    arm(router.out_rid[port])
-                    out_used |= bit
-                    hops += 1
-                    budget -= 1
-                if q:
-                    arm(rid)  # re-armed after its own visit
+                    else:
+                        bit, ring, nq, nrid = out[port]
+                        if out_used & bit:
+                            keep = True
+                            break  # one flit per output port per cycle
+                        if len(nq) > depth - (1 if pkt.ring == ring else 2):
+                            wait |= _WAIT[way]
+                            break  # credit backpressure (with the ring bubble)
+                        q.popleft()
+                        pkt.ring = ring
+                        pkt.moved_at = cycle
+                        nq.append(pkt)
+                        arm(nrid)
+                        out_used |= bit
+                        hops += 1
+                    left -= 1
+                    if not q:
+                        break
+                    if not left:
+                        keep = True
+                        break
+                if left == budget:
+                    continue
+                # The queue popped: wake the unit that waits to feed it.
+                if feeder >= 0:
+                    if parked[feeder] & feeder_bit:
+                        parked[feeder] = 0
+                        if feeder < rid:
+                            arm(feeder)
+                        elif feeder not in armed:
+                            # A parked router armed for this commit by an
+                            # arrival is visited once, at its own rid.
+                            insort(visit, feeder)
+                elif inj_waiting[rid]:
+                    waiting = inj_waiting[rid]
+                    sending.update(waiting)
+                    self._parked_outboxes.difference_update(waiting)
+                    waiting.clear()
+            if keep:
+                arm(rid)  # re-armed after its own visit
+                parked[rid] = 0
+            else:
+                # Parked if it still holds flits. Arming a parked router for
+                # the next commit leaves this mark, so a pop later in this
+                # commit still wakes it in this commit.
+                parked[rid] = wait
 
         stats = self.stats
-        inj_cap = cfg.injection_depth
-        direct_evictions = cfg.eviction_path == "direct"
-        map_tag = self.mapper.map_for_accumulation
-        mem_rids = self.chip.mem_rids
-        comps = self.components
+        outbox_tabs = self._outbox_tabs
         reads = self.reads_outstanding - responses
         injected = direct = 0
-        sending = self._sending
         for idx in sorted(sending):
-            comp = comps[idx]
-            outbox = comp.outbox
-            injq = routers[comp.rid].in_q[0]
-            inflight = comp.inflight if idx < self._mem_base else None
-            budget = cfg.tile.ports
+            comp, outbox, rid, injq, inflight = outbox_tabs[idx]
+            budget = n_ports
             while outbox and budget:
                 pkt = outbox[0]
                 kind = pkt.kind
@@ -662,13 +766,17 @@ class SimRun:
                         stats.peak_inflight_reads = reads
                 injq.append(pkt)
                 pkt.moved_at = cycle  # first hop happens next cycle
-                arm(comp.rid)
+                arm(rid)
                 injected += 1
                 budget -= 1
             if not outbox:
                 sending.discard(idx)
             elif budget == 0:
                 comp.stalls_port += 1
+            else:  # stopped at a full injection queue
+                sending.discard(idx)
+                self._parked_outboxes.add(idx)
+                inj_waiting[rid].append(idx)
 
         self._live_routers = live
         stats.hops_total += hops
@@ -688,7 +796,7 @@ class SimRun:
         for mem in self.chip.mems:
             if self.eviction_mode == BARRIER:
                 mem.flush_all(self)
-                if mem.outbox:
+                if mem.outbox and mem._engine_idx not in self._parked_outboxes:
                     self._sending.add(mem._engine_idx)
             mem.reset_pads()
         self.current_window = w + 1

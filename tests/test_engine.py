@@ -382,6 +382,147 @@ def test_router_ejects_at_most_four_flits_per_cycle():
     assert run.net_flits == 0
 
 
+# The tests below hand-build flits on the tile4 torus (8 x 8, queues of four
+# flits, injection queues of eight), whose routers 0-7 form one X ring:
+# router r sends west into router r-1's east input. A flit stamped with the
+# current cycle arrived in this commit and cannot move again in it.
+
+
+def flit(dst, kind=uarch.K_RESP, ring=1, moved_at=-1):
+    pkt = uarch.Packet(dst, kind, None)
+    pkt.ring = ring
+    pkt.moved_at = moved_at
+    return pkt
+
+
+def step(run):
+    run._step_cycle()
+    run.cycle += 1
+
+
+def test_parked_router_moves_in_the_commit_a_lower_rid_router_pops():
+    # Router 4's head waits on router 3's full east input, whose flits
+    # arrived in commit 0, so router 4 parks there. In commit 1, router 3
+    # first sends a flit east into router 4, which arms router 4 for commit
+    # 2, and then pops its east input: router 4 is still visited in commit
+    # 1, after router 3, and its head moves then, as it would if router 4
+    # had been visited every commit.
+    run = empty_run()
+    routers = run.chip.routers
+    east3 = routers[3].in_q[uarch.P_EAST]
+    east3.extend(flit(1, moved_at=0) for _ in range(4))
+    arrival = flit(6, ring=0, moved_at=0)
+    routers[3].in_q[uarch.P_INJ].append(arrival)  # scanned before the east input in commit 1
+    head = flit(1)
+    routers[4].in_q[uarch.P_EAST].append(head)
+    run._live_routers.update((3, 4))
+
+    step(run)
+    assert run._live_routers == {3} and run._parked[4]
+    step(run)
+    assert arrival in routers[4].in_q[uarch.P_WEST]
+    assert head.moved_at == 1 and east3[-1] is head
+
+
+def test_parked_router_moves_the_commit_after_a_higher_rid_router_pops():
+    # Router 2's head waits on router 3's full west input. Router 3 pops it
+    # in commit 1, after router 2's turn, so the head moves in commit 2.
+    run = empty_run()
+    routers = run.chip.routers
+    west3 = routers[3].in_q[uarch.P_WEST]
+    west3.extend(flit(5, moved_at=0) for _ in range(4))
+    head = flit(5)
+    routers[2].in_q[uarch.P_WEST].append(head)
+    run._live_routers.update((2, 3))
+
+    step(run)
+    assert run._live_routers == {3} and run._parked[2]
+    step(run)
+    assert len(west3) == 3 and head in routers[2].in_q[uarch.P_WEST]
+    assert 2 in run._live_routers
+    step(run)
+    assert head.moved_at == 2 and head in west3
+
+
+def test_arrival_behind_a_parked_routers_blocked_head():
+    # Router 4 parks in commit 0 behind router 3's full east input. Later in
+    # that commit a flit from router 5 queues behind its head, and its core
+    # injects two flits bound south; both arrivals arm router 4 for commit 1
+    # while it is parked. In commit 1 router 3 pops its east input, and
+    # router 4, already due in that commit, is visited once: the head moves
+    # west and one injected flit south (one flit per output port), and the
+    # rest move in commit 2.
+    run = empty_run()
+    routers = run.chip.routers
+    east3 = routers[3].in_q[uarch.P_EAST]
+    east3.extend(flit(1, moved_at=0) for _ in range(4))
+    head, behind = flit(1), flit(2)
+    routers[4].in_q[uarch.P_EAST].append(head)
+    routers[5].in_q[uarch.P_EAST].append(behind)
+    core = routers[4].component
+    south = [flit(12, ring=0), flit(12, ring=0)]
+    core.outbox.extend(south)
+    run._sending.add(core._engine_idx)
+    run._live_routers.update((3, 4, 5))
+
+    east4, injq4 = routers[4].in_q[uarch.P_EAST], routers[4].in_q[uarch.P_INJ]
+    north12 = routers[12].in_q[uarch.P_NORTH]
+
+    step(run)
+    assert list(east4) == [head, behind] and list(injq4) == south
+    assert run._parked[4] and 4 in run._live_routers
+    step(run)
+    assert east3[-1] is head and list(east4) == [behind]
+    assert list(north12) == south[:1] and list(injq4) == south[1:]
+    step(run)
+    assert east3[-1] is behind and north12[-1] is south[1]
+
+
+def test_parked_tie_wakes_on_a_pop_from_either_way():
+    # Router 0 is half-way round router 4's X ring, so router 4's injected
+    # flit for it may go east or west, and takes the shorter queue, east on
+    # a tie. Both ways hold three flits, and a flit entering a ring needs
+    # two free slots, so it parks. In commit 1 router 3 pops its east input
+    # before router 4's turn: the west way is now shorter and has room, and
+    # the flit goes west in that commit.
+    run = empty_run()
+    routers = run.chip.routers
+    east3 = routers[3].in_q[uarch.P_EAST]
+    west5 = routers[5].in_q[uarch.P_WEST]
+    east3.extend(flit(1, moved_at=0) for _ in range(3))
+    west5.extend(flit(7, moved_at=0) for _ in range(3))
+    tie = flit(0, ring=0)
+    routers[4].in_q[uarch.P_INJ].append(tie)
+    assert routers[4].next_port[0] == uarch.TIE_X
+    run._live_routers.update((3, 4, 5))
+
+    step(run)
+    assert run._live_routers == {3, 5} and run._parked[4]
+    step(run)
+    assert tie.moved_at == 1 and east3[-1] is tie and tie.ring == 1
+
+
+def test_outbox_parked_behind_a_full_injection_queue_drains_when_it_pops():
+    # Router 4's injection queue is full of flits that arrived in commit 0,
+    # so its core's outbox parks in that commit and leaves the sending set.
+    # In commit 1 router 4 moves one of them east, and the outbox drains
+    # into the freed slot in the same commit.
+    run = empty_run()
+    routers = run.chip.routers
+    injq = routers[4].in_q[uarch.P_INJ]
+    injq.extend(flit(5, ring=0, moved_at=0) for _ in range(run.chip_cfg.injection_depth))
+    core = routers[4].component
+    waiting = flit(5, ring=0)
+    core.outbox.append(waiting)
+    run._sending.add(core._engine_idx)
+    run._live_routers.add(4)
+
+    step(run)
+    assert list(core.outbox) == [waiting] and not run._sending
+    step(run)
+    assert not core.outbox and injq[-1] is waiting and waiting.moved_at == 1
+
+
 def test_core_waits_on_its_outbox_without_stepping(monkeypatch):
     # One instruction of 16 HACCs on a chip whose injection queues hold one
     # flit. Once the core has executed it, the HACCs wait in its outbox
@@ -428,16 +569,50 @@ def test_core_waits_on_its_outbox_without_stepping(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+# What the watchdog reports when the mems stop consuming below, recorded
+# from a run that visited every router holding a flit in every cycle.
+STALLED_MEMS_DEADLOCK = """\
+no progress for 1985 cycles at cycle 2117
+  mem 0: inbox=8 outbox=0
+  mem 2: inbox=3 outbox=0
+  mem 4: inbox=1 outbox=0
+  mem 5: inbox=1 outbox=0
+  mem 6: inbox=2 outbox=0
+  mem 7: inbox=2 outbox=0
+  mem 8: inbox=5 outbox=0
+  mem 9: inbox=3 outbox=0
+  mem 10: inbox=2 outbox=0
+  mem 12: inbox=1 outbox=0
+  mem 13: inbox=2 outbox=0
+  mem 14: inbox=5 outbox=0
+  mem 15: inbox=2 outbox=0
+  mem 18: inbox=1 outbox=0
+  mem 20: inbox=3 outbox=0
+  mem 21: inbox=1 outbox=0
+  mem 22: inbox=3 outbox=0
+  mem 23: inbox=3 outbox=0
+  mem 24: inbox=6 outbox=0
+  mem 26: inbox=5 outbox=0
+  mem 27: inbox=2 outbox=0
+  mem 28: inbox=1 outbox=0
+  mem 29: inbox=1 outbox=0
+  mem 30: inbox=1 outbox=0
+  mem 31: inbox=1 outbox=0
+  network flits pending: 13"""
+
+
 def test_deadlock_detector_fires_with_diagnostic(monkeypatch):
+    # Mems stop consuming: the run must report a diagnostic, not hang. Flits
+    # wait in the network, some of them in parked routers, while the engine
+    # jumps over idle cycles; the watchdog must still trip at the cycle, and
+    # with the dump, of a run that visits every router holding a flit.
     a = rmat_csr(4, 2, seed=19)
     plan, wplan, prog = lower_for(a, a)
     run = engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, window_plan=wplan, seed=1)
-    # mems stop consuming: the system must report a diagnostic, not hang
     monkeypatch.setattr(uarch.MemModel, "step", lambda self, run, cycle: False)
     with pytest.raises(DeadlockError) as err:
         run.run_to_completion()
-    assert "no progress" in str(err.value)
-    assert "blocked instruction" in str(err.value) or "flits" in str(err.value)
+    assert str(err.value) == STALLED_MEMS_DEADLOCK
 
 
 # What the watchdog reports when the controllers drop every request below,
@@ -576,10 +751,13 @@ def digest(data: bytes) -> str:
 # 256-core tile16-gnn chip, whose two-flit router queues make the ring
 # bubble block flits often, and a one-flit injection queue, behind which
 # cores hold packets in their outbox most of the time. The first run has
-# non-zero reg, operand, port and dispatch stalls. On the last, a 512-cycle
-# memory channel leaves most cycles with nothing due, which the engine
-# jumps over, samples included. Any change to these
-# digests is a change of the modelled machine, not of the engine's speed.
+# non-zero reg, operand, port and dispatch stalls. On the next to last, a
+# 512-cycle memory channel leaves most cycles with nothing due, which the
+# engine jumps over, samples included. The last flushes seven windows on
+# tile16 through a congested network: about a quarter of its router
+# visits would move nothing, so routers and outboxes park and wake there
+# all the time. Any change to these digests is a change of the modelled
+# machine, not of the engine's speed.
 PINNED_RUNS = [
     # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget,
     #  sha256 of stats.json, result CSR, occupancy_trace, inflight_trace)
@@ -634,6 +812,12 @@ PINNED_RUNS = [
      "77c2d01e91e5a9e3bba4dc924b82bee54fcb21181ea29f40e8e9e1da98752ac6",
      "342280be28be4315a9f936fbd684f299e84ac529f6bca5278ae2ead4867b70fa",
      "5ec406fa397acbce746e436d7f975ef024d0d099c4e534b27f6ab5e93390824d"),
+    ("tile16-barrier-ring-flushes", (7, 4, 2), uarch.CHIP_TILE16, mapping.RING, engine.BARRIER,
+     1024,
+     "ddba57c4c39494b1ccff9f941c0fb642d9efd0db928de99281705c36be10dcf2",
+     "8a86b26d660a3978eff76f60786e115ac8b8557d1a7ec57408c2bf15c5ae3ec3",
+     "ece51f5d2649ed2e415942af99fa937015bb9e6230d2c611b8929c001307775c",
+     "82fed34b606857f101eb85759ea3a2a3121964ba13095986bd08d261203c6aeb"),
 ]
 
 
