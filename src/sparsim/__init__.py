@@ -60,7 +60,7 @@ from .isa import (
 )
 from .mapping import LoadHistogram, Mapper, MapperConfig, load_stats
 from .uarch import ChipConfig, MemChannelModel, TileConfig, build_chip, named_chip
-from .engine import SimRun, SimStats, collect_cpi, run_spgemm_simulation
+from .engine import SimRun, SimStats, run_spgemm_simulation
 
 __version__ = "0.1.0"
 
@@ -79,6 +79,6 @@ __all__ = [
     "write_trace", "read_trace",
     "Mapper", "MapperConfig", "LoadHistogram", "load_stats",
     "TileConfig", "ChipConfig", "MemChannelModel", "build_chip", "named_chip",
-    "SimRun", "SimStats", "run_spgemm_simulation", "collect_cpi",
+    "SimRun", "SimStats", "run_spgemm_simulation",
     "__version__",
 ]

@@ -91,7 +91,6 @@ __all__ = [
     "ROLLING",
     "BARRIER",
     "run_spgemm_simulation",
-    "collect_cpi",
 ]
 
 ROLLING = "rolling"
@@ -229,11 +228,6 @@ class SimStats:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
-
-
-def collect_cpi(stats: SimStats, kind: str) -> dict:
-    """Histogram {cycles: count} for one instruction kind."""
-    return dict(stats.cpi.get(kind, {}))
 
 
 class _Dispatcher:
@@ -942,7 +936,7 @@ def run_spgemm_simulation(
     plan = oracle.symbolic_pass(a_csr, b_csr)
     if spad_budget is None:
         spad_budget = chip_cfg.n_mems * chip_cfg.tile.hashlines_per_mem // 2
-    wplan = oracle.plan_windows(plan, spad_budget=spad_budget)
+    wplan = oracle.plan_windows(plan, spad_budget)
     a_csc = matio.to_csc(matio.csr_to_coo(a_csr))
     program = isa.lower_spgemm(a_csc, b_csr, plan, windows=wplan)
     run = SimRun(

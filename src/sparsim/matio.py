@@ -278,13 +278,12 @@ def write_matrix_market(m: CooMatrix, stream) -> None:
         stream.write(f"{i + 1} {j + 1} {v!r}\n")
 
 
-def load_edge_list(stream, zero_based=None) -> CooMatrix:
+def load_edge_list(stream) -> CooMatrix:
     """Parse a SNAP-style edge list ('# comments', 'src dst [weight]' lines).
 
     The matrix dimension is inferred from the id range: ids are treated as
     0-based when the minimum id seen is 0, otherwise as 1-based, matching
-    how such datasets are conventionally sized. Pass ``zero_based`` to
-    override the auto-detection.
+    how such datasets are conventionally sized.
     """
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
@@ -312,9 +311,7 @@ def load_edge_list(stream, zero_based=None) -> CooMatrix:
     d = np.asarray(dst, dtype=np.int64)
     min_id = int(min(s.min(), d.min()))
     max_id = int(max(s.max(), d.max()))
-    if zero_based is None:
-        zero_based = min_id == 0
-    if not zero_based:
+    if min_id != 0:
         s = s - 1
         d = d - 1
         max_id -= 1
@@ -463,10 +460,10 @@ def symmetrize(m: CooMatrix) -> CooMatrix:
     )
 
 
-def with_integer_values(m: CooMatrix, seed: int, lo: int = 1, hi: int = 9) -> CooMatrix:
-    """Replace values with deterministic small integers in [lo, hi]."""
+def with_integer_values(m: CooMatrix, seed: int) -> CooMatrix:
+    """Replace values with deterministic integers in [1, 9]."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    vals = rng.integers(lo, hi + 1, size=m.nnz).astype(np.float64)
+    vals = rng.integers(1, 10, size=m.nnz).astype(np.float64)
     return CooMatrix(m.n_rows, m.n_cols, m.rows.copy(), m.cols.copy(), vals)
 
 

@@ -60,18 +60,29 @@ class SymbolicPlan:
     sorted by column, and ``counts`` holds, for each of them, the number of
     k with A[i,k] != 0 and B[k,j] != 0, i.e. the number of partial products
     that will land on that element. ``fma_per_row`` sums ``counts`` per
-    row and ``out_nnz_per_row`` is the row's element count.
+    row. The per-row element counts and both totals are read off these
+    arrays.
     """
 
     n_rows: int
     n_cols: int
     fma_per_row: np.ndarray  # int64
-    out_nnz_per_row: np.ndarray  # int64
     out_offsets: np.ndarray  # int64, n_rows + 1
     out_cols: np.ndarray  # int32, total_out_nnz
     counts: np.ndarray  # int32, total_out_nnz
-    total_fma: int
-    total_out_nnz: int
+
+    @property
+    def out_nnz_per_row(self) -> np.ndarray:
+        """Output elements of each row, int64."""
+        return np.diff(self.out_offsets)
+
+    @property
+    def total_fma(self) -> int:
+        return int(self.fma_per_row.sum())
+
+    @property
+    def total_out_nnz(self) -> int:
+        return int(self.out_offsets[-1])
 
 
 @dataclass(frozen=True)
@@ -98,20 +109,14 @@ class WindowPlan:
     """Output rows packed into scratchpad windows, held CSR-shaped.
 
     ``rows`` lists every output row once, in placement order, and window w
-    holds ``rows[offsets[w]:offsets[w + 1]]``. ``capacity`` and ``dense``
-    run parallel to ``rows``: a row's hash lines, and whether it maps 1:1
-    by column (dense) instead of hashing into a prime-sized region
-    (sparse). No window's capacities sum to more than ``spad_budget``.
+    holds ``rows[offsets[w]:offsets[w + 1]]``. ``capacity`` runs parallel
+    to ``rows``: the hash lines of the row's region. No window's
+    capacities sum to more than the budget it was planned for.
     """
 
     rows: np.ndarray  # int64
     offsets: np.ndarray  # int64, n_windows + 1
     capacity: np.ndarray  # int64, per placed row
-    dense: np.ndarray  # bool, per placed row
-    cf: float
-    ef: float
-    threshold: float
-    spad_budget: int
 
     @property
     def n_windows(self) -> int:
@@ -370,12 +375,9 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
         n_rows=n_rows,
         n_cols=n_cols,
         fma_per_row=fma_per_row,
-        out_nnz_per_row=out_nnz_per_row,
         out_offsets=out_offsets,
         out_cols=np.concatenate([empty, *(cols for cols, _ in parts)]),
         counts=np.concatenate([empty, *(counts for _, counts in parts)]),
-        total_fma=int(fma_per_row.sum()),
-        total_out_nnz=int(out_offsets[-1]),
     )
 
 
@@ -447,37 +449,24 @@ def probe_sequence(home: int, cap: int):
             yield slot
 
 
-def default_threshold(spad_budget: int) -> float:
-    return spad_budget / 64.0
+def plan_windows(plan: SymbolicPlan, spad_budget: int) -> WindowPlan:
+    """Size each row's hash region and pack the rows into windows.
 
-
-def plan_windows(
-    plan: SymbolicPlan,
-    cf: float = DEFAULT_CF,
-    ef: float = DEFAULT_EF,
-    threshold: float | None = None,
-    spad_budget: int = 1 << 14,
-) -> WindowPlan:
-    """Classify rows and pack them into scratchpad-sized windows.
-
-    A row is dense when fma / cf > threshold, otherwise sparse. Sparse rows
-    get the smallest prime capacity >= fma * ef (capped at the budget, but
-    never below the row's fma); dense rows map 1:1 by column and take
-    n_cols lines. Placement alternates dense and sparse rows, each class in
+    A row is dense when fma / ``DEFAULT_CF`` > ``spad_budget`` / 64, and
+    its region then takes n_cols lines. Any other row is sparse: its region
+    takes the smallest prime >= fma * ``DEFAULT_EF`` lines (capped at the
+    budget, but never below the row's fma). The class sets only the
+    region's size and the placement order: every row is hashed into its
+    region alike. Placement alternates dense and sparse rows, each class in
     row order, to approximate an evenly spread mix, and rows are packed
     greedily: a row that would overfill the open window opens the next.
     The first row, in row order, that no window can hold raises
     CapacityError.
     """
-    if cf <= 0 or ef < 1:
-        raise ConfigError("need cf > 0 and ef >= 1")
-    if threshold is None:
-        threshold = default_threshold(spad_budget)
-
     fma = np.asarray(plan.fma_per_row, dtype=np.int64)
-    dense = fma / cf > threshold
+    dense = fma / DEFAULT_CF > spad_budget / 64
     cap = np.full(plan.n_rows, plan.n_cols, dtype=np.int64)
-    need, at = np.unique(fma[~dense] * ef, return_inverse=True)
+    need, at = np.unique(fma[~dense] * DEFAULT_EF, return_inverse=True)
     primes = np.array([next_prime_at_least(x) for x in need.tolist()], dtype=np.int64)
     over = primes > spad_budget
     if over.any() and spad_budget >= 2:
@@ -506,16 +495,7 @@ def plan_windows(
     if len(rows):
         offsets.append(len(rows))
 
-    return WindowPlan(
-        rows=rows,
-        offsets=np.array(offsets, dtype=np.int64),
-        capacity=placed,
-        dense=dense[rows],
-        cf=cf,
-        ef=ef,
-        threshold=threshold,
-        spad_budget=spad_budget,
-    )
+    return WindowPlan(rows=rows, offsets=np.array(offsets, dtype=np.int64), capacity=placed)
 
 
 # ---------------------------------------------------------------------------

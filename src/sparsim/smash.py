@@ -201,15 +201,15 @@ def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
 def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = None) -> CsrMatrix:
     """Multiply A (CSR or MAP-CSR) by B with the configured kernel version.
 
-    The rows are planned by ``oracle.plan_windows`` with its default
-    thresholds and a budget of ``cfg.spad_capacity`` lines, halved for v3,
-    whose pipeline holds two windows in the scratchpad at once. Every
-    version takes window w through three phases before it starts w+1:
-    prefetch (gather the rows' A entries), hash (merge the window's
-    partial products) and write back (store the window's sums in the
-    plan's output slots). v3 records the three-stage pipeline it models in
-    ``phase_steps``: step s prefetches window s, hashes s-1 and writes
-    back s-2, for s = 0..n+1, with None outside the n windows.
+    The rows are planned by ``oracle.plan_windows`` with a budget of
+    ``cfg.spad_capacity`` lines, halved for v3, whose pipeline holds two
+    windows in the scratchpad at once. Every version takes window w
+    through three phases before it starts w+1: prefetch (gather the rows'
+    A entries), hash (merge the window's partial products) and write back
+    (store the window's sums in the plan's output slots). v3 records the
+    three-stage pipeline it models in ``phase_steps``: step s prefetches
+    window s, hashes s-1 and writes back s-2, for s = 0..n+1, with None
+    outside the n windows.
 
     A row with more distinct output elements than its region has lines
     raises HashOverflowError naming the window and the row; the plan sizes
@@ -231,7 +231,7 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     lengths = np.diff(a_csr.row_offsets)
     plan = oracle.symbolic_pass(a_csr, b)
     budget = cfg.spad_capacity // 2 if cfg.version == V3 else cfg.spad_capacity
-    wplan = oracle.plan_windows(plan, spad_budget=budget)
+    wplan = oracle.plan_windows(plan, budget)
     n = wplan.n_windows
     bounds = wplan.offsets.tolist()
     own_audit.n_windows += n

@@ -370,7 +370,7 @@ class MemChannelModel:
 
     __slots__ = (
         "peak_bandwidth", "fixed_latency", "queue_depth",
-        "free_at", "completions", "bytes_served",
+        "free_at", "completions",
     )
 
     def __init__(self, peak_bandwidth=16, fixed_latency=64, queue_depth=16):
@@ -379,7 +379,6 @@ class MemChannelModel:
         self.queue_depth = queue_depth
         self.free_at = 0
         self.completions = deque()  # completion cycles of in-flight txns (FIFO)
-        self.bytes_served = 0
 
     def _reap(self, cycle):
         done = self.completions
@@ -397,7 +396,6 @@ class MemChannelModel:
         self.free_at = start + service
         completion = start + self.fixed_latency
         self.completions.append(completion)
-        self.bytes_served += nbytes
         return completion
 
 

@@ -48,7 +48,8 @@ def empty_run():
         [], image=isa.MemoryImage(), layout=isa.LAYOUT_16_16,
         n_rows=2, n_cols=2, window_starts=[0], total_fma=0, total_out_nnz=0,
     )
-    return engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, oracle.plan_windows(plan), seed=0)
+    wplan = oracle.plan_windows(plan, 1 << 14)
+    return engine.SimRun(prog, uarch.CHIP_TILE4, mapper(), plan, wplan, seed=0)
 
 
 def test_empty_program_drains_immediately():
@@ -117,8 +118,6 @@ def test_loads_evictions_and_bytes_on_a_wider_granule():
     assert stats.read_transactions and stats.write_transactions
     assert stats.bytes_read == 128 * stats.read_transactions
     assert stats.bytes_written == 128 * stats.write_transactions
-    served = sum(mc.channel.bytes_served for mc in run.chip.memctrls)
-    assert stats.bytes_read + stats.bytes_written == served
     # Loads are the grid's row and column sums, kept as Python ints, and
     # match the lanes each core was dispatched and the commits each mem timed.
     assert stats.core_loads == stats.grid.sum(axis=1).tolist()
@@ -251,9 +250,9 @@ def test_cpi_histogram_mass_equals_hacc_count():
     a = rmat_csr(6, 4, seed=16)
     plan = oracle.symbolic_pass(a, a)
     stats, _, _ = engine.run_spgemm_simulation(a, a, uarch.CHIP_TILE4, mapper(), seed=3)
-    hist = engine.collect_cpi(stats, "hacc-re")
+    hist = stats.cpi["hacc-re"]
     assert sum(hist.values()) == plan.total_fma
-    mmh4 = engine.collect_cpi(stats, "mmh4")
+    mmh4 = stats.cpi["mmh4"]
     assert sum(mmh4.values()) == stats.mmh4_retired
 
 
@@ -303,6 +302,7 @@ def test_fence_keeps_all_work_in_current_window(mode):
                         eviction_mode=mode)
     seen = set()
     while True:
+        assert run.cycle < 20_000, "the run did not finish in 20,000 cycles (about 3,000 expected)"
         run._step_cycle()
         w = run.current_window
         instrs = [c.dispatch_latch for c in run.chip.cores if c.dispatch_latch is not None]
@@ -550,6 +550,7 @@ def test_core_waits_on_its_outbox_without_stepping(monkeypatch):
     monkeypatch.setattr(uarch.CoreModel, "step", spy)
     left, queued, retired = [], [], []
     while not run._finished():
+        assert run.cycle < 1_000, "the run did not finish in 1,000 cycles (about 190 expected)"
         run._step_cycle()
         left.append(len(core.outbox))
         queued.append(len(injq))

@@ -188,7 +188,7 @@ def test_lower_rejects_plan_of_other_operands():
             isa.lower_spgemm(a_csc, ones, plan)
     # The window plan of a larger product places rows A does not have.
     small, big = rmat_csr(5, 2, seed=1), rmat_csr(6, 2, seed=1)
-    windows = oracle.plan_windows(oracle.symbolic_pass(big, big))
+    windows = oracle.plan_windows(oracle.symbolic_pass(big, big), 1 << 14)
     with pytest.raises(LoweringError, match="row 32, outside A's 32 rows"):
         isa.lower_spgemm(matio.to_csc(matio.csr_to_coo(small)), small,
                          oracle.symbolic_pass(small, small), windows=windows)

@@ -543,13 +543,11 @@ def test_bloat_formula():
         n_rows=1,
         n_cols=1,
         fma_per_row=np.array([305]),
-        out_nnz_per_row=np.array([100]),
         out_offsets=np.array([0, 100]),
         out_cols=np.arange(100, dtype=np.int32),
         counts=np.array([4] * 5 + [3] * 95, dtype=np.int32),
-        total_fma=305,
-        total_out_nnz=100,
     )
+    assert (plan.total_fma, plan.total_out_nnz, plan.out_nnz_per_row.tolist()) == (305, 100, [100])
     rep = oracle.bloat_report(plan)
     assert rep.bloat_percent == 205.0
 
@@ -574,14 +572,10 @@ def test_bloat_nonnegative_and_empty_error():
 # ---------------------------------------------------------------------------
 
 
-def reference_plan_windows(plan, cf=oracle.DEFAULT_CF, ef=oracle.DEFAULT_EF, threshold=None,
-                           spad_budget=1 << 14):
+def reference_plan_windows(plan, spad_budget):
     """The planner as a per-row loop: (windows as lists of rows, class of
     each row, capacity of each row)."""
-    if cf <= 0 or ef < 1:
-        raise ConfigError("need cf > 0 and ef >= 1")
-    if threshold is None:
-        threshold = oracle.default_threshold(spad_budget)
+    cf, ef, threshold = oracle.DEFAULT_CF, oracle.DEFAULT_EF, spad_budget / 64
 
     dense_rows = []
     sparse_rows = []
@@ -631,51 +625,40 @@ def reference_plan_windows(plan, cf=oracle.DEFAULT_CF, ef=oracle.DEFAULT_EF, thr
     return windows, classes, caps
 
 
-PLANNER_VARIANTS = {
-    "default": {},
-    "all-sparse": {"threshold": 1e18},
-    "all-dense": {"threshold": -1.0},
-    "cf2-ef1": {"cf": 2.0, "ef": 1.0},
-    "cf8-ef2.5": {"cf": 8, "ef": 2.5},
-}
-
-
-@pytest.mark.parametrize("variant", sorted(PLANNER_VARIANTS))
+@pytest.mark.parametrize("variant", ["default"])  # the planner's fixed CF, EF and threshold
 @pytest.mark.parametrize("rmat", [(5, 2), (6, 4), (7, 2), (8, 8), (9, 4), (10, 8)])
 def test_plan_windows_matches_reference_loop(rmat, variant):
     a = rmat_csr(*rmat, seed=1)
     plan = oracle.symbolic_pass(a, a)
-    kwargs = PLANNER_VARIANTS[variant]
+    placed_dense = False
     for budget in [1] + [1 << e for e in range(1, 17)]:
         try:
-            want = reference_plan_windows(plan, spad_budget=budget, **kwargs)
+            want = reference_plan_windows(plan, budget)
         except (CapacityError, ConfigError) as err:
             with pytest.raises(type(err)) as got:
-                oracle.plan_windows(plan, spad_budget=budget, **kwargs)
+                oracle.plan_windows(plan, budget)
             assert str(got.value) == str(err)
             continue
-        wp = oracle.plan_windows(plan, spad_budget=budget, **kwargs)
+        wp = oracle.plan_windows(plan, budget)
         windows, classes, caps = want
         rows = [r for w in windows for r in w]
         offsets = np.cumsum([0] + [len(w) for w in windows]).tolist()
         capacity = [caps[r] for r in rows]
-        dense = [classes[r] == "DENSE" for r in rows]
         assert wp.rows.dtype == wp.offsets.dtype == wp.capacity.dtype == np.int64
-        assert wp.dense.dtype == bool
         assert wp.rows.tolist() == rows
         assert wp.offsets.tolist() == offsets
         assert wp.capacity.tolist() == capacity
-        assert wp.dense.tolist() == dense
         assert wp.n_windows == len(offsets) - 1
         assert wp.window_capacity().tolist() == [sum(caps[r] for r in w) for w in windows]
-        assert (wp.cf, wp.ef, wp.spad_budget) == (kwargs.get("cf", oracle.DEFAULT_CF),
-                                                  kwargs.get("ef", oracle.DEFAULT_EF), budget)
-        assert wp.threshold == kwargs.get("threshold", oracle.default_threshold(budget))
+        placed_dense |= "DENSE" in classes.values()
+    # The sweep reaches the dense branch: some budget places a row that
+    # reserves n_cols lines.
+    assert placed_dense
 
 
 def test_plan_windows_empty_product():
     empty = matio.to_csr(matio.coo_from_entries(0, 0, [], [], []))
-    wp = oracle.plan_windows(oracle.symbolic_pass(empty, empty))
+    wp = oracle.plan_windows(oracle.symbolic_pass(empty, empty), 1 << 14)
     assert wp.n_windows == 0 and wp.offsets.tolist() == [0] and len(wp.rows) == 0
     assert wp.window_capacity().tolist() == []
 
@@ -683,9 +666,13 @@ def test_plan_windows_empty_product():
 def test_all_rows_sparse_when_under_threshold():
     a = rmat_csr(5, 2, seed=1)
     plan = oracle.symbolic_pass(a, a)
-    wp = oracle.plan_windows(plan, cf=4, ef=1.5, threshold=1e9, spad_budget=4096)
+    budget = 4096
+    assert (plan.fma_per_row / oracle.DEFAULT_CF <= budget / 64).all()
+    wp = oracle.plan_windows(plan, budget)
     assert len(wp.rows) == plan.n_rows
-    assert not wp.dense.any()
+    # Every row is sparse: a prime region sized from its fma alone.
+    want = [oracle.next_prime_at_least(f * oracle.DEFAULT_EF) for f in plan.fma_per_row.tolist()]
+    assert wp.capacity.tolist() == [want[r] for r in wp.rows.tolist()]
 
 
 def test_sparse_capacity_next_prime():
@@ -700,11 +687,11 @@ def test_window_partition_and_capacity_properties():
         a = rmat_csr(6, 4, seed=seed + 20)
         plan = oracle.symbolic_pass(a, a)
         budget = 512
-        wp = oracle.plan_windows(plan, spad_budget=budget)
+        wp = oracle.plan_windows(plan, budget)
         assert (wp.window_capacity() <= budget).all()
         assert (np.diff(wp.offsets) > 0).all()
-        for r, dense, cap in zip(wp.rows.tolist(), wp.dense.tolist(), wp.capacity.tolist()):
-            if not dense:
+        for r, cap in zip(wp.rows.tolist(), wp.capacity.tolist()):
+            if plan.fma_per_row[r] / oracle.DEFAULT_CF <= budget / 64:  # sparse
                 assert oracle.is_prime(cap)
                 assert cap >= plan.fma_per_row[r]
         assert sorted(wp.rows.tolist()) == list(range(plan.n_rows))
@@ -714,7 +701,7 @@ def test_window_row_too_large_raises():
     a = rmat_csr(5, 4, seed=3)
     plan = oracle.symbolic_pass(a, a)
     with pytest.raises(CapacityError) as err:
-        oracle.plan_windows(plan, spad_budget=2)
+        oracle.plan_windows(plan, 2)
     assert "row" in str(err.value)
 
 

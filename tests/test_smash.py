@@ -311,9 +311,10 @@ def test_row_over_its_region_capacity_raises(version, monkeypatch):
     planned = oracle.plan_windows
     shrunk = []
 
-    def plan_windows(plan, **kwargs):
-        wplan = planned(plan, **kwargs)
-        at = np.flatnonzero(~wplan.dense & (out_nnz[wplan.rows] >= 2))[-1]
+    def plan_windows(plan, spad_budget):
+        wplan = planned(plan, spad_budget)
+        sparse = plan.fma_per_row[wplan.rows] / oracle.DEFAULT_CF <= spad_budget / 64
+        at = np.flatnonzero(sparse & (out_nnz[wplan.rows] >= 2))[-1]
         capacity = wplan.capacity.copy()
         capacity[at] = out_nnz[wplan.rows[at]] - 1
         window = int(np.searchsorted(wplan.offsets, at, "right")) - 1
