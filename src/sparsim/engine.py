@@ -83,6 +83,7 @@ from .uarch import (
     STAGE_NAMES,
     TIE_X,
     build_chip,
+    hash_engine,
 )
 
 __all__ = [
@@ -91,6 +92,8 @@ __all__ = [
     "ROLLING",
     "BARRIER",
     "run_spgemm_simulation",
+    "run_mapper_config",
+    "region_load",
 ]
 
 ROLLING = "rolling"
@@ -345,12 +348,7 @@ class SimRun:
         self.stats.hashpad_capacity = chip_cfg.n_mems * chip_cfg.tile.hashlines_per_mem
         self.stats.windows = program.n_windows
 
-        mapper_cfg = replace(
-            mapper_cfg,
-            n_targets=self.chip.n_mems,
-            rng_seed=seed,
-            col_bits=program.layout.col_bits,
-        )
+        mapper_cfg = run_mapper_config(mapper_cfg, chip_cfg, program.layout, seed)
         self.mapper = Mapper(mapper_cfg)
         self.stats.mapper_strategy = mapper_cfg.strategy
 
@@ -915,6 +913,36 @@ class SimRun:
         )
 
 
+def run_mapper_config(mapper_cfg: MapperConfig, chip_cfg: ChipConfig, layout, seed: int) -> MapperConfig:
+    """The config a run maps with: ``mapper_cfg``'s strategy and k, one
+    target per mem of the chip, the run's seed and the program's tag layout."""
+    return replace(mapper_cfg, n_targets=chip_cfg.n_mems, rng_seed=seed, col_bits=layout.col_bits)
+
+
+def region_load(plan, window_plan, layout, chip_cfg: ChipConfig, mapper_cfg: MapperConfig,
+                seed: int = 0) -> np.ndarray:
+    """Lines each hash-engine region would hold if all of a window's output
+    elements were live at once, which they are at a barrier fence.
+
+    Returns an int64 array of shape ``(n_windows, n_mems * hash_engines)``;
+    column ``mem * hash_engines + engine`` is that engine's region of that
+    mem. The targets are the run's mapper's (``run_mapper_config``), so
+    ring, whose targets follow arrival order, raises ConfigError. Compare
+    the counts with ``uarch.region_capacity(chip_cfg.tile)``.
+    """
+    mapper = Mapper(run_mapper_config(mapper_cfg, chip_cfg, layout, seed))
+    n_engines = chip_cfg.tile.hash_engines
+    n_regions = chip_cfg.n_mems * n_engines
+    n_windows = window_plan.n_windows
+    rows = np.repeat(np.arange(plan.n_rows, dtype=np.int64), np.diff(plan.out_offsets))
+    tags = rows << layout.col_bits | plan.out_cols
+    row_window = np.empty(plan.n_rows, dtype=np.int64)
+    row_window[window_plan.rows] = np.repeat(np.arange(n_windows), np.diff(window_plan.offsets))
+    region = mapper.targets(tags) * n_engines + hash_engine(tags, n_engines)
+    cells = np.bincount(row_window[rows] * n_regions + region, minlength=n_windows * n_regions)
+    return cells.reshape(n_windows, n_regions)
+
+
 def run_spgemm_simulation(
     a_csr,
     b_csr,
@@ -922,21 +950,19 @@ def run_spgemm_simulation(
     mapper_cfg: MapperConfig,
     seed: int = 0,
     eviction_mode: str = ROLLING,
-    spad_budget: int | None = None,
     trace_stages: bool = False,
 ):
     """Lower C = A * B, simulate it, and return (stats, output CSR, run).
 
-    By default the window plan budgets half the chip's hashpad lines,
+    The window plan budgets half the chip's hashpad lines,
     ``n_mems * hashlines_per_mem // 2``, for the whole chip. That bounds the
-    chip-wide load, not each (mem, hash engine) region's: under barrier
-    eviction a mapper that uses only part of the regions can fill one and
-    overflow (rmat 9:4 on tile16 does under modular, drhm-low and drhm-high).
+    chip-wide load, not each (mem, hash engine) region's (``region_load``):
+    under barrier eviction a mapper that uses only part of the regions can
+    fill one and overflow (rmat 9:4 on tile16 does under modular, drhm-low
+    and drhm-high).
     """
     plan = oracle.symbolic_pass(a_csr, b_csr)
-    if spad_budget is None:
-        spad_budget = chip_cfg.n_mems * chip_cfg.tile.hashlines_per_mem // 2
-    wplan = oracle.plan_windows(plan, spad_budget)
+    wplan = oracle.plan_windows(plan, chip_cfg.n_mems * chip_cfg.tile.hashlines_per_mem // 2)
     a_csc = matio.to_csc(matio.csr_to_coo(a_csr))
     program = isa.lower_spgemm(a_csc, b_csr, plan, windows=wplan)
     run = SimRun(

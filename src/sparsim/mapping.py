@@ -6,13 +6,18 @@ the tag, which is what accumulation correctness requires (every partial
 product of one output element must meet at the same unit).
 
 * ring          -- first-touch round-robin: each previously unseen tag
-                   takes the next target (memoized for consistency)
+                   takes the next target, so its target follows arrival order
 * modular       -- (tag * P) mod N with a fixed prime multiplier
 * drhm-low      -- ((tag << k) >> k) * gamma mod N on 32-bit registers,
                    i.e. the low 32-k bits scrambled by an odd seed
 * drhm-high     -- ((tag >> k) << k) * gamma mod N, the high bits variant
-* random        -- memoized uniform draw per distinct tag (the lookup-table
-                   baseline; unbounded bookkeeping, kept for comparison)
+* random        -- a uniform draw per distinct tag, splitmix64 of the seed
+                   and the tag (the lookup-table baseline, kept for comparison)
+
+Every formula but ring's runs unchanged on Python ints and on ``uint64``
+arrays, so ``Mapper.targets`` maps one tag or a whole tag stream with the
+same code; ``Mapper.map_for_accumulation`` keeps each tag's target in one
+table, filled on first touch.
 
 The drhm variants reseed per row only: row r's odd gamma is
 ``draw_gamma(seed, r)`` from a counter-based generator, keyed off the
@@ -42,26 +47,26 @@ _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
 
 
-def splitmix64(x: int) -> int:
-    """Counter-based deterministic 64-bit mixer."""
+def splitmix64(x):
+    """Counter-based deterministic 64-bit mixer, of an int or a uint64 array."""
     x = (x + 0x9E3779B97F4A7C15) & _M64
     z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
 
 
-def draw_gamma(seed: int, counter: int) -> int:
+def draw_gamma(seed: int, counter):
     """Odd 32-bit multiplier number ``counter`` of the seed's sequence."""
-    return (splitmix64((seed << 20) ^ counter) & _M32) | 1
+    return (splitmix64(((seed << 20) & _M64) ^ counter) & _M32) | 1
 
 
-def hash_low(tag: int, gamma: int, k: int, n: int) -> int:
+def hash_low(tag, gamma, k: int, n: int):
     """Low-bits reseeded hash on 32-bit registers (overflow discarded)."""
     masked = ((tag << k) & _M32) >> k
     return (masked * gamma) % n
 
 
-def hash_high(tag: int, gamma: int, k: int, n: int) -> int:
+def hash_high(tag, gamma, k: int, n: int):
     """High-bits variant: zero the low k bits before scrambling."""
     masked = ((tag >> k) << k) & _M32
     return (masked * gamma) % n
@@ -87,45 +92,60 @@ class MapperConfig:
 class Mapper:
     """Maps each accumulation tag to a target unit.
 
-    For the drhm strategies gamma is keyed off the tag's own row field
+    ``table`` holds the target of every tag mapped so far. For the drhm
+    strategies gamma is keyed off the tag's own row field
     (``draw_gamma(seed, row)``), so the target stays a pure function of the
-    tag for the whole run. The drawn gammas are kept in ``row_gammas``.
+    tag for the whole run; ``row_gammas`` logs the gamma of each row in the
+    table.
     """
 
     def __init__(self, cfg: MapperConfig):
         self.cfg = cfg
-        self._ring_memo: dict = {}
-        self._ring_next = 0
-        self._random_memo: dict = {}
-        self.row_gammas: dict = {}
+        self.table: dict = {}
         self.assignments = 0
+
+    def targets(self, tags):
+        """The target of each tag: an int for an int, an int64 array for an
+        array of tags. Ring has no such function of the tag and raises
+        ConfigError."""
+        cfg = self.cfg
+        s = cfg.strategy
+        if s == RING:
+            raise ConfigError("ring maps each new tag to the next target in arrival order; "
+                              "its targets are not a function of the tag")
+        scalar = isinstance(tags, int)
+        if not scalar:
+            tags = np.asarray(tags, dtype=np.uint64)
+        n = cfg.n_targets
+        if s == MODULAR:
+            t = (tags * MODULAR_PRIME) % n
+        elif s == RANDOM_TABLE:
+            t = splitmix64(((cfg.rng_seed << 32) & _M64) ^ tags) % n
+        else:
+            gamma = draw_gamma(cfg.rng_seed, tags >> cfg.col_bits)
+            t = (hash_low if s == DRHM_LOW else hash_high)(tags, gamma, cfg.k, n)
+        return t if scalar else t.astype(np.int64)
 
     def map_for_accumulation(self, tag: int) -> int:
         self.assignments += 1
-        cfg = self.cfg
-        s = cfg.strategy
-        if s in (DRHM_LOW, DRHM_HIGH):
-            row = tag >> cfg.col_bits
-            gamma = self.row_gammas.get(row)
-            if gamma is None:
-                gamma = draw_gamma(cfg.rng_seed, row)
-                self.row_gammas[row] = gamma
-            hash_fn = hash_low if s == DRHM_LOW else hash_high
-            return hash_fn(tag, gamma, cfg.k, cfg.n_targets)
-        if s == RING:
-            t = self._ring_memo.get(tag)
-            if t is None:
-                t = self._ring_next % cfg.n_targets
-                self._ring_memo[tag] = t
-                self._ring_next += 1
-            return t
-        if s == MODULAR:
-            return (tag * MODULAR_PRIME) % cfg.n_targets
-        t = self._random_memo.get(tag)
+        t = self.table.get(tag)
         if t is None:
-            t = splitmix64((cfg.rng_seed << 32) ^ tag) % cfg.n_targets
-            self._random_memo[tag] = t
+            if self.cfg.strategy == RING:
+                t = len(self.table) % self.cfg.n_targets
+            else:
+                t = self.targets(tag)
+            self.table[tag] = t
         return t
+
+    @property
+    def row_gammas(self) -> dict:
+        """Row -> gamma for each row of the table's tags (drhm only, else empty)."""
+        cfg = self.cfg
+        if cfg.strategy not in (DRHM_LOW, DRHM_HIGH) or not self.table:
+            return {}
+        tags = np.fromiter(self.table, dtype=np.uint64, count=len(self.table))
+        rows = np.unique(tags >> cfg.col_bits)
+        return dict(zip(rows.tolist(), draw_gamma(cfg.rng_seed, rows).tolist()))
 
 
 # ---------------------------------------------------------------------------

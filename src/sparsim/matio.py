@@ -376,13 +376,6 @@ def csr_to_dense(m: CsrMatrix) -> np.ndarray:
     return to_dense(csr_to_coo(m))
 
 
-def csc_to_dense(m: CscMatrix) -> np.ndarray:
-    out = np.zeros((m.n_rows, m.n_cols), dtype=np.float64)
-    cols = np.repeat(np.arange(m.n_cols, dtype=np.int32), np.diff(m.col_offsets))
-    out[m.row_indices, cols] = m.values
-    return out
-
-
 def concat_ranges(starts, lengths) -> np.ndarray:
     """The int64 positions ``starts[k] .. starts[k] + lengths[k] - 1`` of
     every range k, ranges in order: one ``arange`` plus one ``repeat`` of

@@ -102,10 +102,6 @@ class TileConfig:
     def routers_per_tile(self) -> int:
         return self.cores_per_tile + self.mems_per_tile
 
-    @property
-    def reg_bits_per_pipeline(self) -> int:
-        return self.regs_per_pipeline * 128
-
 
 TILE4 = TileConfig(
     name="tile4",
@@ -310,14 +306,6 @@ def torus_shape(cfg: ChipConfig) -> tuple[int, int]:
     return best, total // best
 
 
-def torus_distance(a: int, b: int, w: int, h: int) -> int:
-    ax, ay = a % w, a // w
-    bx, by = b % w, b // w
-    dx = abs(ax - bx)
-    dy = abs(ay - by)
-    return min(dx, w - dx) + min(dy, h - dy)
-
-
 # ---------------------------------------------------------------------------
 # Router
 # ---------------------------------------------------------------------------
@@ -384,10 +372,6 @@ class MemChannelModel:
         done = self.completions
         while done and done[0] <= cycle:
             done.popleft()
-
-    def can_submit(self, cycle) -> bool:
-        self._reap(cycle)
-        return len(self.completions) < self.queue_depth
 
     def submit(self, cycle, nbytes) -> int:
         """Returns the completion cycle."""
@@ -633,6 +617,18 @@ _EMPTY = -1
 _TOMBSTONE = -2
 
 
+def hash_engine(tags, n_engines: int):
+    """The hash engine of its mem that each tag accumulates in: an int for
+    an int tag, an array for an array of tags."""
+    return tags % n_engines
+
+
+def region_capacity(tile: TileConfig) -> int:
+    """Lines in one hash engine's region of a mem's HashPad: the largest
+    prime that fits the engine's share of the mem's lines."""
+    return prev_prime_at_most(max(tile.hashlines_per_mem // tile.hash_engines, 2))
+
+
 class _HashRegion:
     """One hash engine's slice of the HashPad: prime capacity, probed along
     ``oracle.probe_sequence`` (quadratic steps over half the region, then
@@ -687,8 +683,8 @@ class MemModel:
     """Hash engines over a partitioned HashPad with rolling eviction.
 
     Each engine owns a prime-capacity region; an incoming packet's tag
-    picks the engine, the region index comes from prime-modulo hashing
-    with quadratic probing. A matching tag accumulates and decrements the
+    picks the engine (``hash_engine``), the region index comes from
+    prime-modulo hashing with quadratic probing. A matching tag accumulates and decrements the
     counter; a miss claims a line. When the counter hits zero the line is
     evicted in the same commit and a write-back packet leaves for the
     memory controller (rolling mode) or the line is held until the window
@@ -716,8 +712,7 @@ class MemModel:
         self.inbox = deque()
         self.outbox = deque()
         self.n_engines = cfg.tile.hash_engines
-        per_engine = cfg.tile.hashlines_per_mem // self.n_engines
-        cap = prev_prime_at_most(max(per_engine, 2))
+        cap = region_capacity(cfg.tile)
         self.regions = [_HashRegion(cap) for _ in range(self.n_engines)]
         self.engines_pending = [None] * self.n_engines
         self.cpi = {}
@@ -732,7 +727,8 @@ class MemModel:
         cfg = self.cfg
         acted = 0
         rolling = run.rolling_evictions
-        for e in range(self.n_engines):
+        n_engines = self.n_engines
+        for e in range(n_engines):
             pending = self.engines_pending[e]
             if pending is not None:
                 if cycle < pending[0]:
@@ -744,7 +740,7 @@ class MemModel:
             picked = None
             for idx, pkt in enumerate(self.inbox):
                 tag = pkt.payload[0]
-                if tag % self.n_engines == e:
+                if hash_engine(tag, n_engines) == e:
                     picked = idx
                     break
             if picked is None:

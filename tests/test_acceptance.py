@@ -254,22 +254,22 @@ def mapping_audit(a_csr, strategies, n_cores, n_mems, seed):
     """Traffic grids per strategy for C = A*A under the row-stationary
     dispatch the host kernel documents: output row i is multiplied on core
     i mod n_cores, and every partial-product tag is mapped to its
-    accumulation unit by the strategy under test."""
-    mappers = {
-        s: mapping.Mapper(mapping.MapperConfig(strategy=s, n_targets=n_mems, k=16, rng_seed=seed))
-        for s in strategies
-    }
-    grids = {s: np.zeros((n_cores, n_mems), dtype=np.int64) for s in strategies}
-    b_off, b_cols = a_csr.row_offsets, a_csr.col_indices
-    for i in range(a_csr.n_rows):
-        core = i % n_cores
-        ks, _ = a_csr.row(i)
-        hi = i << 16
-        for k in ks.tolist():
-            for u in range(int(b_off[k]), int(b_off[k + 1])):
-                tag = hi | int(b_cols[u])
-                for s in strategies:
-                    grids[s][core][mappers[s].map_for_accumulation(tag)] += 1
+    accumulation unit by the strategy under test. Ring maps the tag stream
+    tag by tag in stream order; every other strategy maps it in one
+    ``targets`` call."""
+    offsets, cols = a_csr.row_offsets, a_csr.col_indices
+    rows = np.repeat(np.arange(a_csr.n_rows, dtype=np.int64), np.diff(offsets))
+    lens = offsets[cols + 1] - offsets[cols]  # B = A: row k's entries meet A[i, k]
+    tags = np.repeat(rows, lens) << 16 | cols[matio.concat_ranges(offsets[cols], lens)]
+    cells = np.repeat(rows % n_cores, lens) * n_mems
+    grids = {}
+    for s in strategies:
+        mapper = mapping.Mapper(mapping.MapperConfig(strategy=s, n_targets=n_mems, k=16, rng_seed=seed))
+        if s == mapping.RING:
+            targets = np.array([mapper.map_for_accumulation(t) for t in tags.tolist()])
+        else:
+            targets = mapper.targets(tags)
+        grids[s] = np.bincount(cells + targets, minlength=n_cores * n_mems).reshape(n_cores, n_mems)
     return grids
 
 

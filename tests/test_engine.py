@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sparsim import cli, engine, isa, mapping, matio, oracle, uarch
-from sparsim.errors import DeadlockError, SimulationError
+from sparsim.errors import ConfigError, DeadlockError, SimulationError
 
 
 def rmat_csr(scale, ef, seed):
@@ -336,6 +336,64 @@ def test_eviction_path_direct_flag():
     want = oracle.spgemm_gustavson(a, a)
     assert np.array_equal(out.values, want.values)
     assert stats.conservation["ok"]
+
+
+# ---------------------------------------------------------------------------
+# Static region load
+# ---------------------------------------------------------------------------
+
+
+def default_plan(a, chip):
+    """A * A's symbolic plan, window plan and tag layout as
+    ``run_spgemm_simulation`` makes them for ``chip``."""
+    plan = oracle.symbolic_pass(a, a)
+    wplan = oracle.plan_windows(plan, chip.n_mems * chip.tile.hashlines_per_mem // 2)
+    return plan, wplan, isa.default_layout(plan.n_rows, plan.n_cols)
+
+
+@pytest.mark.parametrize("scale,chip,capacity,worst", [
+    # worst region's lines under modular, drhm-low, drhm-high and random
+    pytest.param(9, uarch.CHIP_TILE16, 509, (913, 913, 9405, 95), id="rmat9-tile16"),
+    pytest.param(10, uarch.CHIP_TILE4, 2041, (3474, 3474, 19535, 646), id="rmat10-tile4"),
+])
+def test_region_load_worst_regions(scale, chip, capacity, worst):
+    a = rmat_csr(scale, 4, seed=1)
+    plan, wplan, layout = default_plan(a, chip)
+    assert uarch.region_capacity(chip.tile) == capacity
+    per_window = np.diff(plan.out_offsets)[wplan.rows]
+    per_window = np.add.reduceat(per_window, wplan.offsets[:-1])
+    strategies = (mapping.MODULAR, mapping.DRHM_LOW, mapping.DRHM_HIGH, mapping.RANDOM_TABLE)
+    for strategy, want in zip(strategies, worst):
+        load = engine.region_load(plan, wplan, layout, chip, mapper(strategy), seed=1)
+        assert load.shape == (wplan.n_windows, chip.n_mems * chip.tile.hash_engines)
+        assert np.array_equal(load.sum(axis=1), per_window)  # each element in one region
+        assert load.max() == want, strategy
+    with pytest.raises(ConfigError):
+        engine.region_load(plan, wplan, layout, chip, mapper(mapping.RING), seed=1)
+
+
+@pytest.mark.parametrize("strategy", [mapping.MODULAR, mapping.DRHM_LOW, mapping.DRHM_HIGH,
+                                      mapping.RANDOM_TABLE])
+def test_barrier_fence_lines_equal_region_load(strategy, monkeypatch):
+    # At a barrier fence every element of the closing window is live, so
+    # each region holds exactly its region_load count.
+    a = rmat_csr(7, 4, seed=3)
+    plan, wplan, prog = lower_for(a, a, budget=512)
+    assert prog.n_windows >= 3
+    chip = uarch.CHIP_TILE4
+    flush_all = uarch.MemModel.flush_all
+    live = {}  # (window, mem) -> live lines per region
+
+    def fence(mem, run):
+        live[run.current_window, mem.id] = [region.occupancy for region in mem.regions]
+        flush_all(mem, run)
+
+    monkeypatch.setattr(uarch.MemModel, "flush_all", fence)
+    run = engine.SimRun(prog, chip, mapper(strategy), plan, wplan, seed=5, eviction_mode=engine.BARRIER)
+    assert run.run_to_completion().conservation["ok"]
+    got = [[n for m in range(chip.n_mems) for n in live[w, m]] for w in range(prog.n_windows)]
+    assert len(live) == prog.n_windows * chip.n_mems
+    assert np.array_equal(got, engine.region_load(plan, wplan, prog.layout, chip, mapper(strategy), seed=5))
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +818,9 @@ def digest(data: bytes) -> str:
 # all the time. Any change to these digests is a change of the modelled
 # machine, not of the engine's speed.
 PINNED_RUNS = [
-    # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget,
-    #  sha256 of stats.json, result CSR, occupancy_trace, inflight_trace)
+    # (id, (rmat scale, edge factor, seed), chip, mapper, eviction mode, spad budget
+    #  or None for the chip's default, sha256 of stats.json, result CSR,
+    #  occupancy_trace, inflight_trace)
     ("tile4-rolling-drhm-low", (7, 4, 3), uarch.CHIP_TILE4, mapping.DRHM_LOW, engine.ROLLING, None,
      "c8ea668740755970fd14f6a6fa7bdc17b9d24c07252acaf3faf61c556b54a274",
      "4e231754fac67794292987171e73ff651540718318a17dac1a00145235bc2fcd",
@@ -828,9 +887,12 @@ PINNED_RUNS = [
 def test_pinned_run_digests(rmat, chip, strategy, mode, budget, want):
     scale, edge_factor, seed = rmat
     a = rmat_csr(scale, edge_factor, seed)
-    stats, out, _ = engine.run_spgemm_simulation(
-        a, a, chip, mapper(strategy), seed=seed, eviction_mode=mode, spad_budget=budget
-    )
+    if budget is None:
+        stats, out, _ = engine.run_spgemm_simulation(a, a, chip, mapper(strategy), seed=seed, eviction_mode=mode)
+    else:
+        plan, wplan, prog = lower_for(a, a, budget)
+        run = engine.SimRun(prog, chip, mapper(strategy), plan, wplan, seed=seed, eviction_mode=mode)
+        stats, out = run.run_to_completion(), run.result
     got = (
         digest(stats.to_json().encode()),
         digest(out.row_offsets.tobytes() + out.col_indices.tobytes() + out.values.tobytes()),

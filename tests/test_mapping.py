@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsim import mapping
+from sparsim import isa, mapping, matio, oracle
 from sparsim.errors import ConfigError
 
 
@@ -55,7 +55,7 @@ def test_random_table_consistent_and_bounded_memo():
     targets = [m.map_for_accumulation(t) for t in tags]
     assert targets[0] == targets[2] == targets[3]
     assert targets[1] == targets[4]
-    assert len(m._random_memo) == 3  # one entry per distinct tag
+    assert len(m.table) == 3  # one entry per distinct tag
 
 
 def test_modular_is_pure_function():
@@ -103,6 +103,37 @@ def test_range_property():
         for n in (1, 7, 32):
             m = mapping.Mapper(cfg(strategy, n=n, rng_seed=2))
             assert all(0 <= m.map_for_accumulation(int(t)) < n for t in tags[:200])
+
+
+def element_tags(scale, seed):
+    """The tag of every output element of A * A for A = rmat(scale, 4, seed),
+    in the run's tag layout, and that layout's column bits."""
+    coo = matio.generate_rmat(matio.RmatParams(scale=scale, edge_factor=4, seed=seed))
+    a = matio.to_csr(coo)
+    plan = oracle.symbolic_pass(a, a)
+    col_bits = isa.default_layout(plan.n_rows, plan.n_cols).col_bits
+    rows = np.repeat(np.arange(plan.n_rows, dtype=np.int64), np.diff(plan.out_offsets))
+    return rows << col_bits | plan.out_cols, col_bits
+
+
+@pytest.mark.parametrize("scale", [9, 10])
+def test_targets_equal_map_for_accumulation_on_every_element_tag(scale):
+    tags, col_bits = element_tags(scale, seed=1)
+    for strategy in (mapping.MODULAR, mapping.DRHM_LOW, mapping.DRHM_HIGH, mapping.RANDOM_TABLE):
+        for k in (0, 16, 31):
+            for seed in (0, 1, 1 << 45):
+                m = mapping.Mapper(cfg(strategy, n=32, k=k, rng_seed=seed, col_bits=col_bits))
+                got = m.targets(tags)
+                assert got.dtype == np.int64
+                assert got.tolist() == [m.map_for_accumulation(t) for t in tags.tolist()], (strategy, k, seed)
+
+
+def test_ring_has_no_targets():
+    m = mapping.Mapper(cfg(mapping.RING, n=4))
+    with pytest.raises(ConfigError, match="arrival order"):
+        m.targets(np.arange(8))
+    with pytest.raises(ConfigError):
+        m.targets(5)
 
 
 # ---------------------------------------------------------------------------

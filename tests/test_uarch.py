@@ -48,7 +48,7 @@ def test_component_table_per_unit():
     # ports are four everywhere; register bits per pipeline 512/1024/2048
     for t, bits in ((uarch.TILE4, 512), (uarch.TILE16, 1024), (uarch.TILE64, 2048)):
         assert t.ports == 4
-        assert t.reg_bits_per_pipeline == bits
+        assert t.regs_per_pipeline * 128 == bits
 
 
 def test_inconsistent_custom_config_rejected():
@@ -105,6 +105,14 @@ def route_port(pkt, router, routers, w, h):
     return uarch.P_SOUTH if len(sq) <= len(nq) else uarch.P_NORTH
 
 
+def torus_distance(a, b, w, h):
+    """Hops between routers ``a`` and ``b`` on a ``w`` x ``h`` torus, going
+    the short way round each ring: the routing oracle."""
+    dx = abs(a % w - b % w)
+    dy = abs(a // w - b // w)
+    return min(dx, w - dx) + min(dy, h - dy)
+
+
 def neighbor(rid, port, w, h):
     x, y = rid % w, rid // w
     if port == uarch.P_EAST:
@@ -141,7 +149,7 @@ def test_route_zero_hops_at_destination():
 def test_route_wraparound_distance_two():
     # 8-wide ring: (0,0) -> (6,0) is 2 hops westward via wraparound
     src, dst = 0, 6
-    assert uarch.torus_distance(src, dst, 8, 8) == 2
+    assert torus_distance(src, dst, 8, 8) == 2
     assert walk_route(src, dst, 8, 8) == 2
 
 
@@ -153,7 +161,7 @@ def test_route_hop_count_equals_torus_distance_property():
         src = int(rng.integers(0, w * h))
         dst = int(rng.integers(0, w * h))
         hops = walk_route(src, dst, w, h)
-        assert hops == uarch.torus_distance(src, dst, w, h)
+        assert hops == torus_distance(src, dst, w, h)
         assert hops <= diameter
 
 
@@ -169,7 +177,7 @@ def test_route_tables_match_reference_routing(name):
         dx, dy = abs(xs - rid % w), abs(ys - rid // w)
         return np.minimum(dx, w - dx) + np.minimum(dy, h - dy)
 
-    assert list(distances(n - 1)) == [uarch.torus_distance(n - 1, d, w, h) for d in range(n)]
+    assert list(distances(n - 1)) == [torus_distance(n - 1, d, w, h) for d in range(n)]
     pkt = uarch.Packet(0, uarch.K_REQ, ())
     for router in routers:
         table = np.frombuffer(router.next_port, dtype=np.uint8)
@@ -247,11 +255,18 @@ def test_channel_saturated_throughput_is_peak():
 
 
 def test_channel_queue_depth_bound():
+    # A controller issues to its channel only while fewer than queue_depth
+    # transactions are in flight there.
+    cfg = uarch.CHIP_TILE4
     ch = uarch.MemChannelModel(peak_bandwidth=16, fixed_latency=64, queue_depth=2)
-    ch.submit(0, 64)
-    ch.submit(0, 64)
-    assert not ch.can_submit(0)
-    assert ch.can_submit(200)  # both done
+    mc, ctx = uarch.MemCtrlModel(0, 0, cfg, ch), _StubCtx()
+    for i in range(4):  # four reads, each of its own granule
+        mc.inbox.append(uarch.Packet(0, uarch.K_REQ, (0, i, 0, i * cfg.granule, 8)))
+    for cycle in range(3):
+        mc.step(ctx, cycle)
+    assert mc.transactions_read == 2 and len(ch.completions) == 2
+    mc.step(ctx, 200)  # both done
+    assert mc.transactions_read == 3
 
 
 def test_channel_latency_must_cover_service():
@@ -359,7 +374,7 @@ def test_mem_insert_update_evict_sequence():
     tag = isa.encode_tag(3, 7)
     mem.inbox.append(hacc_packet(tag, 5.0, 2))
     run_mem(mem, ctx, 4)
-    region = mem.regions[tag % mem.n_engines]
+    region = mem.regions[uarch.hash_engine(tag, mem.n_engines)]
     slot, _, is_insert = region.probe(tag)
     assert not is_insert
     assert region.vals[slot] == 5.0 and region.counters[slot] == 2
@@ -398,12 +413,10 @@ def test_mem_barrier_mode_holds_lines_until_flush():
 
 def test_mem_tombstone_probing_reuses_freed_slots():
     mem, ctx = make_mem()
-    region = mem.regions[0]
-    cap = region.capacity
-    e = mem.n_engines
-    # two tags colliding at the same home slot in engine 0
-    t1 = cap * e
-    t2 = 2 * cap * e
+    cap = mem.regions[0].capacity
+    # two tags of engine 0 colliding at the same home slot
+    tags = np.arange(1, 3 * cap * mem.n_engines)
+    t1, t2 = tags[(uarch.hash_engine(tags, mem.n_engines) == 0) & (tags % cap == 0)][:2].tolist()
     mem.inbox.append(hacc_packet(t1, 1.0, 0))  # insert + immediate evict
     run_mem(mem, ctx, 4)
     assert len(mem.evicted_values) == 1
@@ -421,19 +434,22 @@ def test_mem_overflow_names_the_full_region():
     mem, ctx = uarch.MemModel(0, 1, tiny_chip_cfg()), _MemCtx()
     ctx.rolling_evictions = False
     region = mem.regions[0]
-    cap, e = region.capacity, mem.n_engines
+    cap = region.capacity
+    # engine 0's first cap + 1 tags; the first cap have distinct home slots
+    tags = np.arange(cap * mem.n_engines + 1)
+    *fill, extra = tags[uarch.hash_engine(tags, mem.n_engines) == 0][:cap + 1].tolist()
     cycle = 0
-    for k in range(cap):
-        mem.inbox.append(hacc_packet(k * e, 1.0, 1))
+    for tag in fill:
+        mem.inbox.append(hacc_packet(tag, 1.0, 1))
         while mem.inbox or any(mem.engines_pending):
             mem.step(ctx, cycle)
             cycle += 1
     assert ctx.lines == region.occupancy == cap
-    mem.inbox.append(hacc_packet(cap * e, 1.0, 1))
+    mem.inbox.append(hacc_packet(extra, 1.0, 1))
     with pytest.raises(SimulationError) as err:
         mem.step(ctx, cycle)
     assert str(err.value) == (
-        f"hashpad overflow at mem 0 engine 0 (tag {cap * e:#x}): all {cap} lines of its "
+        f"hashpad overflow at mem 0 engine 0 (tag {extra:#x}): all {cap} lines of its "
         "region are live; the window plan bounds the chip-wide line count, not each "
         "(mem, engine) region's"
     )
