@@ -157,6 +157,14 @@ def seed(text: str) -> int:
     return value
 
 
+def jobs(text: str) -> int:
+    """argparse type of ``sweep --jobs``: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def out_dir(args) -> Path:
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -566,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="append", help="repeatable dataset path")
     p.add_argument("--rmat", action="append", help="repeatable rmat spec")
     p.add_argument("--k", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="worker processes, >= 1")
     shared(p)
     p.set_defaults(func=cmd_sweep)
 

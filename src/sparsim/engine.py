@@ -897,8 +897,7 @@ class SimRun:
         plan = self.plan
         tags = np.array([tag for tag, _ in evicted], dtype=np.int64)
         order, distinct, offsets = matio.group_by_key(tags)
-        rows = np.repeat(np.arange(plan.n_rows, dtype=np.int64), np.diff(plan.out_offsets))
-        want = rows << self._col_bits | plan.out_cols
+        want = plan.element_rows() << self._col_bits | plan.out_cols
         if not np.array_equal(tags[order], want):
             # the first element outside the plan, missing, or evicted twice
             odd = np.union1d(np.setxor1d(distinct, want), distinct[np.diff(offsets) > 1])
@@ -934,10 +933,9 @@ def region_load(plan, window_plan, layout, chip_cfg: ChipConfig, mapper_cfg: Map
     n_engines = chip_cfg.tile.hash_engines
     n_regions = chip_cfg.n_mems * n_engines
     n_windows = window_plan.n_windows
-    rows = np.repeat(np.arange(plan.n_rows, dtype=np.int64), np.diff(plan.out_offsets))
+    rows = plan.element_rows()
     tags = rows << layout.col_bits | plan.out_cols
-    row_window = np.empty(plan.n_rows, dtype=np.int64)
-    row_window[window_plan.rows] = np.repeat(np.arange(n_windows), np.diff(window_plan.offsets))
+    row_window = window_plan.window_of_row(plan.n_rows)
     region = mapper.targets(tags) * n_engines + hash_engine(tags, n_engines)
     cells = np.bincount(row_window[rows] * n_regions + region, minlength=n_windows * n_regions)
     return cells.reshape(n_windows, n_regions)

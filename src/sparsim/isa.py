@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -199,7 +200,9 @@ class Program:
     ``b_data_addr`` and ``roll_counter_addr``; the live lane counts ``n_a``
     and ``n_b`` (at most TILE each); its ``window`` and A-column ``group``.
     Its output rows are ``a_rows[a_row_offsets[n]:a_row_offsets[n + 1]]``,
-    ``n_a`` of them (CSR over instructions). Every column is int64.
+    ``n_a`` of them; ``a_row_offsets`` is computed from ``n_a``, which owns
+    the split. Every column is int64. ``window_starts`` and the totals are
+    stored because the trace header carries them.
 
     ``instrs`` is a read-only sequence of ``Mmh4Instr`` with Python-int
     fields, built from the columns as it is read; ``from_instrs`` builds
@@ -215,7 +218,6 @@ class Program:
     n_b: np.ndarray
     window: np.ndarray
     group: np.ndarray
-    a_row_offsets: np.ndarray  # n_instrs + 1
     a_rows: np.ndarray  # output row per A lane, instruction by instruction
     image: MemoryImage
     layout: TagLayout
@@ -226,13 +228,12 @@ class Program:
     total_out_nnz: int
 
     def __post_init__(self):
-        for name in COLUMNS + ("a_row_offsets", "a_rows"):
+        for name in COLUMNS + ("a_rows",):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         n = len(self.n_a)
-        offsets = self.a_row_offsets
-        if any(getattr(self, c).shape != (n,) for c in COLUMNS) or offsets.shape != (n + 1,):
+        if any(getattr(self, c).shape != (n,) for c in COLUMNS):
             raise LoweringError("program columns differ in length")
-        if offsets[0] or offsets[-1] != len(self.a_rows) or np.any(np.diff(offsets) != self.n_a):
+        if self.a_rows.shape != (self.n_a.sum(),):
             raise LoweringError("a_rows does not hold n_a rows for every instruction")
         if np.any((self.n_a < 0) | (self.n_a > TILE) | (self.n_b < 0) | (self.n_b > TILE)):
             raise LoweringError(f"lane counts outside the {TILE}x{TILE} tile")
@@ -243,14 +244,18 @@ class Program:
         other fields (image, layout, n_rows, n_cols, window_starts,
         total_fma, total_out_nnz)."""
         instrs = list(instrs)
-        offsets = np.zeros(len(instrs) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(ins.a_rows) for ins in instrs], dtype=np.int64)
+        if any(len(ins.a_rows) != ins.n_a for ins in instrs):
+            raise LoweringError("a_rows does not hold n_a rows for every instruction")
         return cls(
             **{name: [getattr(ins, name) for ins in instrs] for name in COLUMNS},
-            a_row_offsets=offsets,
             a_rows=[r for ins in instrs for r in ins.a_rows],
             **fields,
         )
+
+    @cached_property
+    def a_row_offsets(self) -> np.ndarray:
+        """Each instruction's first row in ``a_rows``, then the end: int64."""
+        return np.concatenate(([0], np.cumsum(self.n_a)))
 
     @property
     def n_instrs(self) -> int:
@@ -412,8 +417,7 @@ def lower_spgemm(
         if np.any(outside):
             row = int(windows.rows[np.argmax(outside)])
             raise LoweringError(f"window plan places row {row}, outside A's {a.n_rows} rows")
-        window_of_row -= 1
-        window_of_row[windows.rows] = np.repeat(np.arange(n_windows), np.diff(windows.offsets))
+        window_of_row = windows.window_of_row(a.n_rows)
     entry_window = window_of_row[a.row_indices]
     if np.any(entry_window < 0):
         row = int(a.row_indices[np.argmax(entry_window < 0)])
@@ -449,8 +453,6 @@ def lower_spgemm(
     a_at = group_at[group]
     n_a = group_n_a[group]
     window = wins[group_at][group]
-    a_row_offsets = np.zeros(len(group) + 1, dtype=np.int64)
-    np.cumsum(n_a, out=a_row_offsets[1:])
     a_rows = a_row_of[concat_ranges(a_at, n_a)]
 
     image = MemoryImage()
@@ -469,7 +471,6 @@ def lower_spgemm(
         n_b=n_b,
         window=window,
         group=group,
-        a_row_offsets=a_row_offsets,
         a_rows=a_rows,
         image=image,
         layout=layout,
@@ -501,7 +502,7 @@ def _roll_counters(a_at, b_at, n_a, n_b, a_row_of, b, plan) -> np.ndarray:
     live = live_a[:, :, None] & live_b[:, None, :]
     lane_keys = (rows[:, :, None] * plan.n_cols + cols[:, None, :])[live]
     order, keys, offsets = group_by_key(lane_keys)
-    plan_keys = np.repeat(np.arange(plan.n_rows, dtype=np.int64), plan.out_nnz_per_row)
+    plan_keys = plan.element_rows()
     plan_keys *= plan.n_cols
     plan_keys += plan.out_cols
     if not np.array_equal(keys, plan_keys):
@@ -630,14 +631,18 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
     version = lines[0].rsplit("v", 1)[-1]
     if version != str(TRACE_VERSION):
         raise TraceError(f"unsupported trace version {version!r}")
+    preamble = [line.split() for line in lines[1:5]]
+    for n, label in enumerate(("layout", "shape", "counts", "windows")):
+        if n >= len(preamble) or preamble[n][:1] != [label]:
+            raise TraceError(f"malformed trace preamble: line {n + 2} is not the {label!r} line")
     try:
-        _, rb, cb = lines[1].split()
-        layout = TagLayout(int(rb), int(cb))
-        _, n_rows, n_cols = lines[2].split()
-        _, total_fma, total_out = lines[3].split()
-        win_toks = lines[4].split()[1:]
-        window_starts = [int(t) for t in win_toks]
-    except (IndexError, ValueError, LoweringError) as err:
+        (_, *bits), (_, *shape), (_, *counts), (_, *starts) = preamble
+        row_bits, col_bits = map(int, bits)
+        layout = TagLayout(row_bits, col_bits)
+        n_rows, n_cols = map(int, shape)
+        total_fma, total_out = map(int, counts)
+        window_starts = [int(t) for t in starts]
+    except (ValueError, LoweringError) as err:
         raise TraceError(f"malformed trace preamble: {err}") from None
     records = []
     rows = []
@@ -665,18 +670,15 @@ def read_trace(stream, image: MemoryImage | None = None) -> Program:
         records.append(values)
         rows.extend(a_rows)
     table = np.array(records, dtype=np.int64).reshape(-1, len(COLUMNS))
-    offsets = np.zeros(len(table) + 1, dtype=np.int64)
-    np.cumsum(table[:, COLUMNS.index("n_a")], out=offsets[1:])
     return Program(
         **{name: table[:, c] for c, name in enumerate(COLUMNS)},
-        a_row_offsets=offsets,
         a_rows=rows,
         image=image if image is not None else MemoryImage(),
         layout=layout,
-        n_rows=int(n_rows),
-        n_cols=int(n_cols),
+        n_rows=n_rows,
+        n_cols=n_cols,
         window_starts=window_starts,
-        total_fma=int(total_fma),
-        total_out_nnz=int(total_out),
+        total_fma=total_fma,
+        total_out_nnz=total_out,
     )
 

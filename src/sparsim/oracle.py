@@ -60,8 +60,8 @@ class SymbolicPlan:
     sorted by column, and ``counts`` holds, for each of them, the number of
     k with A[i,k] != 0 and B[k,j] != 0, i.e. the number of partial products
     that will land on that element. ``fma_per_row`` sums ``counts`` per
-    row. The per-row element counts and both totals are read off these
-    arrays.
+    row. The per-row element counts, each element's row and both totals
+    are read off these arrays.
     """
 
     n_rows: int
@@ -75,6 +75,10 @@ class SymbolicPlan:
     def out_nnz_per_row(self) -> np.ndarray:
         """Output elements of each row, int64."""
         return np.diff(self.out_offsets)
+
+    def element_rows(self) -> np.ndarray:
+        """Output row of each element, int64, in element order."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64), self.out_nnz_per_row)
 
     @property
     def total_fma(self) -> int:
@@ -127,6 +131,12 @@ class WindowPlan:
         prefix = np.zeros(len(self.capacity) + 1, dtype=np.int64)
         np.cumsum(self.capacity, out=prefix[1:])
         return np.diff(prefix[self.offsets])
+
+    def window_of_row(self, n_rows: int) -> np.ndarray:
+        """Window of each row below ``n_rows``, int64; -1 where not placed."""
+        window = np.full(n_rows, -1, dtype=np.int64)
+        window[self.rows] = np.repeat(np.arange(self.n_windows), np.diff(self.offsets))
+        return window
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,10 @@ class SmashConfig:
 @dataclass
 class SmashAudit:
     """Execution evidence: the virtual workers' ledger and the v3 phase
-    steps. A second call on the same audit adds to every field."""
+    steps. A second call on the same audit adds to every field. The plans
+    own ``phase_units``: a call that writes back every window adds A's
+    entries (prefetch), the partial products (hash) and output elements
+    (writeback) of the product once."""
 
     version: str
     n_windows: int = 0
@@ -103,17 +106,12 @@ class SmashAudit:
         }
 
 
-def _add_units(audit: SmashAudit, phase: str, units: int) -> None:
-    audit.phase_units[phase] = audit.phase_units.get(phase, 0) + units
-
-
-def _prefetch(a, starts, lengths, rows, audit):
+def _prefetch(a, starts, lengths, rows):
     """A entries of a window's rows, in window order, read from A's
     arrays at ``starts[r]`` for ``lengths[r]`` entries: (per-row entry
     counts, column indices, values)."""
     n_entries = lengths[rows]
     at = concat_ranges(starts[rows], n_entries)
-    _add_units(audit, "prefetch", len(at))
     return n_entries, a.col_indices[at], a.values[at]
 
 
@@ -151,9 +149,10 @@ def _record_schedule(cfg, n_entries, entry_pp, audit):
     audit.tokens_total += 2 * n_rows
 
 
-def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
+def _hash_window(plan, wplan, span, n_entries, a_cols, a_vals, entry_pp, b, window_id):
     """Merge one window's partial products into the slots taken from the
-    symbolic plan for its rows: (slot indices, their sums).
+    symbolic plan for its rows: (slot indices, their sums). The window's A
+    entries are its ``_prefetch``; ``entry_pp`` counts their products.
 
     Raises HashOverflowError when a row has more output elements than its
     region has lines. The stream's products are grouped by their key
@@ -163,12 +162,8 @@ def _hash_window(plan, wplan, span, fetched, b, cfg, audit, window_id):
     start from -0.0, so a lone -0.0 product stays -0.0, and add the run's
     products in stream order.
     """
-    n_entries, a_cols, a_vals = fetched
     b_off = np.asarray(b.row_offsets, dtype=np.int64)
-    entry_pp = np.diff(b_off)[a_cols]
-    _record_schedule(cfg, n_entries, entry_pp, audit)
     rows = wplan.rows[span]
-    _add_units(audit, "hash", int(entry_pp.sum()))
     n_out = plan.out_nnz_per_row[rows]
     caps = wplan.capacity[span]
     over = np.flatnonzero(n_out > caps)
@@ -237,12 +232,19 @@ def smash_spgemm(a, b: CsrMatrix, cfg: SmashConfig, audit: SmashAudit | None = N
     own_audit.n_windows += n
 
     values = np.empty(len(plan.out_cols))
+    b_len = np.diff(np.asarray(b.row_offsets, dtype=np.int64))
     for w in range(n):
         span = slice(bounds[w], bounds[w + 1])
-        fetched = _prefetch(a, starts, lengths, wplan.rows[span], own_audit)
-        slots, sums = _hash_window(plan, wplan, span, fetched, b, cfg, own_audit, w)
-        _add_units(own_audit, "writeback", len(slots))
+        n_entries, a_cols, a_vals = _prefetch(a, starts, lengths, wplan.rows[span])
+        entry_pp = b_len[a_cols]
+        _record_schedule(cfg, n_entries, entry_pp, own_audit)
+        slots, sums = _hash_window(plan, wplan, span, n_entries, a_cols, a_vals, entry_pp, b, w)
         values[slots] = sums
+    if n:  # a product with no rows has no window and records no phase
+        units = own_audit.phase_units
+        for phase, count in (("prefetch", a_csr.nnz), ("hash", plan.total_fma),
+                             ("writeback", plan.total_out_nnz)):
+            units[phase] = units.get(phase, 0) + count
     if cfg.version == V3:
         for s in range(n + 2):
             pf, hs, wb = (w if 0 <= w < n else None for w in (s, s - 1, s - 2))

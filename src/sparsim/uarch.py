@@ -354,33 +354,24 @@ class MemChannelModel:
     queue. A transaction submitted at cycle t on an idle channel completes
     at exactly t + fixed_latency; back-to-back transactions are spaced by
     their service time so sustained throughput equals the peak bandwidth.
+    The controller's ``inflight`` is the channel's queue and holds the
+    completion cycles; the channel keeps only when its service is free.
     """
 
-    __slots__ = (
-        "peak_bandwidth", "fixed_latency", "queue_depth",
-        "free_at", "completions",
-    )
+    __slots__ = ("peak_bandwidth", "fixed_latency", "queue_depth", "free_at")
 
     def __init__(self, peak_bandwidth=16, fixed_latency=64, queue_depth=16):
         self.peak_bandwidth = peak_bandwidth
         self.fixed_latency = fixed_latency
         self.queue_depth = queue_depth
         self.free_at = 0
-        self.completions = deque()  # completion cycles of in-flight txns (FIFO)
-
-    def _reap(self, cycle):
-        done = self.completions
-        while done and done[0] <= cycle:
-            done.popleft()
 
     def submit(self, cycle, nbytes) -> int:
         """Returns the completion cycle."""
         start = max(cycle, self.free_at)
         service = -(-nbytes // self.peak_bandwidth)
         self.free_at = start + service
-        completion = start + self.fixed_latency
-        self.completions.append(completion)
-        return completion
+        return start + self.fixed_latency
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +389,13 @@ STAGE_NAMES = {S_DECODE: "decode", S_REGALLOC: "regalloc", S_WAIT: "wait", S_EXE
 
 class _InFlight:
     __slots__ = (
-        "seq", "instr", "pipe", "stage", "ready_at", "outstanding",
+        "seq", "instr", "stage", "ready_at", "outstanding",
         "accept_cycle", "haccs_pending", "stage_trace",
     )
 
-    def __init__(self, seq, instr, pipe, cycle, trace=False):
+    def __init__(self, seq, instr, cycle, trace=False):
         self.seq = seq
         self.instr = instr  # the instruction's index in the program
-        self.pipe = pipe
         self.stage = S_DECODE
         self.ready_at = cycle
         self.outstanding = 0
@@ -503,7 +493,7 @@ class CoreModel:
             self.seq_gen += 1
             pipe = self.rr_pipe
             self.rr_pipe = (self.rr_pipe + 1) % len(self.pipes)
-            rec = _InFlight(seq, instr, pipe, cycle, trace=run.trace_stages)
+            rec = _InFlight(seq, instr, cycle, trace=run.trace_stages)
             rec.ready_at = cycle + cfg.decode_latency
             self.inflight[seq] = rec
             self.pipes[pipe].append(seq)
@@ -834,17 +824,17 @@ class MemCtrlModel:
     Evictions write-combine per granule the same way. Reads have priority;
     one transaction issues per cycle at most. Completions arrive in issue
     order: the channel starts transactions in order at non-decreasing
-    cycles and adds a fixed latency, so ``inflight`` is a FIFO.
+    cycles and adds a fixed latency, so ``inflight`` is a FIFO, and the
+    channel's queue: it issues only while that holds under ``queue_depth``.
 
     ``step(run, cycle)`` takes response routes from ``run`` and reports
     write-back arrivals to it; the controller keeps no link to the run.
     Each transaction moves one granule, so the bytes it moved are the
     granule times ``transactions_read`` or ``transactions_write``. It
     returns ``cycle + 1`` while the channel can take the next pending
-    transaction, else the earlier of the first in-flight completion and,
-    with transactions pending, the cycle the full channel frees a slot;
-    None when the controller holds nothing, until an arriving request or
-    write-back steps it.
+    transaction, else the first in-flight completion, which also frees a
+    full channel's slot; None when the controller holds nothing, until an
+    arriving request or write-back steps it.
     """
 
     __slots__ = (
@@ -877,8 +867,7 @@ class MemCtrlModel:
         acted = 0
         granule = cfg.granule
         channel = self.channel
-        channel._reap(cycle)
-        completions = channel.completions
+        inflight = self.inflight
         depth = channel.queue_depth
 
         while self.inbox:
@@ -896,8 +885,8 @@ class MemCtrlModel:
             acted += 1
 
         # completions
-        while self.inflight and self.inflight[0][0] <= cycle:
-            _, responses = self.inflight.popleft()
+        while inflight and inflight[0][0] <= cycle:
+            _, responses = inflight.popleft()
             for core_id, seq, field in responses:
                 self.outbox.append(
                     Packet(run.core_rid(core_id), K_RESP, (core_id, seq, field))
@@ -907,7 +896,7 @@ class MemCtrlModel:
         # Issue at most one transaction, reads first. Only the first
         # coalesce_window entries can merge; the rest stay as they are.
         window = cfg.coalesce_window
-        if self.read_pending and len(completions) < depth:
+        if self.read_pending and len(inflight) < depth:
             pending = self.read_pending
             g0 = pending[0][0]
             merged = []
@@ -931,9 +920,9 @@ class MemCtrlModel:
                     responses.append(key)
                 else:
                     self.touch_remaining[key] = remaining
-            self.inflight.append((completion, responses))
+            inflight.append((completion, responses))
             acted += 1
-        elif self.write_pending and len(completions) < depth:
+        elif self.write_pending and len(inflight) < depth:
             pending = self.write_pending
             g0 = pending[0]
             kept = []
@@ -944,17 +933,13 @@ class MemCtrlModel:
             pending.extendleft(reversed(kept))
             completion = channel.submit(cycle, granule)
             self.transactions_write += 1
-            self.inflight.append((completion, ()))
+            inflight.append((completion, ()))
             acted += 1
 
         self.activity += acted
-        wake = self.inflight[0][0] if self.inflight else None
-        if self.read_pending or self.write_pending:
-            # a submit this cycle completes no earlier than the next one
-            free = cycle + 1 if len(completions) < depth else completions[0]
-            if wake is None or free < wake:
-                wake = free
-        return wake
+        if (self.read_pending or self.write_pending) and len(inflight) < depth:
+            return cycle + 1  # every transaction in flight completes later
+        return inflight[0][0] if inflight else None
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ BAD_TRACE_CASES = [
      cli.EXIT_IO, "trace shape 16x99999999999 is not the product's 16x16"),
     ("layout-without-row-bits", lambda lines: lines[:1] + ["layout 0 32"] + lines[2:],
      cli.EXIT_IO, "invalid tag layout 0/32"),
+    # every preamble line must carry its own label, in order
+    ("shape-and-layout-swapped", lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],
+     cli.EXIT_IO, "malformed trace preamble: line 2 is not the 'layout' line"),
+    ("windows-mislabelled", lambda lines: lines[:4] + ["nothing 0"] + lines[5:],
+     cli.EXIT_IO, "malformed trace preamble: line 5 is not the 'windows' line"),
+    ("shape-not-an-integer", lambda lines: lines[:2] + ["shape 16 x"] + lines[3:],
+     cli.EXIT_IO, "malformed trace preamble: invalid literal"),
     # cut at a record boundary: lines the lost records would close stay open
     ("cut-at-record", lambda lines: lines[:-3], cli.EXIT_VERIFY,
      "FAIL trace replay ({trace}): 4 hash lines never evicted"),
@@ -342,6 +349,18 @@ def test_smash_command_all_versions(tmp_path, capsys):
         assert exc.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv,name,want", [
+    pytest.param(["verify", "--rmat", "6:4", "--seed", "1", "--integer-mode"], "program.trace",
+                 "309889f6c7dceb850a0a414a87495c36e8212e570963a765f50f385f4f713617", id="verify-trace"),
+    pytest.param(["smash", "--rmat", "7:4", "--seed", "1", "--integer-mode", "--workers", "4"],
+                 "smash_audit.json",
+                 "2918b1aa335cf42893a653ead7dadfcce76a1d556201c9ca423b9a62dbb96684", id="smash-audit"),
+])
+def test_pinned_output_digests(tmp_path, argv, name, want):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+
 def test_gcn_identity_graph(identity_mtx, tmp_path, capsys):
     rc = cli.main([
         "gcn", "--matrix", str(identity_mtx), "--features", "4", "--hidden", "3",
@@ -411,6 +430,8 @@ BAD_INPUT_CASES = [
     ("seed-negative", ["--seed", "-1"], None, cli.EXIT_USAGE, "--seed"),
     ("sweep-seed-negative", ["sweep", "--configs", "tile4", "--mappers", "ring", "--seed", "-3"],
      None, cli.EXIT_USAGE, "--seed"),
+    *[(f"sweep-jobs-{value}", ["sweep", "--configs", "tile4", "--mappers", "ring", "--jobs", value],
+       None, cli.EXIT_USAGE, "--jobs: must be >= 1") for value in ("0", "-1")],
     ("smash-seed-negative", ["smash", "--seed", "-1"], None, cli.EXIT_USAGE, "--seed"),
     ("gcn-seed-negative", ["gcn", "--seed", "-18"], None, cli.EXIT_USAGE, "--seed"),
     ("gcn-features-zero", ["gcn", "--features", "0"], None, cli.EXIT_USAGE, "--features"),

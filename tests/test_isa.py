@@ -126,6 +126,19 @@ def test_expand_unmapped_address_faults():
         isa.expand_mmh4(bad, image)
 
 
+def test_program_rows_follow_n_a():
+    ins, image = make_tile_program([1, 2], [0], [1], [0] * 16, [0, 1])
+    fields = dict(image=image, layout=isa.LAYOUT_16_16, n_rows=2, n_cols=1, window_starts=[0],
+                  total_fma=3, total_out_nnz=2)
+    prog = isa.Program.from_instrs([ins, dataclasses.replace(ins, a_rows=(1,), n_a=1)], **fields)
+    assert prog.a_row_offsets.tolist() == [0, 2, 3]
+    assert [i.a_rows for i in prog.instrs] == [(0, 1), (1,)]
+    # n_a sums to the three rows, but the first instruction holds two rows for n_a = 1
+    swapped = [dataclasses.replace(ins, n_a=1), dataclasses.replace(ins, a_rows=(1,))]
+    with pytest.raises(LoweringError, match="a_rows does not hold n_a rows"):
+        isa.Program.from_instrs(swapped, **fields)
+
+
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------

@@ -697,6 +697,30 @@ def test_window_partition_and_capacity_properties():
         assert sorted(wp.rows.tolist()) == list(range(plan.n_rows))
 
 
+def test_element_rows_and_window_of_row_follow_the_plans():
+    for seed in range(3):
+        a = rmat_csr(6, 4, seed=seed + 20)
+        plan = oracle.symbolic_pass(a, a)
+        want_rows = [i for i in range(plan.n_rows)
+                     for _ in range(plan.out_offsets[i], plan.out_offsets[i + 1])]
+        assert plan.element_rows().tolist() == want_rows
+        assert plan.element_rows().dtype == np.int64
+        wp = oracle.plan_windows(plan, 512)
+        want = [None] * plan.n_rows
+        for w in range(wp.n_windows):
+            for r in wp.rows[wp.offsets[w]:wp.offsets[w + 1]].tolist():
+                want[r] = w
+        assert wp.window_of_row(plan.n_rows).tolist() == want
+    # rows the plan leaves out, here 1 and 4, map to -1
+    part = oracle.WindowPlan(rows=np.array([3, 0, 2]), offsets=np.array([0, 2, 3]),
+                             capacity=np.array([2, 3, 5]))
+    assert part.window_of_row(5).tolist() == [0, -1, 1, 0, -1]
+    empty = matio.to_csr(matio.coo_from_entries(0, 0, [], [], []))
+    plan = oracle.symbolic_pass(empty, empty)
+    assert plan.element_rows().tolist() == []
+    assert oracle.plan_windows(plan, 1 << 14).window_of_row(0).tolist() == []
+
+
 def test_window_row_too_large_raises():
     a = rmat_csr(5, 4, seed=3)
     plan = oracle.symbolic_pass(a, a)

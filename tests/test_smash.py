@@ -438,9 +438,13 @@ def test_v3_phase_steps_model_the_pipeline_and_accumulate():
         for s in range(n + 2)
     ]
     assert audit.phase_steps == once
+    plan = oracle.symbolic_pass(a, a)
+    units = {"prefetch": a.nnz, "hash": plan.total_fma, "writeback": plan.total_out_nnz}
+    assert audit.phase_units == units
     smash.smash_spgemm(a, a, cfg, audit=audit)
     assert audit.phase_steps == once + once
     assert audit.n_windows == 2 * n
+    assert audit.phase_units == {phase: 2 * count for phase, count in units.items()}
 
 
 def test_v3_phase_fractions_reported():

@@ -1,5 +1,7 @@
 """Component models: chip assembly, torus routing, channels, hash memory."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -264,7 +266,7 @@ def test_channel_queue_depth_bound():
         mc.inbox.append(uarch.Packet(0, uarch.K_REQ, (0, i, 0, i * cfg.granule, 8)))
     for cycle in range(3):
         mc.step(ctx, cycle)
-    assert mc.transactions_read == 2 and len(ch.completions) == 2
+    assert mc.transactions_read == 2 and len(mc.inflight) == 2
     mc.step(ctx, 200)  # both done
     assert mc.transactions_read == 3
 
@@ -540,8 +542,11 @@ def test_bounded_queues_never_exceed_capacity():
     plan = oracle.symbolic_pass(a, a)
     wplan = oracle.plan_windows(plan, spad_budget=4096)
     prog = isa_mod.lower_spgemm(matio.to_csc(matio.csr_to_coo(a)), a, plan, windows=wplan)
-    run = engine.SimRun(prog, uarch.CHIP_TILE4, mcfg, plan, window_plan=wplan, seed=2)
+    # A shallow channel queue, so that the controllers' in-flight bound binds.
+    chip_cfg = dataclasses.replace(uarch.CHIP_TILE4, channel_queue_depth=2)
+    run = engine.SimRun(prog, chip_cfg, mcfg, plan, window_plan=wplan, seed=2)
     cfg = run.chip_cfg
+    peak_inflight = 0
     for _ in range(600):
         run._step_cycle()
         if run._finished():
@@ -553,3 +558,7 @@ def test_bounded_queues_never_exceed_capacity():
                 assert len(q) <= cfg.router_queue_depth
         for mem in run.chip.mems:
             assert len(mem.inbox) <= cfg.mem_inbox_depth
+        for mc in run.chip.memctrls:
+            assert len(mc.inflight) <= cfg.channel_queue_depth
+            peak_inflight = max(peak_inflight, len(mc.inflight))
+    assert peak_inflight == cfg.channel_queue_depth
