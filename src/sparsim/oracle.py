@@ -14,11 +14,17 @@ also ends after ``(1 << 32) // n_cols`` rows. A block is expanded and
 reduced as one task, and the tasks run on every CPU the process may use,
 one worker each (at most ``(1 << 20) // SYMBOLIC_BLOCK_PP`` workers), so a
 pass's scratch memory in flight is bounded by the worker count times the
-block bound, not by the product's size. A block
-owns its rows, so the results depend neither on the block bound nor on the
-worker count. The Gustavson kernel sums each output element as ``0.0``
-plus its partial products in A-stream order, the order replay and SMASH
-also sum in, so it judges both bit for bit.
+block bound, not by the product's size. Each block writes its elements
+straight into the pass's output arrays, in row order: there are no
+per-block output arrays to join. A worker whose block is reduced before
+every earlier block has taken its place waits, holding only that block's
+result (its distinct keys, with their run bounds in the symbolic pass or
+its products and their element numbers in the Gustavson kernel), and
+claims no further block. A block owns its rows, so the results
+depend neither on the block bound nor on the worker count. The Gustavson
+kernel sums each output element as ``0.0`` plus its partial products in
+A-stream order, the order replay and SMASH also sum in, so it judges both
+bit for bit.
 
 Structural zeros produced by numeric cancellation are retained throughout:
 a structural nonzero is any output element receiving at least one partial
@@ -45,7 +51,10 @@ DEFAULT_EF = 1.5
 # above it forms its own block). Each CPU the process may use, up to
 # (1 << 20) // SYMBOLIC_BLOCK_PP of them, works on one block at a time, so a
 # pass's scratch memory in flight is (workers x this bound), a few MiB per
-# worker and never above 1 << 20 products' worth. A block also ends after
+# worker and never above 1 << 20 products' worth. A block writes its
+# elements straight into the pass's output arrays, in row order; a worker
+# waiting for its block's turn holds that block's result and claims no
+# other block, so the bound holds for it too. A block also ends after
 # (1 << 32) // n_cols rows, so that its uint32 keys cannot wrap. Results do
 # not depend on it.
 SYMBOLIC_BLOCK_PP = 1 << 17
@@ -174,13 +183,20 @@ def spgemm_gustavson(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     ``_row_blocks``, run by ``_run_blocks``: a block's products are keyed
     by (row, column), ``np.unique`` numbers the keys in (row, column)
     order, and ``np.add.at`` sums each key's products onto zero in stream
-    order. A block sums only its own rows, so the product does not depend
-    on the block bound or the worker count. Output rows are sorted by
-    column. Elements that cancel to zero stay in the structure.
+    order, in place in the output. A block sums only its own rows, so the
+    product does not depend on the block bound or the worker count. Output
+    rows are sorted by column. Elements that cancel to zero stay in the
+    structure.
     """
     n_rows, n_cols = a.n_rows, b.n_cols
-    pp_per_entry, _, blocks, expand = _row_blocks(a, b)
+    pp_per_entry, fma_per_row, blocks, expand = _row_blocks(a, b)
     out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
+    # Every element takes at least one product, so the products bound the
+    # elements. The arrays shrink in place once every block is placed, and
+    # capacity that no block wrote is never faulted in.
+    total_fma = int(fma_per_row.sum())
+    col_indices = np.empty(total_fma, dtype=np.int32)
+    values = np.empty(total_fma, dtype=np.float64)
 
     def merge(r0, r1, t0, t1):
         pos, keys = expand(r0, r1, t0, t1)
@@ -189,21 +205,22 @@ def spgemm_gustavson(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
         del pos
         uniq, inv = np.unique(keys, return_inverse=True)
         del keys
-        sums = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(sums, inv, prods)
-        cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
-        return cols, sums
 
-    parts = _run_blocks(blocks, merge)
+        def write(at):
+            end = at + len(uniq)
+            sums = values[at:end]
+            sums.fill(0.0)
+            np.add.at(sums, inv, prods)
+            out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0, col_indices[at:end])
+
+        return len(uniq), write
+
+    n = _run_blocks(blocks, merge)
+    col_indices.resize(n, refcheck=False)
+    values.resize(n, refcheck=False)
     out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(out_nnz_per_row, out=out_offsets[1:])
-    return CsrMatrix(
-        n_rows,
-        n_cols,
-        out_offsets,
-        np.concatenate([np.zeros(0, dtype=np.int32), *(cols for cols, _ in parts)]),
-        np.concatenate([np.zeros(0, dtype=np.float64), *(sums for _, sums in parts)]),
-    )
+    return CsrMatrix(n_rows, n_cols, out_offsets, col_indices, values)
 
 
 def spmm_csr_dense(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -284,36 +301,65 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(blocks, task) -> list:
-    """``[task(*block) for block in blocks]``, on every CPU the process may use.
+def _run_blocks(blocks, task) -> int:
+    """Run ``task(*block)`` for every block and place the blocks' elements
+    in block order, on every CPU the process may use; return the count of
+    elements placed.
+
+    A task returns ``(n, write)``: its block's element count, and a
+    function that writes those elements into the pass's output arrays from
+    a given offset on. Block i's offset counts the elements of the blocks
+    before it, so block i takes its offset once block i - 1 has taken its
+    own, and then writes while later blocks still run. A worker whose block
+    is reduced before its turn waits, holding only that block's result, and
+    claims no new block; the result is freed once written, before the
+    worker's next claim.
 
     The caller and one new thread per further worker take the blocks in
-    order, each running one task at a time; the numpy calls a task makes
+    order, each running one block at a time; the numpy calls a task makes
     release the GIL. There is one worker per CPU, but no more than there
     are blocks, nor than ``(1 << 20) // SYMBOLIC_BLOCK_PP``, so the scratch
     in flight stays within ``1 << 20`` partial products. With one worker
-    (one block, or one CPU) the caller runs every block and no thread
-    starts. Every thread is joined before this returns or raises. When
-    tasks fail, the error of the first failed block is raised: the workers
-    stop taking blocks, but every block before it was taken earlier and
-    runs to the end.
+    (one block, or one CPU) the caller runs every block, its turn is
+    always open, and no thread starts. Every thread is joined before this
+    returns or raises. When blocks fail, the error of the first failed
+    block is raised: a failure wakes every waiting worker, which drops its
+    result, and the workers stop taking blocks, but every block before it
+    was taken earlier and runs its task to the end.
     """
     n_workers = min(_cpu_count(), len(blocks), (1 << 20) // SYMBOLIC_BLOCK_PP)
-    results = [None] * len(blocks)
     errors = {}
     claims = iter(range(len(blocks)))
-    lock = threading.Lock()
+    turn = threading.Condition()
+    placed = 0  # blocks that have taken their offset
+    offset = 0  # their elements
+
+    def place(i):
+        # Block i's result lives in this frame only, so that it is freed
+        # before the worker claims its next block.
+        nonlocal placed, offset
+        n, write = task(*blocks[i])
+        with turn:
+            turn.wait_for(lambda: placed == i or errors)
+            if errors:
+                return
+            at = offset
+            placed, offset = placed + 1, offset + n
+            turn.notify_all()
+        write(at)
 
     def work():
-        while not errors:
-            with lock:
-                i = next(claims, None)
+        while True:
+            with turn:
+                i = None if errors else next(claims, None)
             if i is None:
                 return
             try:
-                results[i] = task(*blocks[i])
+                place(i)
             except BaseException as exc:  # raised by the caller once all are joined
-                errors[i] = exc
+                with turn:
+                    errors[i] = exc
+                    turn.notify_all()
 
     threads = []
     try:
@@ -327,11 +373,12 @@ def _run_blocks(blocks, task) -> list:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return results
+    return offset
 
 
-def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
-    """A block's sorted distinct keys as (int32 columns, elements per row).
+def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int, cols: np.ndarray) -> np.ndarray:
+    """Write a block's sorted distinct keys' columns into ``cols`` (int32,
+    one per key) and return the block's elements per row.
 
     Row k's keys start at ``k * n_cols``, so one ``searchsorted`` of the row
     starts bounds every row's run. The starts keep the keys' dtype: in a
@@ -341,9 +388,8 @@ def _split_keys(uniq: np.ndarray, n_cols: int, n_block_rows: int):
     """
     row_starts = (np.arange(n_block_rows) * n_cols).astype(uniq.dtype)
     counts = np.diff(np.searchsorted(uniq, row_starts), append=len(uniq))
-    cols = np.empty(len(uniq), dtype=np.int32)
     np.subtract(uniq, np.repeat(row_starts, counts), out=cols, casting="unsafe")
-    return cols, counts
+    return counts
 
 
 def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
@@ -353,13 +399,19 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
     ``_run_blocks``. A block's keys ``i * n_cols + j`` (i counted from the
     block's first row) are sorted and each run of equal keys counted: the
     run starts are the block's output elements in (row, column) order, the
-    run lengths their contribution counts. A block counts only its own
-    rows, so the plan does not depend on the block bound or the worker
-    count.
+    run lengths their contribution counts, both written in place in the
+    plan's arrays. A block counts only its own rows, so the plan does not
+    depend on the block bound or the worker count.
     """
     n_rows, n_cols = a.n_rows, b.n_cols
     _, fma_per_row, blocks, expand = _row_blocks(a, b)
     out_nnz_per_row = np.zeros(n_rows, dtype=np.int64)
+    # Every element takes at least one product, so the products bound the
+    # elements. The arrays shrink in place once every block is placed, and
+    # capacity that no block wrote is never faulted in.
+    total_fma = int(fma_per_row.sum())
+    out_cols = np.empty(total_fma, dtype=np.int32)
+    counts = np.empty(total_fma, dtype=np.int32)
 
     def count(r0, r1, t0, t1):
         keys = expand(r0, r1, t0, t1)[1]  # pos is freed at once
@@ -372,22 +424,26 @@ def symbolic_pass(a: CsrMatrix, b: CsrMatrix) -> SymbolicPlan:
         del head
         uniq = keys[bounds[:-1]]
         del keys
-        cols, out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0)
-        counts = np.empty(len(bounds) - 1, dtype=np.int32)
-        np.subtract(bounds[1:], bounds[:-1], out=counts)
-        return cols, counts
 
-    parts = _run_blocks(blocks, count)
+        def write(at):
+            end = at + len(uniq)
+            out_nnz_per_row[r0:r1] = _split_keys(uniq, n_cols, r1 - r0, out_cols[at:end])
+            np.subtract(bounds[1:], bounds[:-1], out=counts[at:end])
+
+        return len(uniq), write
+
+    n = _run_blocks(blocks, count)
+    out_cols.resize(n, refcheck=False)
+    counts.resize(n, refcheck=False)
     out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(out_nnz_per_row, out=out_offsets[1:])
-    empty = np.zeros(0, dtype=np.int32)
     return SymbolicPlan(
         n_rows=n_rows,
         n_cols=n_cols,
         fma_per_row=fma_per_row,
         out_offsets=out_offsets,
-        out_cols=np.concatenate([empty, *(cols for cols, _ in parts)]),
-        counts=np.concatenate([empty, *(counts for _, counts in parts)]),
+        out_cols=out_cols,
+        counts=counts,
     )
 
 

@@ -263,6 +263,17 @@ BLOCK_WORKERS = [
 ]
 
 
+def assert_outputs_own_their_elements(out):
+    """A plan's or a product's element arrays hold exactly its elements, in
+    memory of their own, with their dtypes."""
+    if isinstance(out, oracle.SymbolicPlan):
+        n, arrays = out.total_out_nnz, {"out_cols": (out.out_cols, np.int32), "counts": (out.counts, np.int32)}
+    else:
+        n, arrays = out.nnz, {"col_indices": (out.col_indices, np.int32), "values": (out.values, np.float64)}
+    for name, (array, dtype) in arrays.items():
+        assert array.shape == (n,) and array.dtype == dtype and array.base is None, name
+
+
 def set_blocks(monkeypatch, block, workers):
     """Run the oracle's passes with block bound ``block`` on ``workers`` CPUs."""
     if block is not None:
@@ -276,7 +287,9 @@ def test_gustavson_matches_dict_reference_bit_for_bit(case, block, workers, monk
     set_blocks(monkeypatch, block, workers)
     a, b = SYMBOLIC_CASES[case]()
     a, b = with_normal_values(a, 11), with_normal_values(b, 12)
-    assert_same_bits(oracle.spgemm_gustavson(a, b), reference_gustavson(a, b))
+    got = oracle.spgemm_gustavson(a, b)
+    assert_same_bits(got, reference_gustavson(a, b))
+    assert_outputs_own_their_elements(got)
 
 
 GUSTAVSON_HAND_CASES = {
@@ -329,6 +342,7 @@ def test_symbolic_matches_per_row_reference(case, block, workers, monkeypatch):
     assert contrib_counter(plan) == contrib
     assert plan.total_fma == int(fma.sum())
     assert plan.total_out_nnz == len(contrib)
+    assert_outputs_own_their_elements(plan)
 
 
 BLOCK_PASSES = {"symbolic": oracle.symbolic_pass, "gustavson": oracle.spgemm_gustavson}
@@ -341,6 +355,28 @@ def assert_same_output(got, want):
             assert np.array_equal(getattr(got, field), getattr(want, field))
     else:
         assert_same_bits(got, want)
+
+
+def within_a_minute(run, *args):
+    """``run(*args)`` on a daemon thread: its result, or its error raised
+    here. Fails the test if it has not returned within 60 s, so that a
+    block runner that deadlocks cannot hang the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = run(*args)
+        except BaseException as exc:  # re-raised on the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    if thread.is_alive():
+        pytest.fail(f"{run.__name__} has not returned within 60 s")
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
 
 
 def wrap_tasks(monkeypatch, wrap):
@@ -379,12 +415,45 @@ def test_block_error_reaches_the_caller_and_no_thread_outlives_the_pass(name, wo
 
     wrap_tasks(monkeypatch, fail_from_second)
     with pytest.raises(MemoryError) as err:
-        BLOCK_PASSES[name](a, b)
+        within_a_minute(BLOCK_PASSES[name], a, b)
     assert err.type is MemoryError and str(err.value) == "no room for block 1"
     assert threading.active_count() == before
     monkeypatch.undo()
     set_blocks(monkeypatch, 100, workers)
     assert_same_output(BLOCK_PASSES[name](a, b), want)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name", sorted(BLOCK_PASSES))
+def test_block_error_wakes_a_later_block_waiting_for_its_turn(name, workers, monkeypatch):
+    # Block 2 runs its task to the end and then waits for block 1 to take
+    # its place; block 1 fails instead. The failure must wake block 2's
+    # worker, and the pass must raise block 1's error.
+    set_blocks(monkeypatch, 100, workers)
+    a, b = SYMBOLIC_CASES["rmat-squared"]()
+    before = threading.active_count()
+    third_done = threading.Event()
+
+    def fail_after_third(blocks, task):
+        assert len(blocks) > 3
+
+        def run(*block):
+            if block == blocks[1]:
+                assert third_done.wait(timeout=60)
+                time.sleep(0.1)  # let block 2's worker reach its wait
+                raise MemoryError("no room for block 1")
+            out = task(*block)
+            if block == blocks[2]:
+                third_done.set()
+            return out
+
+        return run
+
+    wrap_tasks(monkeypatch, fail_after_third)
+    with pytest.raises(MemoryError) as err:
+        within_a_minute(BLOCK_PASSES[name], a, b)
+    assert str(err.value) == "no room for block 1"
     assert threading.active_count() == before
 
 
@@ -422,18 +491,31 @@ def test_block_workers_stop_at_the_scratch_bound(monkeypatch):
     # 64 CPUs, but at most (1 << 20) // SYMBOLIC_BLOCK_PP blocks in flight.
     monkeypatch.setattr(oracle, "_cpu_count", lambda: 64)
     cap = (1 << 20) // oracle.SYMBOLIC_BLOCK_PP
+    # A block is in flight from its task's start until it is written: a
+    # worker waiting for its turn must not start another.
     before = threading.active_count()
-    peak, lock = [before], threading.Lock()
+    peak, in_flight, lock = [before], [0, 0], threading.Lock()
+    placed = [None] * (3 * cap)
 
     def task(i):
         with lock:
             peak[0] = max(peak[0], threading.active_count())
-        time.sleep(0.005)
-        return i
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        time.sleep(0.001 * (i % 7))
+
+        def write(at):
+            placed[at] = i
+            with lock:
+                in_flight[0] -= 1
+
+        return 1, write
 
     blocks = [(i,) for i in range(3 * cap)]
-    assert oracle._run_blocks(blocks, task) == list(range(3 * cap))
+    assert oracle._run_blocks(blocks, task) == 3 * cap
+    assert placed == list(range(3 * cap))
     assert peak[0] - before <= cap - 1
+    assert in_flight[0] == 0 and in_flight[1] <= cap
     assert threading.active_count() == before
 
 
@@ -453,7 +535,9 @@ def test_product_in_one_block_runs_on_the_callers_thread(name, monkeypatch):
 
     wrap_tasks(monkeypatch, record)
     a, b = SYMBOLIC_CASES["rmat-squared"]()
-    BLOCK_PASSES[name](a, b)
+    # The outputs are sized for every partial product and shrunk to the
+    # elements, about half of that capacity unwritten here.
+    assert_outputs_own_their_elements(BLOCK_PASSES[name](a, b))
     assert ran_on == {threading.get_ident()}
 
 
@@ -476,7 +560,8 @@ def test_split_keys_equals_bincount_form(n_cols):
     rows = np.array([1, 1, 3, 4, 4])
     cols = np.array([0, n_cols - 1, 0, 0, n_cols - 1]) % n_cols
     uniq = np.unique((rows * n_cols + cols).astype(np.uint32))
-    got_cols, got_counts = oracle._split_keys(uniq, n_cols, 6)
+    got_cols = np.empty(len(uniq), dtype=np.int32)
+    got_counts = oracle._split_keys(uniq, n_cols, 6, got_cols)
     local_rows = uniq // n_cols
     want_cols = (uniq - local_rows * n_cols).astype(np.int32)
     want_counts = np.bincount(local_rows, minlength=6)
