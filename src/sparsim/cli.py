@@ -157,8 +157,8 @@ def seed(text: str) -> int:
     return value
 
 
-def jobs(text: str) -> int:
-    """argparse type of ``sweep --jobs``: a positive integer."""
+def positive_int(text: str) -> int:
+    """argparse type of ``sweep --jobs`` and ``smash --workers``: a positive integer."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -184,7 +184,8 @@ def write_series_csv(path: Path, header, rows) -> None:
 
 
 def first_divergence(got: matio.CsrMatrix, want: matio.CsrMatrix, tol: float):
-    """First (i, j) where the matrices differ, or None. Structure counts."""
+    """First (i, j) where the matrices differ, or None. Structure counts,
+    and a NaN matches only a NaN."""
     for i in range(want.n_rows):
         gj, gv = got.row(i)
         wj, wv = want.row(i)
@@ -195,9 +196,12 @@ def first_divergence(got: matio.CsrMatrix, want: matio.CsrMatrix, tol: float):
                 return (i, j, None, wd[j])
             if j not in wd:
                 return (i, j, gd[j], None)
-            denom = max(abs(wd[j]), 1.0)
-            if abs(gd[j] - wd[j]) / denom > tol:
-                return (i, j, gd[j], wd[j])
+            g, w = gd[j], wd[j]
+            if g == w or (g != g and w != w):  # equal, or NaN in both
+                continue
+            # written so that a NaN or infinity on one side diverges
+            if not abs(g - w) / max(abs(w), 1.0) <= tol:
+                return (i, j, g, w)
     return None
 
 
@@ -574,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="append", help="repeatable dataset path")
     p.add_argument("--rmat", action="append", help="repeatable rmat spec")
     p.add_argument("--k", type=int, default=16)
-    p.add_argument("--jobs", type=jobs, default=1, help="worker processes, >= 1")
+    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes, >= 1")
     shared(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -587,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(p)
     p.add_argument("--smash-version", dest="smash_version", default="all",
                    choices=SMASH_CHOICES)
-    p.add_argument("--workers", type=int, default=4,
-                   help="virtual workers in the audit ledger; results do not depend on it")
+    p.add_argument("--workers", type=positive_int, default=4,
+                   help="virtual workers in the audit ledger, >= 1; results do not depend on it")
     p.set_defaults(func=cmd_smash)
 
     p = sub.add_parser("gcn", help="one graph-convolution layer")

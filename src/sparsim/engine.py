@@ -72,7 +72,6 @@ from .mapping import Mapper, MapperConfig
 from .oracle import probe_sequence
 from .uarch import (
     ChipConfig,
-    K_EVICT,
     K_HACC,
     K_REQ,
     K_RESP,
@@ -113,18 +112,18 @@ _WAIT = (
 )
 
 
-def _router_table(router):
+def _router_table(router, n_ports):
     """What the commit reads of a router, built once per run:
     (router, next_port, ports, scans). ``ports[port]`` is (port bit, ring,
     the queue it feeds, the rid it reaches) for ports 1-4. ``scans[start]``
     lists the input queues in ``_SCAN[start]`` order as (queue, flits it may
     move a cycle, the rid feeding it, that router's port bit); outboxes feed
-    the injection queue, rid -1.
+    the injection queue, rid -1, which moves ``n_ports`` flits a cycle.
     """
     ports = (None,) + tuple(
         (1 << p, _RING[p], router.out_q[p], router.out_rid[p]) for p in range(1, 5)
     )
-    inputs = [(router.in_q[0], 4, -1, 0)] + [
+    inputs = [(router.in_q[0], n_ports, -1, 0)] + [
         (router.in_q[qi], 1, router.out_rid[qi], 1 << _BACK[qi]) for qi in range(1, 5)
     ]
     scans = tuple(tuple(inputs[qi] for qi in order) for order in _SCAN)
@@ -389,7 +388,7 @@ class SimRun:
         self._parked = [0] * len(routers)
         self._inj_waiting = [[] for _ in routers]
         self._parked_outboxes = set()
-        self._router_tabs = [_router_table(router) for router in routers]
+        self._router_tabs = [_router_table(router, chip_cfg.tile.ports) for router in routers]
         # Per component: (component, outbox, rid, injection queue, a core's
         # in-flight instructions or None).
         self._outbox_tabs = [
@@ -400,8 +399,7 @@ class SimRun:
         # What the commit reads of the chip config and the mapper.
         self._net = (
             chip_cfg.router_queue_depth, chip_cfg.mem_inbox_depth, chip_cfg.injection_depth,
-            chip_cfg.tile.ports, chip_cfg.eviction_path == "direct", self.chip.mem_rids,
-            self.mapper.map_for_accumulation,
+            chip_cfg.tile.ports, self.chip.mem_rids, self.mapper.map_for_accumulation,
         )
         self.reads_outstanding = 0
         self.evictions_arrived = 0
@@ -469,9 +467,7 @@ class SimRun:
         # A hash compare may examine every slot of a region's probe sequence
         # and makes no progress until it ends.
         probes = sum(1 for _ in probe_sequence(0, self.chip.mems[0].regions[0].capacity))
-        longest_compare = 1 if cfg.full_parallel_compare else -(
-            -probes // cfg.tile.tag_comparators_per_engine
-        )
+        longest_compare = -(-probes // cfg.tile.tag_comparators_per_engine)
         watchdog_limit = 10 * (diameter + max_stage) + longest_compare
         idle_cycles = 0
         due = self._due
@@ -590,13 +586,14 @@ class SimRun:
 
         Live routers are visited once each, in rid order, and each scans its
         input queues in the ``_SCAN`` rotation. A direction input moves one
-        flit per cycle, the injection queue up to four (the component's
-        ports); a router ejects at most four flits over all its inputs and
-        sends one per output port. Bubble rule: continuing along a ring needs
-        one free slot downstream, entering a ring (first hop or X->Y turn)
-        needs two. Then every outbox that holds packets drains, in component
-        order, whether or not its owner stepped this cycle. A delivery steps
-        the receiving unit next cycle, and so does the departure of an
+        flit per cycle, the injection queue up to ``tile.ports`` (the
+        component's ports); a router ejects at most ``tile.ports`` flits over
+        all its inputs and sends one per output port. Bubble rule:
+        continuing along a ring needs one free slot downstream, entering a
+        ring (first hop or X->Y turn) needs two. Then every outbox that holds
+        packets drains, in component order, whether or not its owner stepped
+        this cycle, at most ``tile.ports`` packets each. A delivery steps the
+        receiving unit next cycle, and so does the departure of an
         instruction's last HACC for its core, which can then retire it.
         Returns the number of flits moved.
 
@@ -613,8 +610,7 @@ class SimRun:
         visits would have moved nothing, so every flit moves in the same
         cycle as if each unit holding one were visited every commit.
         """
-        depth, mem_depth, inj_cap, n_ports, direct_evictions, mem_rids, map_tag = self._net
-        routers = self.chip.routers
+        depth, mem_depth, inj_cap, n_ports, mem_rids, map_tag = self._net
         router_tabs = self._router_tabs
         parked = self._parked
         inj_waiting = self._inj_waiting
@@ -631,7 +627,7 @@ class SimRun:
         for rid in visit:
             router, next_port, out, scans = router_tabs[rid]
             out_used = 0
-            eject_cap = ejected + 4
+            eject_cap = ejected + n_ports
             keep = False  # a head may move next commit
             wait = 0
             for q, budget, feeder, feeder_bit in scans[(cycle + rid) % 5]:
@@ -725,24 +721,15 @@ class SimRun:
         stats = self.stats
         outbox_tabs = self._outbox_tabs
         reads = self.reads_outstanding - responses
-        injected = direct = 0
+        injected = 0
         for idx in sorted(sending):
             comp, outbox, rid, injq, inflight = outbox_tabs[idx]
             budget = n_ports
             while outbox and budget:
-                pkt = outbox[0]
-                kind = pkt.kind
-                if kind == K_EVICT and direct_evictions:
-                    outbox.popleft()
-                    mc = routers[pkt.dst].memctrl
-                    mc.inbox.append(pkt)
-                    woken_add(mc._engine_idx)
-                    direct += 1
-                    budget -= 1
-                    continue
                 if len(injq) >= inj_cap:
                     break
-                outbox.popleft()
+                pkt = outbox.popleft()
+                kind = pkt.kind
                 if kind == K_HACC:
                     pkt.dst = mem_rids[map_tag(pkt.payload[0])]
                     stats.hacc_created += 1
@@ -775,7 +762,7 @@ class SimRun:
         stats.flits += injected
         self.net_flits += injected - ejected
         self.reads_outstanding = reads
-        return hops + ejected + injected + direct
+        return hops + ejected + injected
 
     def _advance_window_fence(self) -> int:
         """Open the next window if the current one has drained (the caller compares counters)."""

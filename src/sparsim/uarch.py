@@ -185,8 +185,6 @@ class ChipConfig:
     mem_buffer_depth: int = 0  # 0 -> 4 * hash_engines
     router_queue_depth: int = 4
     injection_depth: int = 8
-    full_parallel_compare: bool = False
-    eviction_path: str = "torus"  # or "direct"
     # memory channel (per tile)
     channel_bytes_per_cycle: int = 16
     channel_fixed_latency: int = 64
@@ -237,8 +235,6 @@ class ChipConfig:
                 f"regs_per_mmh4 ({self.regs_per_mmh4}) exceeds tile.regs_per_pipeline "
                 f"({tile.regs_per_pipeline}): no instruction could get its registers"
             )
-        if self.eviction_path not in ("torus", "direct"):
-            raise ConfigError(f"unknown eviction path {self.eviction_path!r}")
         service = -(-self.granule // self.channel_bytes_per_cycle)
         if self.channel_fixed_latency < service:
             raise ConfigError("channel fixed latency must cover one granule service time")
@@ -313,15 +309,16 @@ def torus_shape(cfg: ChipConfig) -> tuple[int, int]:
 
 class Router:
     """Torus router node: bounded input queues per direction plus an
-    injection queue (the attached component's four ports folded together).
+    injection queue (the attached component's ``tile.ports`` ports folded
+    together).
 
     Flit movement itself happens in the engine's commit phase as direct
     queue-to-queue transfers (dimension-ordered X then Y, shortest wrap,
-    adaptive shortest-queue tie-break, one flit per input per cycle, at
-    most four injections/ejections). Ring deadlock is prevented with
-    bubble flow control: a flit entering a ring needs two free slots in
-    the target queue, a flit continuing along its ring needs one, so every
-    ring always keeps a bubble.
+    adaptive shortest-queue tie-break, one flit per direction input per
+    cycle, at most ``tile.ports`` injections and as many ejections). Ring
+    deadlock is prevented with bubble flow control: a flit entering a ring
+    needs two free slots in the target queue, a flit continuing along its
+    ring needs one, so every ring always keeps a bubble.
 
     ``build_chip`` links each router to its neighbours: ``out_q[port]`` is
     the neighbour's input queue facing back at this router and
@@ -760,10 +757,7 @@ class MemModel:
                 region.vals[slot] += data
                 region.counters[slot] -= 1
             evict = rolling and region.counters[slot] == 0
-            if cfg.full_parallel_compare:
-                compare_cycles = 1
-            else:
-                compare_cycles = -(-probes // cfg.tile.tag_comparators_per_engine)
+            compare_cycles = -(-probes // cfg.tile.tag_comparators_per_engine)
             done = cycle + compare_cycles + cfg.accumulate_latency - 1
             self.engines_pending[e] = (done, e, slot, evict, tag, src_core, birth)
             acted += 1
@@ -792,8 +786,7 @@ class MemModel:
         run.on_line_freed()
         self.evicted_values.append((tag, value))
         addr = run.eviction_target(tag)
-        # dst is the owning controller; on the dedicated-path config the
-        # engine delivers it directly instead of injecting into the torus.
+        # The write-back crosses the torus to the owning controller.
         self.outbox.append(Packet(run.memctrl_rid_for(addr), K_EVICT, addr))
 
     def flush_all(self, run):

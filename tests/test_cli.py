@@ -58,6 +58,21 @@ def test_verify_rmat_integer_mode(tmp_path, capsys):
     assert "all paths match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("got,want,diverges", [
+    ([1.0, np.nan], [1.0, 2.0], True),
+    ([1.0, 2.0], [1.0, np.nan], True),
+    ([1.0, np.nan], [1.0, np.nan], False),
+    ([1.0, 2.0], [1.0, np.inf], True),
+    ([1.0, np.inf], [1.0, np.inf], False),
+], ids=["nan-got", "nan-want", "nan-both", "inf-want", "inf-both"])
+def test_first_divergence_nan_matches_only_nan(got, want, diverges):
+    div = cli.first_divergence(matio.dense_to_csr([got]), matio.dense_to_csr([want]), 1e-9)
+    if diverges:
+        assert div[:2] == (0, 1)
+    else:
+        assert div is None
+
+
 VERIFY_ARGS = ["verify", "--rmat", "4:3", "--seed", "2", "--integer-mode"]
 
 
@@ -425,6 +440,12 @@ BAD_INPUT_CASES = [
     ("removed-host-workers", ["--host-workers", "2"], None, cli.EXIT_USAGE, "--host-workers"),
     ("removed-reseed", ["--reseed", "7"], None, cli.EXIT_USAGE, "--reseed"),
     ("removed-verify-workers", ["verify", "--workers", "2"], None, cli.EXIT_USAGE, "--workers"),
+    # Single-cycle compare is tag_comparators_per_engine at least the probe
+    # sequence, and write-backs always cross the torus.
+    ("config-removed-eviction-path", [], chip_file(eviction_path="direct"), cli.EXIT_USAGE,
+     "eviction_path"),
+    ("config-removed-full-parallel-compare", [], chip_file(full_parallel_compare=True),
+     cli.EXIT_USAGE, "full_parallel_compare"),
     ("gcn-matrix-b", ["gcn", "--matrix-b", "{tmp}/b.mtx"], None, cli.EXIT_USAGE, "--matrix-b"),
     # A negative seed would reach numpy's PCG64, which raises on it.
     ("seed-negative", ["--seed", "-1"], None, cli.EXIT_USAGE, "--seed"),
@@ -433,6 +454,8 @@ BAD_INPUT_CASES = [
     *[(f"sweep-jobs-{value}", ["sweep", "--configs", "tile4", "--mappers", "ring", "--jobs", value],
        None, cli.EXIT_USAGE, "--jobs: must be >= 1") for value in ("0", "-1")],
     ("smash-seed-negative", ["smash", "--seed", "-1"], None, cli.EXIT_USAGE, "--seed"),
+    *[(f"smash-workers-{value}", ["smash", "--workers", value], None, cli.EXIT_USAGE,
+       "--workers: must be >= 1") for value in ("0", "-1")],
     ("gcn-seed-negative", ["gcn", "--seed", "-18"], None, cli.EXIT_USAGE, "--seed"),
     ("gcn-features-zero", ["gcn", "--features", "0"], None, cli.EXIT_USAGE, "--features"),
     ("gcn-hidden-negative", ["gcn", "--hidden", "-1"], None, cli.EXIT_USAGE, "--hidden"),

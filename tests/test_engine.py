@@ -327,15 +327,30 @@ def test_fence_keeps_all_work_in_current_window(mode):
     assert run.stats.hacc_committed == plan.total_fma
 
 
-def test_eviction_path_direct_flag():
+@pytest.mark.parametrize("ports", [1, 2])
+def test_tile_ports_bound_each_routers_injection_and_ejection(ports):
     a = rmat_csr(5, 3, seed=18)
-    from dataclasses import replace
-
-    cfg = replace(uarch.CHIP_TILE4, eviction_path="direct")
-    stats, out, _ = engine.run_spgemm_simulation(a, a, cfg, mapper(), seed=2)
-    want = oracle.spgemm_gustavson(a, a)
-    assert np.array_equal(out.values, want.values)
-    assert stats.conservation["ok"]
+    chip = replace(uarch.CHIP_TILE4, tile=replace(uarch.TILE4, ports=ports))
+    plan, wplan, prog = lower_for(a, a)
+    run = engine.SimRun(prog, chip, mapper(), plan, wplan, seed=2)
+    # Each router's injection queue moves up to ``ports`` flits a cycle.
+    for _, _, _, scans in run._router_tabs:
+        for q, budget, feeder, _ in scans[0]:
+            assert budget == (ports if feeder < 0 else 1)
+    # A packet ejected this cycle waits in its unit's inbox, stamped with the
+    # cycle, until the unit steps next cycle.
+    most = 0
+    while True:
+        run._step_cycle()
+        for router in run.chip.routers:
+            units = [u for u in (router.component, router.memctrl) if u is not None]
+            most = max(most, sum(p.moved_at == run.cycle for u in units for p in u.inbox))
+        if run.current_window >= prog.n_windows and run._finished():
+            break
+        run.cycle += 1
+    assert most == ports
+    run._finalize()
+    assert np.array_equal(run.result.values, oracle.spgemm_gustavson(a, a).values)
 
 
 # ---------------------------------------------------------------------------
@@ -806,10 +821,11 @@ def digest(data: bytes) -> str:
 
 # Each run covers a different model path: rolling and barrier eviction,
 # multi-window fences with and without barrier flushes, the larger tile16
-# torus, the direct eviction path, full-parallel tag compare, and the
-# 256-core tile16-gnn chip, whose two-flit router queues make the ring
-# bubble block flits often, and a one-flit injection queue, behind which
-# cores hold packets in their outbox most of the time. The first run has
+# torus, single-cycle tag compare (4,096 comparators per engine, more than
+# the 2,509 slots of tile4's probe sequence), the 256-core tile16-gnn chip,
+# whose two-flit router queues make the ring bubble block flits often, and
+# a one-flit injection queue, behind which cores hold packets in their
+# outbox most of the time. The first run has
 # non-zero reg, operand, port and dispatch stalls. On the next to last, a
 # 512-cycle memory channel leaves most cycles with nothing due, which the
 # engine jumps over, samples included. The last flushes seven windows on
@@ -837,13 +853,8 @@ PINNED_RUNS = [
      "5b55008794d9a7bb607b09bbe115f21b360b52b4e474db089157fee478b74f3b",
      "0776482d21c15dc5955d2cdcc0118b0cf13a678d863c6d026ee3710a092770bb",
      "ba3cc5296ae4a49bc11cc15b29eeb017fbf1dd17cc1f4d184579c5e65e38157b"),
-    ("tile4-direct-evictions", (6, 4, 9), replace(uarch.CHIP_TILE4, eviction_path="direct"),
-     mapping.DRHM_LOW, engine.ROLLING, None,
-     "95846c1e3fec37a5871f53034c8dee7e08c92798c0c0994816ac0335b48bee34",
-     "1c37e5d278107a5e3e56100dc31a9fffd1bd58128b31fe2e0fd7c2c3cadb9ef9",
-     "a031971fc0ad08345df4449e3ab9bc564d3a906209bd9206271cd660fa294803",
-     "02de992d4f570cb2b3c4e07e89acbba72a6d80ca5db6790fbf48255470dfcd90"),
-    ("tile4-full-parallel-compare", (6, 4, 11), replace(uarch.CHIP_TILE4, full_parallel_compare=True),
+    ("tile4-full-parallel-compare", (6, 4, 11),
+     replace(uarch.CHIP_TILE4, tile=replace(uarch.TILE4, tag_comparators_per_engine=1 << 12)),
      mapping.DRHM_LOW, engine.ROLLING, None,
      "4b7ae6e75d06829838ac6222d8dca9a82ae4316e704e509822365a6f6c366293",
      "3a0a5064786ea5201257f2d833850a305a2c60e2a4cdd9152d59d9293e9e04f0",
